@@ -6,8 +6,10 @@ the CLI from flags).  Keys:
     measures        list of measure specs, "family:p1,p2,..." or
                     "tabulated:<path>"
     functions       list of expression strings (see functions.parse_expression)
-    checks          list of check names, or objects {"name": ..., "<key>":
-                    [grid values]} for checks with parameter grids
+    checks          list of check names (the keys of inequalities.CHECKS,
+                    which also declares each check's grid keys, defaults and
+                    choices), or objects {"name": ..., "<key>": [grid
+                    values]} for checks with parameter grids
     pass_tol        relative pass tolerance for certificates (default 1e-6)
     quad_rel_tol    quadrature relative tolerance (default 1e-9)
     quad_abs_tol    quadrature absolute tolerance (default 1e-13)
@@ -28,7 +30,7 @@ import difflib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import functions, measures
 from .certificates import DEFAULT_PASS_TOL
@@ -38,6 +40,7 @@ from .errors import (
     ExpressionError,
     IngestionError,
 )
+from .inequalities import CHECKS, young_spec
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 
 __all__ = [
@@ -49,74 +52,6 @@ __all__ = [
     "parse_config",
     "parse_measure_spec",
 ]
-
-
-# ---------------------------------------------------------------------------
-# check registry: grid keys, defaults, and whether the check consumes the
-# function battery.  The runner binds names to the actual check calls; the
-# two tables are kept aligned by a test.
-# ---------------------------------------------------------------------------
-
-_POINCARE_VARIANTS = ("centered_2p", "centered_p", "raw_2p", "raw_p")
-_ORLICZ_WHICH = ("median_centered", "mean_centered")
-_COV_SIDES = ("left", "right")
-_YOUNG_SPECS = ("psi1",)  # plus "|x|^p" forms, validated by pattern
-
-
-@dataclass(frozen=True)
-class _CheckInfo:
-    needs_function: bool
-    defaults: dict
-    choices: dict = field(default_factory=dict)
-
-
-CHECKS: dict[str, _CheckInfo] = {
-    "cov_l1_linf": _CheckInfo(True, {}),
-    "cov_lp_lq_T": _CheckInfo(True, {"p": (1.5, 2.0)}),
-    "cov_lp_lq": _CheckInfo(True, {"p": (1.0, 2.0)}),
-    "cheeger": _CheckInfo(True, {}),
-    "cov_final": _CheckInfo(True, {"p": (2.0,)}),
-    "brascamp_lieb": _CheckInfo(True, {}),
-    "cov_variant": _CheckInfo(
-        True, {"side": _COV_SIDES}, {"side": _COV_SIDES}
-    ),
-    "lp_poincare": _CheckInfo(
-        True,
-        {"p": (2.0,), "variant": ("centered_2p",)},
-        {"variant": _POINCARE_VARIANTS},
-    ),
-    "mean_median_sandwich": _CheckInfo(True, {}),
-    "orlicz": _CheckInfo(
-        True,
-        {"young": ("|x|^2",), "which": ("median_centered",)},
-        {"which": _ORLICZ_WHICH},
-    ),
-    "hardy": _CheckInfo(True, {"p": (2.0,)}),
-    "moment_growth": _CheckInfo(False, {"p": (1.0, 2.0, 3.0)}),
-    "psi1_bound": _CheckInfo(False, {}),
-    "moment_comparison": _CheckInfo(False, {"p": (2.0,)}),
-    "logconcave_moments": _CheckInfo(False, {"p": (2.0,)}),
-}
-
-_GRID_KEYS = {"p", "variant", "side", "young", "which"}
-
-_FAMILY_ARITY = {
-    "laplace": ("loc, scale", 2),
-    "gaussian": ("mean, sd", 2),
-    "uniform": ("lo, hi", 2),
-    "exponential": ("rate", 1),
-    "logistic": ("loc, scale", 2),
-    "beta": ("alpha, beta", 2),
-}
-
-_FAMILY_FACTORY = {
-    "laplace": measures.laplace,
-    "gaussian": measures.gaussian,
-    "uniform": measures.uniform,
-    "exponential": measures.exponential,
-    "logistic": measures.logistic,
-    "beta": measures.beta,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,23 +107,23 @@ def parse_measure_spec(spec: str):
         if not os.path.exists(path):
             raise DomainError(f"tabulated file not found: {path}")
         return measures.load_tabulated(path)
-    if family not in _FAMILY_ARITY:
-        known = ", ".join(sorted(_FAMILY_ARITY) + ["tabulated"])
-        hint = difflib.get_close_matches(family, list(_FAMILY_ARITY), n=1)
+    if family not in measures.FAMILIES:
+        known = ", ".join(sorted(measures.FAMILIES) + ["tabulated"])
+        hint = difflib.get_close_matches(family, list(measures.FAMILIES), n=1)
         extra = f" (did you mean {hint[0]!r}?)" if hint else ""
         raise DomainError(f"unknown family {family!r}{extra}; known: {known}")
-    argnames, arity = _FAMILY_ARITY[family]
+    fam = measures.FAMILIES[family]
     parts = [s for s in rest.split(",")] if sep else []
     try:
         args = [float(s) for s in parts]
     except ValueError:
         raise DomainError(f"non-numeric parameter in {text!r}")
-    if len(args) != arity or any(not math.isfinite(a) for a in args):
+    if len(args) != len(fam.params) or any(not math.isfinite(a) for a in args):
         raise DomainError(
-            f"{family} takes {arity} finite parameters ({argnames}), "
-            f"got {text!r}"
+            f"{family} takes {len(fam.params)} finite parameters "
+            f"({', '.join(fam.params)}), got {text!r}"
         )
-    return _FAMILY_FACTORY[family](*args)
+    return fam.factory(*args)
 
 
 def _suggest_check(name: str) -> str:
@@ -201,20 +136,6 @@ def _coerce_grid_values(key, raw):
     if isinstance(raw, (list, tuple)):
         return tuple(raw)
     return (raw,)
-
-
-def _valid_young(spec) -> bool:
-    if not isinstance(spec, str):
-        return False
-    s = spec.strip()
-    if s in _YOUNG_SPECS:
-        return True
-    if s.startswith("|x|^"):
-        try:
-            return float(s[4:]) >= 1.0
-        except ValueError:
-            return False
-    return False
 
 
 def _parse_checks(raw, errors):
@@ -239,7 +160,7 @@ def _parse_checks(raw, errors):
         for key, raw_vals in entry.items():
             if key == "name":
                 continue
-            if key not in _GRID_KEYS or key not in info.defaults:
+            if key not in info.defaults:
                 errors.append(f"{loc}.{key}: check {name!r} takes no {key!r} grid")
                 bad = True
                 continue
@@ -259,11 +180,10 @@ def _parse_checks(raw, errors):
                 vals = tuple(ok)
             elif key == "young":
                 for j, v in enumerate(vals):
-                    if not _valid_young(v):
-                        errors.append(
-                            f"{loc}.young[{j}]: expected 'psi1' or '|x|^p' "
-                            f"with p >= 1, got {v!r}"
-                        )
+                    try:
+                        young_spec(v)
+                    except DomainError as exc:
+                        errors.append(f"{loc}.young[{j}]: {exc}")
                         bad = True
             else:
                 choices = info.choices.get(key, ())

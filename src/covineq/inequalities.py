@@ -16,8 +16,9 @@ that probe sharpness of the covariance and Poincaré bounds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "young_function",
     "young_power",
     "young_psi1",
+    "young_spec",
     "young_cn",
     "orlicz_norm",
     "check_orlicz",
@@ -59,6 +61,8 @@ __all__ = [
     "cp_sequence",
     "estimate_best_constant",
     "sharpness_sweep",
+    "CheckEntry",
+    "CHECKS",
 ]
 
 POINCARE_VARIANTS = ("centered_2p", "centered_p", "raw_2p", "raw_p")
@@ -79,28 +83,6 @@ def _inv_is(m) -> tuple[float, bool]:
     if val == 0.0:
         return math.inf, True
     return 1.0 / val, False
-
-
-def _sup_abs(m, fn, extra_knots=()) -> float:
-    """sup |fn| over the probe grid plus knots, with golden refinement.
-
-    Like ``Measure.ess_sup`` but lets the caller merge in abscissae the
-    probe grid cannot know about (function kinks, the median).
-    """
-    lo, hi = m.integration_domain()
-    pts = [m.probe_points()]
-    extra = np.asarray(tuple(extra_knots), dtype=float)
-    if extra.size:
-        pts.append(extra[(extra >= lo) & (extra <= hi)])
-    grid = np.unique(np.concatenate(pts))
-    vals = np.abs(np.asarray(fn(grid), dtype=float))
-    if not np.all(np.isfinite(vals)):
-        return float("inf")
-    top = np.argsort(vals)[-3:]
-    a = grid[np.maximum(top - 1, 0)]
-    b = grid[np.minimum(top + 1, len(grid) - 1)]
-    _, refined = search.golden_max(lambda x: np.abs(np.asarray(fn(x), float)), a, b)
-    return float(max(np.max(vals), np.max(refined)))
 
 
 def _deriv_norm(m, g, p) -> float:
@@ -184,7 +166,7 @@ def check_cov_lp_lq(m, g, h, p) -> InequalityCertificate:
     h0 = functions.centered(h, m)
     if p == 1.0:
         q = math.inf
-        rhs = inv_is * _deriv_norm(m, g, 1.0) * _sup_abs(m, h0, h0.knots)
+        rhs = inv_is * _deriv_norm(m, g, 1.0) * m.ess_sup(h0, h0.knots)
     else:
         q = _holder_conjugate(p)
         rhs = p * inv_is * _deriv_norm(m, g, p) * m.lp_norm(h0, q)
@@ -241,7 +223,7 @@ def check_brascamp_lieb(m, g, h) -> InequalityCertificate:
         x = np.asarray(x, dtype=float)
         return np.asarray(h.deriv(x), dtype=float) / np.asarray(phi2(x), dtype=float)
 
-    rhs = _deriv_norm(m, g, 1.0) * _sup_abs(m, weighted, h.knots)
+    rhs = _deriv_norm(m, g, 1.0) * m.ess_sup(weighted, h.knots)
     return certify(
         "brascamp_lieb", lhs=lhs, rhs=rhs, params=_pair_params(m, g, h)
     )
@@ -273,7 +255,7 @@ def check_cov_variant(m, g, h, side) -> InequalityCertificate:
             w = ch.right(x) - m.sf(x) * e_h
         return np.abs(w) / m.pdf(x)
 
-    sup = _sup_abs(m, ratio, tuple(h.knots) + (m.median(),))
+    sup = m.ess_sup(ratio, tuple(h.knots) + (m.median(),))
     rhs = sup * _deriv_norm(m, g, 1.0)
     return certify(
         "cov_variant", lhs=lhs, rhs=rhs, params=_pair_params(m, g, h, side=side)
@@ -542,6 +524,25 @@ def young_psi1() -> YoungFunction:
             return np.sign(x) * np.exp(np.abs(x))
 
     return young_function(N, N_prime, "psi1")
+
+
+def young_spec(spec) -> Callable[[], YoungFunction]:
+    """Parse a Young spec, ``psi1`` or ``|x|^p`` with p >= 1 (inf included).
+
+    Returns a factory for the Young function, so that a config can be
+    validated without building it; any other spec raises ``DomainError``.
+    """
+    s = spec.strip() if isinstance(spec, str) else ""
+    if s == "psi1":
+        return young_psi1
+    if s.startswith("|x|^"):
+        try:
+            p = float(s[4:])
+        except ValueError:
+            p = math.nan
+        if p >= 1.0:
+            return functools.partial(young_power, p)
+    raise DomainError(f"expected 'psi1' or '|x|^p' with p >= 1, got {spec!r}")
 
 
 _ORLICZ_LO = 1e-8
@@ -837,3 +838,81 @@ def sharpness_sweep(m, p, k_values) -> list[InequalityCertificate]:
                 f"sharpness ratios {ratios} are not monotone for {m.label}"
             )
     return certs
+
+
+# ---------------------------------------------------------------------------
+# check table: what the config validates and the runner sweeps
+
+
+@dataclass(frozen=True, eq=False)
+class CheckEntry:
+    """One runnable check with its parameter grid.
+
+    ``call(m, fn, **point)``, or ``call(m, **point)`` for a measure-level
+    check, runs one grid point.  Each call looks its ``check_*`` up by name
+    when it runs, so a function replaced on this module (or on ``kernel``,
+    for hardy) is the one called.  ``defaults`` maps every grid key the
+    check takes to its default values; ``choices`` lists the allowed
+    values of the enumerated keys.  ``fn_key`` is the report parameter
+    naming the battery function, None for a measure-level check.
+    """
+
+    call: Callable
+    defaults: dict = field(default_factory=dict)
+    choices: dict = field(default_factory=dict)
+    fn_key: str | None = "g"
+
+    @property
+    def needs_function(self) -> bool:
+        return self.fn_key is not None
+
+
+CHECKS: dict[str, CheckEntry] = {
+    "cov_l1_linf": CheckEntry(lambda m, fn: check_cov_l1_linf(m, fn, fn)),
+    "cov_lp_lq_T": CheckEntry(
+        lambda m, fn, p: check_cov_lp_lq_T(m, fn, fn, p), {"p": (1.5, 2.0)}
+    ),
+    "cov_lp_lq": CheckEntry(
+        lambda m, fn, p: check_cov_lp_lq(m, fn, fn, p), {"p": (1.0, 2.0)}
+    ),
+    "cheeger": CheckEntry(lambda m, fn: check_cheeger(m, fn)),
+    "cov_final": CheckEntry(
+        lambda m, fn, p: check_cov_final(m, fn, fn, p), {"p": (2.0,)}
+    ),
+    "brascamp_lieb": CheckEntry(lambda m, fn: check_brascamp_lieb(m, fn, fn)),
+    "cov_variant": CheckEntry(
+        lambda m, fn, side: check_cov_variant(m, fn, fn, side),
+        {"side": COV_VARIANT_SIDES},
+        {"side": COV_VARIANT_SIDES},
+    ),
+    "lp_poincare": CheckEntry(
+        lambda m, fn, p, variant: check_lp_poincare(m, fn, p, variant),
+        {"p": (2.0,), "variant": ("centered_2p",)},
+        {"variant": POINCARE_VARIANTS},
+        fn_key="u",
+    ),
+    "mean_median_sandwich": CheckEntry(
+        lambda m, fn: check_mean_median_sandwich(m, fn)
+    ),
+    "orlicz": CheckEntry(
+        lambda m, fn, young, which: check_orlicz(m, fn, young_spec(young)(), which),
+        {"young": ("|x|^2",), "which": ("median_centered",)},
+        {"which": ORLICZ_VARIANTS},
+        fn_key="f",
+    ),
+    "hardy": CheckEntry(
+        lambda m, fn, p: kernel.hardy_certificate(m, fn, m.median(), p),
+        {"p": (2.0,)},
+        fn_key="h",
+    ),
+    "moment_growth": CheckEntry(
+        lambda m, p: check_moment_growth(m, p), {"p": (1.0, 2.0, 3.0)}, fn_key=None
+    ),
+    "psi1_bound": CheckEntry(lambda m: check_psi1_bound(m), fn_key=None),
+    "moment_comparison": CheckEntry(
+        lambda m, p: check_moment_comparison(m, p), {"p": (2.0,)}, fn_key=None
+    ),
+    "logconcave_moments": CheckEntry(
+        lambda m, p: check_logconcave_moments(m, p), {"p": (2.0,)}, fn_key=None
+    ),
+}

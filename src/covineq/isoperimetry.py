@@ -23,6 +23,9 @@ DEFAULT_REFINE_ITERS = 60
 
 # boundary probe depths for the diverging-tail guard (all below t = 1e-6)
 _PROBE_LEVELS = 10.0 ** -np.arange(7.0, 14.0)
+# relative drop a tail step must exceed to count as a fall; exactly
+# exponential tails (laplace, exponential) wobble by ~1e-15 at some scales
+_FALL_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,17 +70,21 @@ def _ratio_at_t(m, t):
 
 
 def _tail_diverges(m, interior_min) -> bool:
-    """Three successive decreases below t=1e-6 dipping under the interior min."""
+    """Three successive decreases below t=1e-6 dipping under the interior min.
+
+    Decreases and the dip both count only beyond a relative ``_FALL_MARGIN``.
+    """
     # densities may legitimately be inf at the support edge (beta a<1);
-    # inf-inf differences are non-falling, which is the right verdict
+    # inf is never below inf·(1-margin), so such steps are non-falling,
+    # which is the right verdict
     with np.errstate(invalid="ignore"):
         for seq in (
             m.pdf(np.asarray(m.dist.ppf(_PROBE_LEVELS), dtype=float)) / _PROBE_LEVELS,
             m.pdf(np.asarray(m.dist.isf(_PROBE_LEVELS), dtype=float)) / _PROBE_LEVELS,
         ):
-            falling = np.diff(seq) < 0
+            falling = seq[1:] < seq[:-1] * (1.0 - _FALL_MARGIN)
             runs = falling[:-2] & falling[1:-1] & falling[2:]
-            if np.any(runs) and np.min(seq) < interior_min:
+            if np.any(runs) and np.min(seq) < interior_min * (1.0 - _FALL_MARGIN):
                 return True
     return False
 

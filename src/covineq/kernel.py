@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import quadrature, search
+from . import quadrature
 from .certificates import InequalityCertificate, certify
 from .errors import DomainError
 
@@ -77,44 +77,37 @@ def covariance_kernel(m, g, h) -> float:
     )
 
 
-def tail_identity_left(m, h, z) -> tuple[float, float]:
-    """(F(z)E[h] − ∫_{−∞}^z h dF, ∫ K(z,y) h′(y) dy): equal in exact arithmetic."""
+def _tail_identity(m, h, z, side) -> tuple[float, float]:
     z = float(z)
     lo, hi = m.integration_domain()
     knots = _union_knots(m, h)
     e_h = m.expectation(h)
     zc = min(max(z, lo), hi)
+    a, b = (lo, zc) if side == "left" else (zc, hi)
     part = 0.0
-    if zc > lo:
+    if a < b:
         part = quadrature.integrate(
-            lambda y: np.asarray(h(y), dtype=float) * m.pdf(y), lo, zc, knots=knots
+            lambda y: np.asarray(h(y), dtype=float) * m.pdf(y), a, b, knots=knots
         )
-    lhs = m.cdf(z) * e_h - part
+    if side == "left":
+        lhs = m.cdf(z) * e_h - part
+    else:
+        lhs = part - m.sf(z) * e_h
     rhs = quadrature.integrate(
         lambda y: kernel_eval(m, z, y) * np.asarray(h.deriv(y), dtype=float),
         lo, hi, knots=knots + (zc,),
     )
     return float(lhs), float(rhs)
+
+
+def tail_identity_left(m, h, z) -> tuple[float, float]:
+    """(F(z)E[h] − ∫_{−∞}^z h dF, ∫ K(z,y) h′(y) dy): equal in exact arithmetic."""
+    return _tail_identity(m, h, z, "left")
 
 
 def tail_identity_right(m, h, z) -> tuple[float, float]:
     """(∫_{(z,∞)} h dF − S(z)E[h], ∫ K(z,y) h′(y) dy): mirror identity."""
-    z = float(z)
-    lo, hi = m.integration_domain()
-    knots = _union_knots(m, h)
-    e_h = m.expectation(h)
-    zc = min(max(z, lo), hi)
-    part = 0.0
-    if zc < hi:
-        part = quadrature.integrate(
-            lambda y: np.asarray(h(y), dtype=float) * m.pdf(y), zc, hi, knots=knots
-        )
-    lhs = part - m.sf(z) * e_h
-    rhs = quadrature.integrate(
-        lambda y: kernel_eval(m, z, y) * np.asarray(h.deriv(y), dtype=float),
-        lo, hi, knots=knots + (zc,),
-    )
-    return float(lhs), float(rhs)
+    return _tail_identity(m, h, z, "right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,22 +175,9 @@ def t_norm(m, h, k, p, transform: TkTransform | None = None) -> float:
     T = transform if transform is not None else t_transform(m, h, k)
     lo, hi = m.integration_domain()
     if math.isinf(p):
-        pts = [m.probe_points(), np.asarray(h.knots, dtype=float)]
-        if lo < T.k < hi:
-            # T jumps at the split point: probe both one-sided limits
-            pts.append(np.asarray([T.k, np.nextafter(T.k, hi)]))
-        pts = np.unique(np.concatenate([np.atleast_1d(q) for q in pts]))
-        pts = pts[(pts >= lo) & (pts <= hi)]
-        vals = np.abs(T(pts))
-        if not np.all(np.isfinite(vals)):
-            return float("inf")
-        top = np.argsort(vals)[-3:]
-        _, refined = search.golden_max(
-            lambda x: np.abs(T(x)),
-            pts[np.maximum(top - 1, 0)],
-            pts[np.minimum(top + 1, len(pts) - 1)],
-        )
-        return float(max(np.max(vals), np.max(refined)))
+        # T jumps at the split point: probe both one-sided limits
+        split = (T.k, np.nextafter(T.k, hi)) if lo < T.k < hi else ()
+        return m.ess_sup(T, tuple(h.knots) + split)
     knots = _union_knots(m, h)
     if lo < T.k < hi:
         knots = tuple(sorted(set(knots) | {T.k}))

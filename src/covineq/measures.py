@@ -13,7 +13,8 @@ go through the survival function, never through 1−t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul, truediv
 from typing import Any, Callable
 
 import numpy as np
@@ -119,15 +120,24 @@ class Measure:
         out = np.unique(np.concatenate([np.atleast_1d(p) for p in pts]))
         return out[(out >= lo) & (out <= hi)]
 
-    def ess_sup(self, g) -> float:
+    def ess_sup(self, g, extra_knots=()) -> float:
         """Grid supremum of |g| with golden refinement around the top points.
 
         The density is positive on the support, so the essential sup is the
         sup over the interior.  Genuinely unbounded |g| is reported as the
         largest probed value (or inf if a probe overflows) — an
         under-report, documented where it matters.
+
+        ``extra_knots`` are abscissae merged into the probe grid that it
+        cannot know about: kinks of g, the median, both sides of a jump.
+        Those outside the integration domain are dropped.
         """
         pts = self.probe_points()
+        extra = np.asarray(tuple(extra_knots), dtype=float)
+        if extra.size:
+            lo, hi = self.integration_domain()
+            extra = extra[(extra >= lo) & (extra <= hi)]
+            pts = np.unique(np.concatenate([pts, extra]))
         vals = np.abs(np.asarray(g(pts), dtype=float))
         if not np.all(np.isfinite(vals)):
             return float("inf")
@@ -144,22 +154,17 @@ class Measure:
         c = float(c)
         if not c > 0.0:
             raise DomainError(f"rescale factor must be positive, got {c}")
-        f, p = self.family, self.params
-        if f == "gaussian":
-            return gaussian(p["mean"] / c, p["sd"] / c)
-        if f == "laplace":
-            return laplace(p["loc"] / c, p["scale"] / c)
-        if f == "exponential":
-            return exponential(p["rate"] * c)
-        if f == "uniform":
-            return uniform(p["lo"] / c, p["hi"] / c)
-        if f == "logistic":
-            return logistic(p["loc"] / c, p["scale"] / c)
-        if f == "beta":
-            return _beta_scaled(p["alpha"], p["beta"], p.get("scale", 1.0) / c)
-        if f == "tabulated":
+        if self.family == "tabulated":
             return ingest_tabulated(self.dist.xs / c, self.dist.ds * c)
-        raise UnsupportedMeasureError(f"rescale not defined for family {f!r}")
+        fam = FAMILIES.get(self.family)
+        if fam is None:
+            raise UnsupportedMeasureError(
+                f"rescale not defined for family {self.family!r}"
+            )
+        params = {**fam.defaults, **self.params}
+        return fam.factory(
+            **{name: scale(params[name], c) for name, scale in fam.scaling.items()}
+        )
 
     # ---- cosmetics -------------------------------------------------------
 
@@ -258,13 +263,14 @@ def logistic(loc=0.0, scale=1.0) -> Measure:
     )
 
 
-def _beta_scaled(alpha, beta_, scale) -> Measure:
+def beta(alpha, beta, scale=1.0) -> Measure:
+    """Beta(alpha, beta) law stretched onto [0, scale]."""
     alpha = _validated("alpha", alpha, positive=True)
-    beta_ = _validated("beta", beta_, positive=True)
+    beta = _validated("beta", beta, positive=True)
     scale = _validated("scale", scale, positive=True)
-    if alpha >= 1.0 and beta_ >= 1.0:
+    if alpha >= 1.0 and beta >= 1.0:
         concavity = (
-            STRICTLY_LOG_CONCAVE if max(alpha, beta_) > 1.0 else LOG_CONCAVE
+            STRICTLY_LOG_CONCAVE if max(alpha, beta) > 1.0 else LOG_CONCAVE
         )
     else:
         concavity = LOG_CONCAVITY_NONE
@@ -274,25 +280,60 @@ def _beta_scaled(alpha, beta_, scale) -> Measure:
         def phi2(x):
             u = np.asarray(x, dtype=float) / scale
             with np.errstate(divide="ignore"):
-                return ((alpha - 1.0) / u**2 + (beta_ - 1.0) / (1.0 - u) ** 2) / (
+                return ((alpha - 1.0) / u**2 + (beta - 1.0) / (1.0 - u) ** 2) / (
                     scale * scale
                 )
 
-    params = {"alpha": alpha, "beta": beta_}
+    params = {"alpha": alpha, "beta": beta}
     if scale != 1.0:
         params["scale"] = scale
     return Measure(
         family="beta",
         params=params,
-        dist=stats.beta(alpha, beta_, loc=0.0, scale=scale),
+        dist=stats.beta(alpha, beta, loc=0.0, scale=scale),
         support=(0.0, scale),
         log_concavity=concavity,
         potential_second_derivative=phi2,
     )
 
 
-def beta(alpha, beta_) -> Measure:
-    return _beta_scaled(alpha, beta_, 1.0)
+# ---- family table ----------------------------------------------------------
+
+
+def _fixed(v, c):
+    return v
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """An analytic family: its factory and how each parameter rescales.
+
+    ``scaling`` maps each factory keyword to ``op(value, c)``, its value
+    for the law of X/c: location and scale parameters divide by c
+    (``truediv``), rates multiply (``mul``), shapes stay (``_fixed``).
+    ``defaults`` holds the keywords a spec does not give and a measure's
+    ``params`` may omit; the rest are the spec parameters, in order.
+    """
+
+    factory: Callable
+    scaling: dict
+    defaults: dict = field(default_factory=dict)
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(k for k in self.scaling if k not in self.defaults)
+
+
+FAMILIES = {
+    "laplace": Family(laplace, {"loc": truediv, "scale": truediv}),
+    "gaussian": Family(gaussian, {"mean": truediv, "sd": truediv}),
+    "uniform": Family(uniform, {"lo": truediv, "hi": truediv}),
+    "exponential": Family(exponential, {"rate": mul}),
+    "logistic": Family(logistic, {"loc": truediv, "scale": truediv}),
+    "beta": Family(
+        beta, {"alpha": _fixed, "beta": _fixed, "scale": truediv}, {"scale": 1.0}
+    ),
+}
 
 
 def from_scipy(

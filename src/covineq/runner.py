@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config as config_mod
-from . import functions, inequalities, kernel, quadrature
+from . import functions, quadrature
 from .certificates import (
     InequalityCertificate,
     _params_text,
@@ -38,6 +37,7 @@ from .errors import (
     IntegrationError,
     UnsupportedMeasureError,
 )
+from .inequalities import CHECKS
 from .isoperimetry import isoperimetric_constant
 
 __all__ = ["RunResult", "near_extremal_increasing", "run"]
@@ -49,48 +49,6 @@ EXIT_NUMERICAL = 3
 
 _BATTERY_SIZE = 2
 _BATTERY_NODES = 6
-
-
-def _young_from_spec(spec: str) -> inequalities.YoungFunction:
-    s = spec.strip()
-    if s == "psi1":
-        return inequalities.young_psi1()
-    return inequalities.young_power(float(s[4:]))
-
-
-# name -> (takes_function, callable); grids arrive as keyword arguments
-_ADAPTERS = {
-    "cov_l1_linf": lambda m, fn: inequalities.check_cov_l1_linf(m, fn, fn),
-    "cov_lp_lq_T": lambda m, fn, p: inequalities.check_cov_lp_lq_T(m, fn, fn, p),
-    "cov_lp_lq": lambda m, fn, p: inequalities.check_cov_lp_lq(m, fn, fn, p),
-    "cheeger": lambda m, fn: inequalities.check_cheeger(m, fn),
-    "cov_final": lambda m, fn, p: inequalities.check_cov_final(m, fn, fn, p),
-    "brascamp_lieb": lambda m, fn: inequalities.check_brascamp_lieb(m, fn, fn),
-    "cov_variant": lambda m, fn, side: inequalities.check_cov_variant(
-        m, fn, fn, side
-    ),
-    "lp_poincare": lambda m, fn, p, variant: inequalities.check_lp_poincare(
-        m, fn, p, variant
-    ),
-    "mean_median_sandwich": lambda m, fn: inequalities.check_mean_median_sandwich(
-        m, fn
-    ),
-    "orlicz": lambda m, fn, young, which: inequalities.check_orlicz(
-        m, fn, _young_from_spec(young), which
-    ),
-    "hardy": lambda m, fn, p: kernel.hardy_certificate(m, fn, m.median(), p),
-    "moment_growth": lambda m, p: inequalities.check_moment_growth(m, p),
-    "psi1_bound": lambda m: inequalities.check_psi1_bound(m),
-    "moment_comparison": lambda m, p: inequalities.check_moment_comparison(m, p),
-    "logconcave_moments": lambda m, p: inequalities.check_logconcave_moments(
-        m, p
-    ),
-}
-
-assert set(_ADAPTERS) == set(config_mod.CHECKS)
-
-# key under which each check reports its battery function (default "g")
-_FN_PARAM_KEY = {"lp_poincare": "u", "orlicz": "f", "hardy": "h"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,22 +210,17 @@ def run(config) -> RunResult:
                 battery.extend(_random_battery(m, rng, config.seed))
 
             for spec in config.checks:
-                adapter = _ADAPTERS[spec.name]
-                needs_fn = config_mod.CHECKS[spec.name].needs_function
-                fns = battery if needs_fn else [None]
-                for fn in fns:
+                check = CHECKS[spec.name]
+                calls = [(m, fn) for fn in battery] if check.needs_function else [(m,)]
+                for args in calls:
                     for point in _grid_points(spec.grid):
                         try:
-                            if needs_fn:
-                                cert = adapter(m, fn, **point)
-                            else:
-                                cert = adapter(m, **point)
+                            cert = check.call(*args, **point)
                             status = "ok" if cert.passed else "fail"
                         except Exception as exc:  # noqa: BLE001 - classified below
                             pp = {"family": m.label, **point}
-                            if needs_fn:
-                                key = _FN_PARAM_KEY.get(spec.name, "g")
-                                pp[key] = fn.descriptor
+                            if check.needs_function:
+                                pp[check.fn_key] = args[1].descriptor
                             cert = _placeholder(spec.name, pp, config.pass_tol)
                             status = _classify(exc)
                         entries.append((cert, status))

@@ -17,6 +17,7 @@ CLOSED_FORMS = [
     (measures.gaussian(0, 1), 2 * st.norm.pdf(0.0), 1e-5),
     (measures.exponential(1), 1.0, 1e-6),
     (measures.logistic(0, 1), 0.5, 1e-6),
+    (measures.beta(2, 2), 3.0, 1e-5),
 ]
 
 
@@ -66,6 +67,23 @@ def test_heavy_tail_flags_divergence():
     cauchy = measures.from_scipy(st.cauchy(), "cauchy")
     prof = iso.isoperimetric_constant(cauchy)
     assert prof.diverging_tail and prof.is_value == 0.0
+
+
+# exactly exponential tails whose roundoff-level wobbles once counted as a
+# diverging tail and reported Is = 0
+@pytest.mark.parametrize(
+    "m, s",
+    [
+        (measures.laplace(0, 9.639215124742453e-05), 9.639215124742453e-05),
+        (measures.laplace(0, 198850913.18921158), 198850913.18921158),
+        (measures.exponential(1 / 95564.38255659299), 95564.38255659299),
+    ],
+    ids=lambda v: getattr(v, "label", v),
+)
+def test_exponential_tail_not_diverging(m, s):
+    prof = iso.isoperimetric_constant(m)
+    assert not prof.diverging_tail
+    assert abs(prof.is_value * s - 1.0) <= 1e-9
 
 
 def test_tabulated_approximates_smooth_family(tab_laplace_file):

@@ -86,6 +86,11 @@ def test_rescale_all_families():
         measures.uniform(-1, 3),
         measures.exponential(2),
         measures.logistic(1, 1),
+        measures.beta(2, 5),
+        measures.laplace(1, 3),
+        measures.ingest_tabulated(
+            np.linspace(-3, 3, 41), np.exp(-np.abs(np.linspace(-3, 3, 41)))
+        ),
     ):
         mc = m.rescale(2.0)
         assert abs(mc.quantile(0.75) - m.quantile(0.75) / 2.0) < 1e-9

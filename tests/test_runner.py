@@ -7,7 +7,8 @@ import json
 import pytest
 
 from covineq import config as cfg
-from covineq import runner
+from covineq import inequalities, kernel, runner
+from covineq.certificates import certify
 
 
 def small_config(**overrides):
@@ -136,3 +137,24 @@ class TestNearExtremalProbe:
         vals = g(pts)
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert g.descriptor == "steep_median_ramp"
+
+
+@pytest.mark.parametrize("name", sorted(cfg.CHECKS))
+def test_check_dispatch_looks_up_implementation(name, monkeypatch):
+    # each check must be found on its module when it runs, so a function
+    # replaced there (a spy here, a tracing wrapper elsewhere) is called
+    owner, attr = (
+        (kernel, "hardy_certificate") if name == "hardy"
+        else (inequalities, f"check_{name}")
+    )
+    fired = []
+
+    def spy(*args, **kwargs):
+        fired.append(args)
+        return certify(name, lhs=0.0, rhs=1.0, params={"family": "spy"})
+
+    monkeypatch.setattr(owner, attr, spy)
+    grid = {k: [v[0]] for k, v in cfg.CHECKS[name].defaults.items()}
+    res = runner.run(small_config(checks=[{"name": name, **grid}]))
+    assert len(fired) == 1
+    assert res.statuses.count("ok") == 1
