@@ -527,7 +527,7 @@ def young_psi1() -> YoungFunction:
 
 
 def young_spec(spec) -> Callable[[], YoungFunction]:
-    """Parse a Young spec, ``psi1`` or ``|x|^p`` with p >= 1 (inf included).
+    """Parse a Young spec, ``psi1`` or ``|x|^p`` with finite p >= 1.
 
     Returns a factory for the Young function, so that a config can be
     validated without building it; any other spec raises ``DomainError``.
@@ -540,9 +540,9 @@ def young_spec(spec) -> Callable[[], YoungFunction]:
             p = float(s[4:])
         except ValueError:
             p = math.nan
-        if p >= 1.0:
+        if 1.0 <= p < math.inf:
             return functools.partial(young_power, p)
-    raise DomainError(f"expected 'psi1' or '|x|^p' with p >= 1, got {spec!r}")
+    raise DomainError(f"expected 'psi1' or '|x|^p' with finite p >= 1, got {spec!r}")
 
 
 _ORLICZ_LO = 1e-8
@@ -811,7 +811,7 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
         deltas=tuple(ds),
         ratios=tuple(ratios),
         limit_estimate=limit,
-        target=1.0 / isoperimetric_value(m),
+        target=_inv_is(m)[0],
         monotone=monotone,
     )
 

@@ -5,6 +5,9 @@ essential infimum is the infimum and pointwise minimization is sound: a
 quantile-space grid locates the low region and golden-section refinement
 polishes it.  Boundary probes guard against heavy tails, where the true
 infimum is 0 and is approached only as t → {0, 1}.
+
+The profile is computed once per measure instance and grid setting and kept
+in the measure's private memo; later calls return the same read-only profile.
 """
 
 from __future__ import annotations
@@ -96,10 +99,19 @@ def isoperimetric_constant(
 
     The grid is t_i = i/(grid_size+1); refinement searches brackets around
     the three lowest grid points.  Heavy-tailed measures are reported as
-    is_value = 0 with the diverging-tail flag set.
+    is_value = 0 with the diverging-tail flag set.  The result is memoized
+    on ``m`` per (grid_size, refine_iters); its arrays are read-only.
     """
     if not grid_size >= 64:
         raise DomainError(f"grid_size must be at least 64, got {grid_size}")
+    key = (grid_size, refine_iters)
+    prof = m._memo.get(key)
+    if prof is None:
+        prof = m._memo[key] = _profile(m, grid_size, refine_iters)
+    return prof
+
+
+def _profile(m, grid_size, refine_iters) -> IsoperimetricProfile:
     t = np.arange(1, grid_size + 1, dtype=float) / (grid_size + 1)
     xs = m.quantile(t)
     ratios = m.pdf(xs) / np.minimum(t, 1.0 - t)
@@ -131,9 +143,12 @@ def isoperimetric_constant(
     argmin_t = float(cand_t[near[np.argmin(np.abs(cand_t[near] - 0.5))]])
 
     diverging = _tail_diverges(m, is_value)
+    xs = np.asarray(xs, dtype=float)
+    for arr in (t, xs, ratios):
+        arr.flags.writeable = False
     return IsoperimetricProfile(
         grid=t,
-        xs=np.asarray(xs, dtype=float),
+        xs=xs,
         ratios=ratios,
         argmin_t=argmin_t,
         is_value=0.0 if diverging else is_value,

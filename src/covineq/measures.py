@@ -39,7 +39,10 @@ class Measure:
     ``potential_second_derivative`` is φ'' for the potential φ = −log f and
     is present exactly when the measure is strictly log-concave.  ``knots``
     are density kinks strictly inside the support (panel seeds for
-    quadrature).  Instances are immutable and all methods are pure.
+    quadrature).  Instances are immutable and all methods are pure; each
+    also carries a private memo of results derived from it (the ``Is(μ)``
+    profile), which lives and dies with the instance and takes no part in
+    comparison or repr.
     """
 
     family: str
@@ -49,6 +52,7 @@ class Measure:
     log_concavity: str = LOG_CONCAVITY_NONE
     potential_second_derivative: Callable | None = None
     knots: tuple[float, ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ---- pointwise primitives -------------------------------------------
 

@@ -143,6 +143,10 @@ class TestErrorCollection:
                 {"checks": [{"name": "orlicz", "young": ["|x|^0.5"]}]},
                 "expected 'psi1' or '|x|^p'",
             ),
+            (
+                {"checks": [{"name": "orlicz", "young": ["|x|^inf"]}]},
+                "checks[0].young[0]: expected 'psi1' or '|x|^p' with finite p",
+            ),
             ({"pass_tol": 0}, "pass_tol: must be a positive finite number"),
             ({"seed": -1}, "seed: must be a nonnegative integer"),
             ({"seed": 1.5}, "seed: must be a nonnegative integer"),

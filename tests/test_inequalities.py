@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from covineq import functions as fn
 from covineq import inequalities as ineq
@@ -167,3 +169,12 @@ class TestSandwich:
     def test_constant_g(self, lap):
         c = ineq.check_mean_median_sandwich(lap, fn.constant(5.0))
         assert c.lhs == 0.0 and c.passed
+
+
+class TestBestConstant:
+    def test_zero_isoperimetric_constant_gives_infinite_target(self):
+        # Is(cauchy) = 0; the target 1/Is follows the certificates' convention
+        cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
+        with np.errstate(invalid="ignore"):
+            est = ineq.estimate_best_constant(cauchy, x, [1e-1, 1e-2])
+        assert est.target == math.inf

@@ -108,3 +108,57 @@ def test_profile_csv_shape():
     lines = prof.to_csv().strip().split("\n")
     assert lines[0] == "t,x,ratio"
     assert len(lines) == 1025
+
+
+class TestProfileMemo:
+    @pytest.fixture()
+    def golden_calls(self, monkeypatch):
+        calls = []
+        real = iso.search.golden_min
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(iso.search, "golden_min", spy)
+        return calls
+
+    def test_second_call_is_a_hit(self, golden_calls):
+        m = measures.gaussian(0, 1)
+        first = iso.isoperimetric_constant(m)
+        assert len(golden_calls) == 1
+        assert iso.isoperimetric_constant(m) is first
+        assert iso.isoperimetric_value(m) == first.is_value
+        assert len(golden_calls) == 1
+
+    def test_settings_are_separate_entries(self, golden_calls):
+        m = measures.laplace(0, 1)
+        base = iso.isoperimetric_constant(m)
+        other_grid = iso.isoperimetric_constant(m, grid_size=512)
+        other_iters = iso.isoperimetric_constant(m, refine_iters=30)
+        assert len({id(base), id(other_grid), id(other_iters)}) == 3
+        assert len(other_grid.grid) == 512
+        assert len(golden_calls) == 3
+        assert iso.isoperimetric_constant(m, grid_size=512) is other_grid
+        assert len(golden_calls) == 3
+
+    def test_fresh_and_rescaled_measures_start_cold(self, golden_calls):
+        m = measures.laplace(0, 1)
+        prof = iso.isoperimetric_constant(m)
+        twin = measures.laplace(0, 1)
+        assert iso.isoperimetric_constant(twin) is not prof
+        scaled = iso.isoperimetric_constant(m.rescale(2.0))
+        assert abs(scaled.is_value - 2.0 * prof.is_value) <= 1e-6 * scaled.is_value
+        assert len(golden_calls) == 3
+
+    def test_shared_profile_is_read_only(self):
+        prof = iso.isoperimetric_constant(measures.uniform(0, 1))
+        with pytest.raises(ValueError):
+            prof.ratios[0] = 0.0
+        assert not (prof.grid.flags.writeable or prof.xs.flags.writeable)
+
+    def test_grid_size_checked_before_lookup(self):
+        m = measures.laplace(0, 1)
+        iso.isoperimetric_constant(m, grid_size=64)
+        with pytest.raises(DomainError):
+            iso.isoperimetric_constant(m, grid_size=32)

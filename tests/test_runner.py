@@ -7,7 +7,7 @@ import json
 import pytest
 
 from covineq import config as cfg
-from covineq import inequalities, kernel, runner
+from covineq import inequalities, isoperimetry, kernel, runner
 from covineq.certificates import certify
 
 
@@ -119,8 +119,19 @@ class TestRun:
 
 
 class TestDefaultSuite:
-    def test_full_default_suite_passes(self):
+    def test_full_default_suite_passes(self, monkeypatch):
+        # _tail_diverges runs once per computed Is profile: the 6 distinct
+        # measures (4 configured, 2 rescaled by moment_comparison) each get one
+        profiles = []
+        real = isoperimetry._tail_diverges
+
+        def spy(m, interior_min):
+            profiles.append(m)
+            return real(m, interior_min)
+
+        monkeypatch.setattr(isoperimetry, "_tail_diverges", spy)
         res = runner.run(cfg.parse_config(cfg.default_config_dict()))
+        assert len(profiles) == 6
         assert res.exit_code == runner.EXIT_PASS
         counts = {s: res.statuses.count(s) for s in set(res.statuses)}
         assert counts.get("fail", 0) == 0
