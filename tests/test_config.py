@@ -143,16 +143,16 @@ class TestErrorCollection:
                 {"checks": [{"name": "orlicz", "young": ["|x|^0.5"]}]},
                 "expected 'psi1' or '|x|^p'",
             ),
-            (
-                {"checks": [{"name": "orlicz", "young": ["|x|^inf"]}]},
-                "checks[0].young[0]: expected 'psi1' or '|x|^p' with finite p",
-            ),
             ({"pass_tol": 0}, "pass_tol: must be a positive finite number"),
             ({"seed": -1}, "seed: must be a nonnegative integer"),
             ({"seed": 1.5}, "seed: must be a nonnegative integer"),
             ({"output_path": 7}, "output_path: must be a string path"),
             ({"functions": "x"}, "functions: must be a list"),
             ({"functions": ["x +"]}, "functions[0]:"),
+            (
+                {"checks": [{"name": "orlicz", "young": ["|x|^inf"]}]},
+                "checks[0].young[0]: expected 'psi1' or '|x|^p' with finite p",
+            ),
         ],
     )
     def test_single_field_errors(self, patch, fragment):
