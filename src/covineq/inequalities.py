@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -547,15 +548,24 @@ def young_spec(spec) -> Callable[[], YoungFunction]:
 
 _ORLICZ_LO = 1e-8
 _ORLICZ_HI = 1e8
+_ORLICZ_SLIDE = 1e8
 
 
 def orlicz_norm(m, g, N: YoungFunction) -> float:
     """inf{λ > 0 : E[N(g/λ)] ≤ 1} by geometric bisection to relative 1e-8.
 
-    λ ↦ E[N(g/λ)] is non-increasing, so a single bracket suffices.  A
-    modular that stays above one at λ = 1e8 (or diverges at every probed
-    λ) raises ``DivergentNormError``; a modular already below one at
-    λ = 1e-8 reports norm 0.
+    λ ↦ E[N(g/λ)] is non-increasing, so a single bracket suffices.  It
+    starts as [1e-8, 1e8] and slides down or up by factors of 1e8 until it
+    holds the root; bisection runs on λ/unit, where unit is the product of
+    the slides, so no midpoint leaves the float range.
+
+    The modular is 0 at one λ exactly when g = 0 μ-a.e., and then at every
+    λ: a zero modular at λ = 1e-8 reports norm 0 at once, and a zero after
+    one above 1 is a quadrature that missed the mass, so the slide goes on.
+    A modular that stays above one (or diverges) up to the top of the float
+    range raises ``DivergentNormError``; one still at most one at its
+    bottom reports norm 0.  Norms inside [1e-8, 1e8] take no slide and
+    see the same bisection steps as a fixed bracket.
     """
     lo_dom, hi_dom = m.integration_domain()
     knots = tuple(getattr(g, "knots", ())) + m.knots
@@ -572,20 +582,33 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
         except IntegrationError:
             return math.inf
 
-    if modular(_ORLICZ_LO) <= 1.0:
+    lo, hi, unit = _ORLICZ_LO, _ORLICZ_HI, 1.0
+    at_lo = modular(lo)
+    if at_lo == 0.0:
         return 0.0
-    if not modular(_ORLICZ_HI) <= 1.0:
-        raise DivergentNormError(
-            f"E[{N.descriptor}(g/lambda)] stays above 1 for lambda up to {_ORLICZ_HI:g}"
-        )
-    lo, hi = _ORLICZ_LO, _ORLICZ_HI
+    if at_lo <= 1.0:
+        while at_lo <= 1.0:
+            unit /= _ORLICZ_SLIDE
+            if unit * lo < sys.float_info.min:
+                return 0.0
+            at_lo = modular(unit * lo)
+    elif not modular(hi) <= 1.0:
+        while True:
+            unit *= _ORLICZ_SLIDE
+            if math.isinf(unit * hi):
+                raise DivergentNormError(
+                    f"E[{N.descriptor}(g/lambda)] is not in (0, 1] for any "
+                    f"lambda up to {unit / _ORLICZ_SLIDE * hi:g}"
+                )
+            if 0.0 < modular(unit * hi) <= 1.0:
+                break
     while hi - lo > 1e-8 * hi:
         mid = math.sqrt(lo * hi)
-        if modular(mid) <= 1.0:
+        if modular(unit * mid) <= 1.0:
             hi = mid
         else:
             lo = mid
-    return hi
+    return unit * hi
 
 
 def check_orlicz(m, f, N: YoungFunction, which) -> InequalityCertificate:

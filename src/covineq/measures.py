@@ -1,7 +1,10 @@
 """One-dimensional probability measures with positive density on an interval.
 
-Analytic families wrap frozen scipy distributions (closed-form pdf/cdf/
-quantile via special functions); tabulated densities are ingested as a
+The gaussian, laplace, exponential, uniform and logistic families compute
+pdf/cdf/sf/ppf/isf in closed form (numpy and scipy.special), repeating
+scipy's arithmetic so that every value equals the scipy frozen
+distribution's; beta wraps ``scipy.stats.beta``, ``from_scipy`` wraps any
+frozen scipy-like distribution, and tabulated densities are ingested as a
 piecewise-linear pdf whose cdf is its exact piecewise-quadratic integral.
 
 All integral operations (expectation, lp_norm) run in x-space: the integrand
@@ -12,13 +15,14 @@ go through the survival function, never through 1−t.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import mul, truediv
 from typing import Any, Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from . import quadrature, search
 from .errors import DomainError, IngestionError, UnsupportedMeasureError
@@ -183,6 +187,165 @@ class Measure:
         return f"Measure({self.label})"
 
 
+# ---- closed-form location-scale laws ---------------------------------------
+
+
+@dataclass(frozen=True)
+class _Standard:
+    """Standard form of a location-scale family: support (a, b) and the
+    five functions of y = (x − loc)/scale (or of the level q), copied
+    expression for expression from ``scipy/stats/_continuous_distns.py``."""
+
+    a: float
+    b: float
+    pdf: Callable
+    cdf: Callable
+    sf: Callable
+    ppf: Callable
+    isf: Callable
+
+
+_NORM_PDF_C = np.sqrt(2 * np.pi)
+
+
+def _laplace_cdf(y):
+    with np.errstate(over="ignore"):
+        return np.where(y > 0, 1.0 - 0.5 * np.exp(-y), 0.5 * np.exp(y))
+
+
+def _laplace_ppf(q):
+    return np.where(q > 0.5, -np.log(2 * (1 - q)), np.log(2 * q))
+
+
+def _logistic_pdf(y):
+    z = -np.abs(y)
+    return np.exp(z - 2.0 * special.log1p(np.exp(z)))
+
+
+_NORM = _Standard(
+    -math.inf, math.inf,
+    pdf=lambda y: np.exp(-y**2 / 2.0) / _NORM_PDF_C,
+    cdf=special.ndtr,
+    sf=lambda y: special.ndtr(-y),
+    ppf=special.ndtri,
+    isf=lambda q: -special.ndtri(q),
+)
+_LAPLACE = _Standard(
+    -math.inf, math.inf,
+    pdf=lambda y: 0.5 * np.exp(-abs(y)),
+    cdf=_laplace_cdf,
+    sf=lambda y: _laplace_cdf(-y),
+    ppf=_laplace_ppf,
+    isf=lambda q: -_laplace_ppf(q),
+)
+_EXPON = _Standard(
+    0.0, math.inf,
+    pdf=lambda y: np.exp(-y),
+    cdf=lambda y: -special.expm1(-y),
+    sf=lambda y: np.exp(-y),
+    ppf=lambda q: -special.log1p(-q),
+    isf=lambda q: -np.log(q),
+)
+_UNIFORM = _Standard(
+    0.0, 1.0,
+    pdf=lambda y: 1.0 * (y == y),
+    cdf=lambda y: y,
+    sf=lambda y: 1.0 - y,
+    ppf=lambda q: q,
+    isf=lambda q: 1.0 - q,
+)
+_LOGISTIC = _Standard(
+    -math.inf, math.inf,
+    pdf=_logistic_pdf,
+    cdf=special.expit,
+    sf=lambda y: special.expit(-y),
+    ppf=special.logit,
+    isf=lambda q: -special.logit(q),
+)
+
+
+def _elementwise(method):
+    """Run ``method`` on float input of at least one dimension, as scipy's
+    methods do (numpy's scalar and array loops for exp and friends may
+    differ in the last bit), and give 0-d input a scalar back."""
+
+    @functools.wraps(method)
+    def wrapper(self, v):
+        v = np.asarray(v, dtype=float)
+        return method(self, v) if v.ndim else method(self, v.reshape(1))[0]
+
+    return wrapper
+
+
+class _LocScaleDist:
+    """Frozen law of loc + scale·Y for a closed-form standard law Y.
+
+    Repeats the arithmetic of scipy's ``rv_continuous`` methods operation
+    for operation, so each value is bit-identical to the scipy frozen
+    distribution of the same family: ``pdf = _pdf(y)/scale`` on the closed
+    support and 0 outside; ``cdf``/``sf`` on the open support with 0 and 1
+    past its ends; ``ppf``/``isf = _ppf(q)·scale + loc`` for 0 < q < 1 and
+    the support ends at q ∈ {0, 1}; NaN elsewhere; 0-d input gives a scalar.
+    What it skips is scipy's per-call argument handling: when every input
+    lies inside the support, the standard function runs with no masks.
+    """
+
+    def __init__(self, std: _Standard, loc: float, scale: float):
+        self.std = std
+        self.loc = loc
+        self.scale = scale
+
+    def support(self):
+        return self.std.a * self.scale + self.loc, self.std.b * self.scale + self.loc
+
+    @_elementwise
+    def pdf(self, x):
+        a, b = self.std.a, self.std.b
+        y = (x - self.loc) / self.scale
+        inside = (a <= y) & (y <= b)
+        if inside.all():
+            return self.std.pdf(y) / self.scale
+        return _fill(self.std.pdf, y, inside, y < a, 0.0, y > b, 0.0) / self.scale
+
+    @_elementwise
+    def cdf(self, x):
+        return self._open(self.std.cdf, x, 0.0, 1.0)
+
+    @_elementwise
+    def sf(self, x):
+        return self._open(self.std.sf, x, 1.0, 0.0)
+
+    def _open(self, f, x, below, above):
+        a, b = self.std.a, self.std.b
+        y = (x - self.loc) / self.scale
+        inside = (a < y) & (y < b)
+        if inside.all():
+            return f(y)
+        return _fill(f, y, inside, y <= a, below, y >= b, above)
+
+    @_elementwise
+    def ppf(self, q):
+        return self._quantile(self.std.ppf, q, self.std.a, self.std.b)
+
+    @_elementwise
+    def isf(self, q):
+        return self._quantile(self.std.isf, q, self.std.b, self.std.a)
+
+    def _quantile(self, f, q, at0, at1):
+        inside = (0.0 < q) & (q < 1.0)
+        if inside.all():
+            return f(q) * self.scale + self.loc
+        return _fill(f, q, inside, q == 0.0, at0, q == 1.0, at1) * self.scale + self.loc
+
+
+def _fill(f, v, inside, at_lo, lo_value, at_hi, hi_value):
+    """f(v) where ``inside``, the given values where ``at_lo``/``at_hi``,
+    NaN elsewhere (NaN input included)."""
+    out = np.where(at_lo, lo_value, np.where(at_hi, hi_value, np.nan))
+    out[inside] = f(v[inside])
+    return out
+
+
 # ---- analytic families ----------------------------------------------------
 
 
@@ -200,7 +363,7 @@ def gaussian(mean=0.0, sd=1.0) -> Measure:
     return Measure(
         family="gaussian",
         params={"mean": mean, "sd": sd},
-        dist=stats.norm(mean, sd),
+        dist=_LocScaleDist(_NORM, mean, sd),
         support=(-math.inf, math.inf),
         log_concavity=STRICTLY_LOG_CONCAVE,
         potential_second_derivative=lambda x: np.full_like(
@@ -215,7 +378,7 @@ def laplace(loc=0.0, scale=1.0) -> Measure:
     return Measure(
         family="laplace",
         params={"loc": loc, "scale": scale},
-        dist=stats.laplace(loc, scale),
+        dist=_LocScaleDist(_LAPLACE, loc, scale),
         support=(-math.inf, math.inf),
         log_concavity=LOG_CONCAVE,
         knots=(loc,),
@@ -227,7 +390,7 @@ def exponential(rate=1.0) -> Measure:
     return Measure(
         family="exponential",
         params={"rate": rate},
-        dist=stats.expon(scale=1.0 / rate),
+        dist=_LocScaleDist(_EXPON, 0.0, 1.0 / rate),
         support=(0.0, math.inf),
         log_concavity=LOG_CONCAVE,
     )
@@ -241,7 +404,7 @@ def uniform(lo=0.0, hi=1.0) -> Measure:
     return Measure(
         family="uniform",
         params={"lo": lo, "hi": hi},
-        dist=stats.uniform(loc=lo, scale=hi - lo),
+        dist=_LocScaleDist(_UNIFORM, lo, hi - lo),
         support=(lo, hi),
         log_concavity=LOG_CONCAVE,
     )
@@ -260,7 +423,7 @@ def logistic(loc=0.0, scale=1.0) -> Measure:
     return Measure(
         family="logistic",
         params={"loc": loc, "scale": scale},
-        dist=stats.logistic(loc, scale),
+        dist=_LocScaleDist(_LOGISTIC, loc, scale),
         support=(-math.inf, math.inf),
         log_concavity=STRICTLY_LOG_CONCAVE,
         potential_second_derivative=phi2,

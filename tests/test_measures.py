@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,3 +152,148 @@ class TestTabulated:
         p.write_text("0 1\n1 2 3\n", encoding="utf-8")
         with pytest.raises(IngestionError, match="bad.tab:2"):
             measures.load_tabulated(str(p))
+
+
+# ---- closed-form primitives against scipy and mpmath ----------------------
+
+_FAMILY_PAIRS = [
+    (measures.gaussian(-1.5, 0.7), scipy.stats.norm(-1.5, 0.7)),
+    (measures.gaussian(2e3, 3e-2), scipy.stats.norm(2e3, 3e-2)),
+    (measures.laplace(-1.5, 0.7), scipy.stats.laplace(-1.5, 0.7)),
+    (measures.laplace(2e3, 3e-2), scipy.stats.laplace(2e3, 3e-2)),
+    (measures.exponential(0.7), scipy.stats.expon(scale=1.0 / 0.7)),
+    (measures.exponential(30.0), scipy.stats.expon(scale=1.0 / 30.0)),
+    (measures.uniform(-1.5, 0.7), scipy.stats.uniform(loc=-1.5, scale=0.7 - -1.5)),
+    (measures.uniform(2e3, 2e3 + 3e-2), scipy.stats.uniform(loc=2e3, scale=2e3 + 3e-2 - 2e3)),
+    (measures.logistic(-1.5, 0.7), scipy.stats.logistic(-1.5, 0.7)),
+    (measures.logistic(2e3, 3e-2), scipy.stats.logistic(2e3, 3e-2)),
+]
+
+
+def _x_points(d, rng):
+    lo, hi = (float(v) for v in d.support())
+    mean, sd = float(d.mean()), float(d.std())
+    return np.concatenate([
+        mean + 40.0 * sd * rng.standard_normal(400),
+        d.ppf(rng.random(400)),
+        [np.nan, np.inf, -np.inf, lo, hi, mean - 1e3 * sd, mean + 1e3 * sd, 1e308, -1e308],
+    ])
+
+
+def _q_points(rng):
+    return np.concatenate([
+        rng.random(400),
+        10.0 ** -rng.uniform(0.0, 300.0, 200),
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 100),
+        [0.0, 1.0, -0.1, 1.1, np.nan, 0.5, 1e-300, 5e-324],
+    ])
+
+
+@pytest.mark.parametrize("m, d", _FAMILY_PAIRS, ids=[m.label for m, _ in _FAMILY_PAIRS])
+@pytest.mark.parametrize("name", ["pdf", "cdf", "sf", "ppf", "isf"])
+def test_closed_form_matches_scipy(m, d, name):
+    rng = np.random.default_rng(20240)
+    pts = _q_points(rng) if name in ("ppf", "isf") else _x_points(d, rng)
+    with np.errstate(all="ignore"):
+        got = getattr(m.dist, name)(pts)
+        want = getattr(d, name)(pts)
+    for special in (np.isnan, lambda v: v == 0.0, lambda v: v == 1.0, np.isposinf, np.isneginf):
+        np.testing.assert_array_equal(special(got), special(want))
+    plain = np.isfinite(want) & (want != 0.0) & (want != 1.0)
+    np.testing.assert_array_max_ulp(got[plain], want[plain], maxulp=2)
+    # 0-d input gives a scalar, as scipy's does
+    with np.errstate(all="ignore"):
+        one, ref = getattr(m.dist, name)(pts[0]), getattr(d, name)(pts[0])
+    assert np.ndim(one) == 0 and type(one) is type(ref)
+    np.testing.assert_array_max_ulp(one, ref, maxulp=2)
+
+
+def test_closed_form_support_matches_scipy():
+    for m, d in _FAMILY_PAIRS:
+        assert m.dist.support() == tuple(float(v) for v in d.support())
+
+
+def test_from_scipy_fallback_gives_same_is():
+    from covineq.isoperimetry import isoperimetric_constant
+
+    want = isoperimetric_constant(measures.gaussian(0, 1)).is_value
+    got = isoperimetric_constant(measures.from_scipy(scipy.stats.norm(0, 1))).is_value
+    assert abs(got - want) <= 1e-12 * want
+
+
+_LEVELS = [10.0 ** -k for k in range(1, 301)]
+
+
+def _mp_norm_ppf(t):
+    """Φ⁻¹(t) for small t by Newton on log Φ (erfinv(1 − 2t) loses t < 1e-50)."""
+    t = mp.mpf(t)
+    x = mp.mpf(float(scipy.special.ndtri(float(t))))
+    for _ in range(100):
+        cdf = mp.ncdf(x)
+        step = (mp.log(cdf) - mp.log(t)) * cdf / mp.npdf(x)
+        x -= step
+        if abs(step) < mp.mpf(10) ** -40 * (1 + abs(x)):
+            break
+    return x
+
+
+# standard law: (measure, [(primitive, points, 50-digit reference)])
+_TAIL_REFERENCES = {
+    "gaussian": (
+        measures.gaussian(0, 1),
+        [
+            ("ppf", _LEVELS, _mp_norm_ppf),
+            ("isf", _LEVELS, lambda t: -_mp_norm_ppf(t)),
+            ("cdf", -np.linspace(0.0, 37.0, 75), lambda x: mp.ncdf(mp.mpf(x))),
+            ("sf", np.linspace(0.0, 37.0, 75), lambda x: mp.ncdf(-mp.mpf(x))),
+        ],
+    ),
+    "laplace": (
+        measures.laplace(0, 1),
+        [
+            ("ppf", _LEVELS, lambda t: mp.log(2 * mp.mpf(t))),
+            ("isf", _LEVELS, lambda t: -mp.log(2 * mp.mpf(t))),
+            ("cdf", -np.linspace(0.0, 690.0, 70), lambda x: mp.exp(mp.mpf(x)) / 2),
+            ("sf", np.linspace(0.0, 690.0, 70), lambda x: mp.exp(-mp.mpf(x)) / 2),
+        ],
+    ),
+    "exponential": (
+        measures.exponential(1),
+        [
+            ("ppf", _LEVELS, lambda t: -mp.log1p(-mp.mpf(t))),
+            ("isf", _LEVELS, lambda t: -mp.log(mp.mpf(t))),
+            ("cdf", np.array(_LEVELS), lambda x: -mp.expm1(-mp.mpf(x))),
+            ("sf", np.linspace(0.0, 690.0, 70), lambda x: mp.exp(-mp.mpf(x))),
+        ],
+    ),
+    "uniform": (
+        measures.uniform(0, 1),
+        [
+            ("ppf", _LEVELS, lambda t: mp.mpf(t)),
+            ("isf", _LEVELS, lambda t: 1 - mp.mpf(t)),
+            ("cdf", np.array(_LEVELS), lambda x: mp.mpf(x)),
+            ("sf", 1.0 - np.array(_LEVELS[:16]), lambda x: 1 - mp.mpf(x)),
+        ],
+    ),
+    "logistic": (
+        measures.logistic(0, 1),
+        [
+            ("ppf", _LEVELS, lambda t: mp.log(mp.mpf(t) / (1 - mp.mpf(t)))),
+            ("isf", _LEVELS, lambda t: mp.log((1 - mp.mpf(t)) / mp.mpf(t))),
+            ("cdf", -np.linspace(0.0, 690.0, 70), lambda x: 1 / (1 + mp.exp(-mp.mpf(x)))),
+            ("sf", np.linspace(0.0, 690.0, 70), lambda x: 1 / (1 + mp.exp(mp.mpf(x)))),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_TAIL_REFERENCES))
+def test_closed_form_tails_match_mpmath(family):
+    m, cases = _TAIL_REFERENCES[family]
+    for name, pts, ref in cases:
+        got = getattr(m.dist, name)(np.asarray(pts, dtype=float))
+        with mp.workdps(50):
+            want = np.array([float(ref(float(p))) for p in pts])
+        assert np.all(np.isfinite(got)) and np.all(want != 0.0), (family, name)
+        rel = np.abs(got - want) / np.abs(want)
+        assert np.max(rel) <= 1e-12, (family, name, float(np.max(rel)))

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from covineq import functions as fn
 from covineq import inequalities as ineq
-from covineq.errors import DomainError
+from covineq import measures
+from covineq.errors import DivergentNormError, DomainError
 
 x = fn.monomial(1)
 x2 = fn.monomial(2)
@@ -66,6 +68,18 @@ class TestOrliczNorm:
         want = lap.lp_norm(g, p)
         got = ineq.orlicz_norm(lap, g, ineq.young_power(p))
         assert abs(got - want) < 1e-6 * want
+
+
+    @pytest.mark.parametrize("sd", [1e-10, 1e9])
+    def test_norm_outside_initial_bracket(self, sd):
+        # ‖x‖ under |x|^2 is the sd; the bracket starts as [1e-8, 1e8]
+        got = ineq.orlicz_norm(measures.gaussian(0, sd), x, ineq.young_power(2))
+        assert abs(got - sd) < 1e-7 * sd
+
+    def test_modular_infinite_at_every_lambda_diverges(self):
+        cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
+        with pytest.raises(DivergentNormError):
+            ineq.orlicz_norm(cauchy, x, ineq.young_power(2))
 
 
 class TestOrliczCertificate:
