@@ -554,18 +554,20 @@ _ORLICZ_SLIDE = 1e8
 def orlicz_norm(m, g, N: YoungFunction) -> float:
     """inf{λ > 0 : E[N(g/λ)] ≤ 1} by geometric bisection to relative 1e-8.
 
-    λ ↦ E[N(g/λ)] is non-increasing, so a single bracket suffices.  It
-    starts as [1e-8, 1e8] and slides down or up by factors of 1e8 until it
-    holds the root; bisection runs on λ/unit, where unit is the product of
-    the slides, so no midpoint leaves the float range.
+    λ ↦ E[N(g/λ)] is non-increasing, so one bracket suffices.  It starts
+    as [1e-8, 1e8]; while the modular at its lower end is at most one it
+    slides down to [lo/1e8, lo], and while the modular at its upper end is
+    above one (or diverges) it slides up to [hi, 1e8·hi].  Bisection runs
+    on λ/unit, where unit is the product of the slides, so no midpoint
+    leaves the float range and norms inside [1e-8, 1e8] see the same steps
+    as a fixed bracket.  Past the bottom of the float range the norm is 0;
+    past its top ``DivergentNormError`` is raised.
 
-    The modular is 0 at one λ exactly when g = 0 μ-a.e., and then at every
-    λ: a zero modular at λ = 1e-8 reports norm 0 at once, and a zero after
-    one above 1 is a quadrature that missed the mass, so the slide goes on.
-    A modular that stays above one (or diverges) up to the top of the float
-    range raises ``DivergentNormError``; one still at most one at its
-    bottom reports norm 0.  Norms inside [1e-8, 1e8] take no slide and
-    see the same bisection steps as a fixed bracket.
+    A modular of 0 counts as at most one: it is g = 0 μ-a.e., or N(g/λ)
+    underflowing far past the root (|x|^50 of x on uniform(0, 1e9) reads 0
+    at λ = 1e16).  Near a true root the modular is near one, so a root
+    where it drops from above one straight to 0 is mass the quadrature
+    lost, not a norm, and raises ``DivergentNormError``.
     """
     lo_dom, hi_dom = m.integration_domain()
     knots = tuple(getattr(g, "knots", ())) + m.knots
@@ -583,31 +585,39 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
             return math.inf
 
     lo, hi, unit = _ORLICZ_LO, _ORLICZ_HI, 1.0
-    at_lo = modular(lo)
-    if at_lo == 0.0:
-        return 0.0
-    if at_lo <= 1.0:
-        while at_lo <= 1.0:
+    at = modular(lo)
+    if at <= 1.0:
+        while at <= 1.0:
+            at_hi = at
             unit /= _ORLICZ_SLIDE
             if unit * lo < sys.float_info.min:
                 return 0.0
-            at_lo = modular(unit * lo)
-    elif not modular(hi) <= 1.0:
-        while True:
+            at = modular(unit * lo)
+        hi = lo * _ORLICZ_SLIDE
+    else:
+        at_hi = modular(hi)
+        while not at_hi <= 1.0:
             unit *= _ORLICZ_SLIDE
             if math.isinf(unit * hi):
                 raise DivergentNormError(
-                    f"E[{N.descriptor}(g/lambda)] is not in (0, 1] for any "
-                    f"lambda up to {unit / _ORLICZ_SLIDE * hi:g}"
+                    f"E[{N.descriptor}(g/lambda)] stays above 1 for lambda "
+                    f"up to {unit / _ORLICZ_SLIDE * hi:g}"
                 )
-            if 0.0 < modular(unit * hi) <= 1.0:
-                break
+            at_hi = modular(unit * hi)
+        if unit > 1.0:
+            lo = hi / _ORLICZ_SLIDE
     while hi - lo > 1e-8 * hi:
         mid = math.sqrt(lo * hi)
-        if modular(unit * mid) <= 1.0:
-            hi = mid
+        at = modular(unit * mid)
+        if at <= 1.0:
+            hi, at_hi = mid, at
         else:
             lo = mid
+    if at_hi == 0.0:
+        raise DivergentNormError(
+            f"E[{N.descriptor}(g/lambda)] drops from above 1 to 0 at lambda = "
+            f"{unit * hi:g}: the quadrature lost the mass"
+        )
     return unit * hi
 
 

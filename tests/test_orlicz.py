@@ -69,7 +69,6 @@ class TestOrliczNorm:
         got = ineq.orlicz_norm(lap, g, ineq.young_power(p))
         assert abs(got - want) < 1e-6 * want
 
-
     @pytest.mark.parametrize("sd", [1e-10, 1e9])
     def test_norm_outside_initial_bracket(self, sd):
         # ‖x‖ under |x|^2 is the sd; the bracket starts as [1e-8, 1e8]
@@ -80,6 +79,31 @@ class TestOrliczNorm:
         cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
         with pytest.raises(DivergentNormError):
             ineq.orlicz_norm(cauchy, x, ineq.young_power(2))
+
+    @pytest.mark.parametrize(
+        "m, p, want",
+        [
+            # E[(x/λ)^50] = (1e9/λ)^50/51 underflows to 0 at λ = 1e16
+            (measures.uniform(0, 1e9), 50, 1e9 * 51 ** (-1 / 50)),
+            # E[(x/λ)^30] = 29!!·(1e-20/λ)^30 underflows to 0 at λ = 1e-8
+            (measures.gaussian(0, 1e-20), 30, 1e-20 * math.prod(range(1, 30, 2)) ** (1 / 30)),
+        ],
+        ids=["uniform-1e9-p50", "gaussian-1e-20-p30"],
+    )
+    def test_norm_where_modular_underflows_to_zero(self, m, p, want):
+        got = ineq.orlicz_norm(m, x, ineq.young_power(p))
+        assert abs(got - want) < 1e-7 * want
+
+    def test_modular_infinite_below_norm_slides_up(self):
+        # E[exp(|x|/λ) − 1] is infinite for λ <= 1e9 and 1e9/(λ − 1e9) above
+        got = ineq.orlicz_norm(measures.laplace(0, 1e9), x, ineq.young_psi1())
+        assert abs(got - 2e9) < 1e-7 * 2e9
+
+    def test_modular_lost_by_quadrature_diverges(self):
+        # E|x| is infinite under Cauchy, but the quadrature reads 0 at λ = 1e-8
+        cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
+        with pytest.raises(DivergentNormError):
+            ineq.orlicz_norm(cauchy, x, ineq.young_power(1))
 
 
 class TestOrliczCertificate:
