@@ -11,8 +11,6 @@ from .certificates import (
     DEFAULT_PASS_TOL,
     InequalityCertificate,
     certify,
-    debug_rhs_scale,
-    pass_tol_override,
     to_csv,
     to_json,
 )
@@ -82,6 +80,7 @@ from .measures import (
     logistic,
     uniform,
 )
+from .numerics import NumericContext, numeric_context
 from .runner import RunResult, run
 
 __version__ = "0.1.0"

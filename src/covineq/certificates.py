@@ -3,50 +3,21 @@
 Every check in this package reduces to "lhs ≤ rhs within a stated relative
 tolerance".  A certificate stores both sides, the ratio, the slack, the
 side conditions that were verified numerically, and the tolerance itself,
-so a report line is meaningful in isolation.
+so a report line is meaningful in isolation.  ``certify`` takes the pass
+tolerance and the rhs scale from the active numerics.NumericContext.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
 import math
 from dataclasses import dataclass, field
 
-DEFAULT_PASS_TOL = 1e-6
+from .numerics import DEFAULT_PASS_TOL, active
 
 CSV_HEADER = ["name", "family", "params", "p", "lhs", "rhs", "ratio", "slack", "pass"]
-
-# negative-control hook: scales every rhs so a forced-failure run can prove
-# the failure path works end to end
-_RHS_SCALE = [1.0]
-
-
-@contextlib.contextmanager
-def debug_rhs_scale(factor: float):
-    """Scale all certificate right-hand sides by ``factor`` (testing only)."""
-    _RHS_SCALE.insert(0, float(factor))
-    try:
-        yield
-    finally:
-        _RHS_SCALE.pop(0)
-
-
-# pass tolerance used when certify() is not given an explicit one; the CLI
-# runner swaps it for the configured value
-_PASS_TOL = [DEFAULT_PASS_TOL]
-
-
-@contextlib.contextmanager
-def pass_tol_override(tol: float):
-    """Default pass tolerance for certificates created inside the block."""
-    _PASS_TOL.insert(0, float(tol))
-    try:
-        yield
-    finally:
-        _PASS_TOL.pop(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +50,10 @@ def certify(
     rhs: float,
     params: dict | None = None,
     side_conditions: dict | None = None,
-    tol: float | None = None,
     uninformative: bool = False,
 ) -> InequalityCertificate:
-    tol = _PASS_TOL[0] if tol is None else float(tol)
-    lhs, rhs = float(lhs), float(rhs) * _RHS_SCALE[0]
+    ctx = active()
+    lhs, rhs = float(lhs), float(rhs) * ctx.rhs_scale
     if math.isinf(rhs):
         ratio = 0.0
     elif rhs > 0.0:
@@ -98,8 +68,8 @@ def certify(
         ratio=ratio,
         slack=rhs - lhs,
         side_conditions={k: float(v) for k, v in (side_conditions or {}).items()},
-        passed=bool(lhs <= rhs * (1.0 + tol)),
-        tol=float(tol),
+        passed=bool(lhs <= rhs * (1.0 + ctx.pass_tol)),
+        tol=float(ctx.pass_tol),
         uninformative=uninformative,
     )
 

@@ -8,7 +8,9 @@ Subcommands:
     sharpness      monomial sharpness sweep for the Poincaré family
     moments        moment-growth / comparison / log-concave suite
 
-Global flags (before the subcommand) override config-file values.  Exit
+Global flags (before the subcommand) override config-file values; the
+numeric ones (--pass-tol, --quad-rel-tol, --quad-abs-tol, --debug-rhs-scale)
+also apply to best-constant and sharpness.  Exit
 codes: 0 all executed certificates pass, 1 certificate failure, 2 config
 error, 3 numerical failure.  Output is plain text; no environment variable
 is consulted except NO_COLOR, which is trivially honored because reports
@@ -36,6 +38,7 @@ from .errors import (
     UnsupportedMeasureError,
 )
 from .isoperimetry import isoperimetric_constant
+from .numerics import numeric_context
 
 __all__ = ["main"]
 
@@ -142,6 +145,11 @@ def _overlay(cfg_dict: dict, args) -> dict:
     return cfg_dict
 
 
+def _numerics(args):
+    """The numeric context of the global flags (for non-suite subcommands)."""
+    return numeric_context(config_mod.parse_numerics(_overlay({}, args)))
+
+
 def _run_suite(cfg_dict, args) -> int:
     cfg = config_mod.parse_config(_overlay(cfg_dict, args))
     result = runner.run(cfg)
@@ -232,7 +240,8 @@ def _cmd_moments(args) -> int:
 def _cmd_sharpness(args) -> int:
     m = config_mod.parse_measure_spec(args.measure)
     ks = [int(v) for v in _float_list(args.k, "--k")]
-    certs = inequalities.sharpness_sweep(m, args.p, ks)
+    with _numerics(args):
+        certs = inequalities.sharpness_sweep(m, args.p, ks)
     statuses = tuple("ok" if c.passed else "fail" for c in certs)
     serializer = to_csv if (args.format or "csv") == "csv" else to_json
     _emit(serializer(certs, statuses=statuses), args.output)
@@ -241,12 +250,13 @@ def _cmd_sharpness(args) -> int:
 
 def _cmd_best_constant(args) -> int:
     m = config_mod.parse_measure_spec(args.measure)
-    if args.g is None:
-        g = runner.near_extremal_increasing(m)
-    else:
-        g = functions.parse_expression(args.g).bind(m)
-    deltas = _float_list(args.deltas, "--deltas")
-    est = inequalities.estimate_best_constant(m, g, deltas)
+    with _numerics(args):  # binding g may integrate (center(...))
+        if args.g is None:
+            g = runner.near_extremal_increasing(m)
+        else:
+            g = functions.parse_expression(args.g).bind(m)
+        deltas = _float_list(args.deltas, "--deltas")
+        est = inequalities.estimate_best_constant(m, g, deltas)
     lines = [est.to_csv().rstrip("\n")]
     lines.append(f"# limit={est.limit_estimate:.6f}")
     lines.append(f"# target={est.target:.6f}")

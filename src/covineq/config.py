@@ -13,13 +13,15 @@ the CLI from flags).  Keys:
     pass_tol        relative pass tolerance for certificates (default 1e-6)
     quad_rel_tol    quadrature relative tolerance (default 1e-9)
     quad_abs_tol    quadrature absolute tolerance (default 1e-13)
+    debug_rhs_scale scales every certificate rhs (negative-control runs)
     seed            integer; when present, a battery of random piecewise-
                     linear functions with seeded knots is appended to
                     `functions`
-    debug_rhs_scale scales every certificate rhs (negative-control runs)
     output_format   "csv" or "json" (default "csv")
     output_path     file to write the report to (default: stdout)
 
+The four numeric keys (pass_tol ... debug_rhs_scale) make up
+RunConfig.numerics, the numerics.NumericContext the runner activates.
 Validation collects *all* problems, each tagged with the offending field,
 and raises a single ConfigError.
 """
@@ -33,7 +35,6 @@ import os
 from dataclasses import dataclass
 
 from . import functions, measures
-from .certificates import DEFAULT_PASS_TOL
 from .errors import (
     ConfigError,
     DomainError,
@@ -41,7 +42,7 @@ from .errors import (
     IngestionError,
 )
 from .inequalities import CHECKS, young_spec
-from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
+from .numerics import NumericContext
 
 __all__ = [
     "CHECKS",
@@ -51,6 +52,7 @@ __all__ = [
     "load_config",
     "parse_config",
     "parse_measure_spec",
+    "parse_numerics",
 ]
 
 
@@ -68,11 +70,8 @@ class RunConfig:
     measure_specs: tuple  # of str, parallel to measures
     functions: tuple  # of functions.Expression
     checks: tuple  # of CheckSpec
-    pass_tol: float = DEFAULT_PASS_TOL
-    quad_rel_tol: float = DEFAULT_REL_TOL
-    quad_abs_tol: float = DEFAULT_ABS_TOL
+    numerics: NumericContext = NumericContext()
     seed: int | None = None
-    debug_rhs_scale: float | None = None
     output_format: str = "csv"
     output_path: str | None = None
 
@@ -219,6 +218,25 @@ def _parse_number(cfg, key, default, errors, *, positive=True, integer=False):
     return v
 
 
+def _parse_numerics(cfg, errors) -> NumericContext:
+    default = NumericContext()
+    return NumericContext(
+        pass_tol=_parse_number(cfg, "pass_tol", default.pass_tol, errors),
+        rel_tol=_parse_number(cfg, "quad_rel_tol", default.rel_tol, errors),
+        abs_tol=_parse_number(cfg, "quad_abs_tol", default.abs_tol, errors),
+        rhs_scale=_parse_number(cfg, "debug_rhs_scale", default.rhs_scale, errors),
+    )
+
+
+def parse_numerics(cfg: dict) -> NumericContext:
+    """The four numeric keys of a config dict alone, validated as parse_config does."""
+    errors: list[str] = []
+    ctx = _parse_numerics(cfg, errors)
+    if errors:
+        raise ConfigError(errors)
+    return ctx
+
+
 _KNOWN_KEYS = {
     "measures",
     "functions",
@@ -278,11 +296,8 @@ def parse_config(text_or_dict) -> RunConfig:
 
     checks = _parse_checks(cfg.get("checks"), errors)
 
-    pass_tol = _parse_number(cfg, "pass_tol", DEFAULT_PASS_TOL, errors)
-    quad_rel = _parse_number(cfg, "quad_rel_tol", DEFAULT_REL_TOL, errors)
-    quad_abs = _parse_number(cfg, "quad_abs_tol", DEFAULT_ABS_TOL, errors)
+    numerics = _parse_numerics(cfg, errors)
     seed = _parse_number(cfg, "seed", None, errors, integer=True)
-    scale = _parse_number(cfg, "debug_rhs_scale", None, errors)
 
     fmt = cfg.get("output_format", "csv")
     if fmt not in ("csv", "json"):
@@ -309,11 +324,8 @@ def parse_config(text_or_dict) -> RunConfig:
         measure_specs=tuple(specs),
         functions=tuple(exprs),
         checks=tuple(checks),
-        pass_tol=pass_tol,
-        quad_rel_tol=quad_rel,
-        quad_abs_tol=quad_abs,
+        numerics=numerics,
         seed=seed,
-        debug_rhs_scale=scale,
         output_format=fmt,
         output_path=path,
     )

@@ -362,7 +362,8 @@ def _validated(name, value, positive=False):
 def gaussian(mean=0.0, sd=1.0) -> Measure:
     mean = _validated("mean", mean)
     sd = _validated("sd", sd, positive=True)
-    inv = 1.0 / (sd * sd)
+    # sd² underflows to 0 below sd ≈ 1.5e-162, where 1/sd² is past the float range
+    inv = math.inf if sd * sd == 0.0 else 1.0 / (sd * sd)
     return Measure(
         family="gaussian",
         params={"mean": mean, "sd": sd},

@@ -38,50 +38,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IntegrationError
+from .numerics import active
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-DEFAULT_REL_TOL = 1e-9
-DEFAULT_ABS_TOL = 1e-13
 
 _MAX_ROUNDS = 500
 _MAX_PANELS = 30_000
 _LADDER_DEPTH = 50
 _MASS_FRACTION = 0.01
-
-# Active tolerances used when a call does not pass explicit ones.  The CLI
-# runner swaps these (see tolerance_override); library code is expected to
-# stay single-threaded while an override is in effect.
-_active_rel_tol = DEFAULT_REL_TOL
-_active_abs_tol = DEFAULT_ABS_TOL
-
-
-class tolerance_override:
-    """Context manager temporarily replacing the default tolerances."""
-
-    def __init__(self, rel_tol: float, abs_tol: float):
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
-
-    def __enter__(self):
-        global _active_rel_tol, _active_abs_tol
-        self._saved = (_active_rel_tol, _active_abs_tol)
-        _active_rel_tol = self.rel_tol
-        _active_abs_tol = self.abs_tol
-        return self
-
-    def __exit__(self, *exc):
-        global _active_rel_tol, _active_abs_tol
-        _active_rel_tol, _active_abs_tol = self._saved
-        return False
-
-
-def _resolve_tols(rel_tol, abs_tol):
-    if rel_tol is None:
-        rel_tol = _active_rel_tol
-    if abs_tol is None:
-        abs_tol = _active_abs_tol
-    return float(rel_tol), float(abs_tol)
 
 
 def _panel_batch(f, a, b):
@@ -247,18 +211,17 @@ def integrate(
     hi: float,
     *,
     knots: Sequence[float] = (),
-    rel_tol: float | None = None,
-    abs_tol: float | None = None,
 ) -> float:
     """Integral of f over (lo, hi).
 
     ``knots`` are abscissae where f (or a derivative) is discontinuous;
     they become seed panel edges so kinks never straddle a panel.  Raises
     IntegrationError when the tolerance cannot be met (divergent or broken
-    integrands end up here).
+    integrands end up here).  The tolerances are those of the active
+    numerics.NumericContext.
     """
-    rel_tol, abs_tol = _resolve_tols(rel_tol, abs_tol)
-    return _adapt(f, lo, hi, knots, rel_tol, abs_tol).total
+    ctx = active()
+    return _adapt(f, lo, hi, knots, ctx.rel_tol, ctx.abs_tol).total
 
 
 def _partial_panels(f, a, b):
@@ -326,10 +289,8 @@ def cumulative(
     hi: float,
     *,
     knots: Sequence[float] = (),
-    rel_tol: float | None = None,
-    abs_tol: float | None = None,
 ) -> CumulativeIntegral:
     """Adaptively integrate f once, returning prefix/suffix query access."""
-    rel_tol, abs_tol = _resolve_tols(rel_tol, abs_tol)
-    part = _adapt(f, lo, hi, knots, rel_tol, abs_tol, deep_boundaries=True)
+    ctx = active()
+    part = _adapt(f, lo, hi, knots, ctx.rel_tol, ctx.abs_tol, deep_boundaries=True)
     return CumulativeIntegral(f, part)

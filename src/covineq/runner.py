@@ -14,21 +14,13 @@ this module runs), 3 numerical failure anywhere in the sweep.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import functions, quadrature
-from .certificates import (
-    InequalityCertificate,
-    _params_text,
-    debug_rhs_scale,
-    pass_tol_override,
-    to_csv,
-    to_json,
-)
+from . import functions
+from .certificates import InequalityCertificate, _params_text, to_csv, to_json
 from .errors import (
     ComputationError,
     DivergentNormError,
@@ -39,6 +31,7 @@ from .errors import (
 )
 from .inequalities import CHECKS
 from .isoperimetry import isoperimetric_constant
+from .numerics import numeric_context
 
 __all__ = ["RunResult", "near_extremal_increasing", "run"]
 
@@ -150,15 +143,9 @@ def run(config) -> RunResult:
     """Execute every cell of the config; always produce a full report."""
     entries = []  # (certificate, status)
     rng = np.random.default_rng(config.seed) if config.seed is not None else None
+    pass_tol = config.numerics.pass_tol
 
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(
-            quadrature.tolerance_override(config.quad_rel_tol, config.quad_abs_tol)
-        )
-        stack.enter_context(pass_tol_override(config.pass_tol))
-        if config.debug_rhs_scale is not None:
-            stack.enter_context(debug_rhs_scale(config.debug_rhs_scale))
-
+    with numeric_context(config.numerics):
         for m in config.measures:
             params = {"family": m.label}
             try:
@@ -166,7 +153,7 @@ def run(config) -> RunResult:
             except (IntegrationError, ComputationError) as exc:
                 entries.append(
                     (
-                        _placeholder("isoperimetric_constant", params, config.pass_tol),
+                        _placeholder("isoperimetric_constant", params, pass_tol),
                         _classify(exc),
                     )
                 )
@@ -184,7 +171,7 @@ def run(config) -> RunResult:
                             slack=0.0,
                             side_conditions={"argmin_t": prof.argmin_t},
                             passed=True,
-                            tol=config.pass_tol,
+                            tol=pass_tol,
                             uninformative=prof.diverging_tail,
                         ),
                         "info",
@@ -201,7 +188,7 @@ def run(config) -> RunResult:
                             _placeholder(
                                 "function_battery",
                                 {"family": m.label, "g": expr.text},
-                                config.pass_tol,
+                                pass_tol,
                             ),
                             _classify(exc),
                         )
@@ -221,7 +208,7 @@ def run(config) -> RunResult:
                             pp = {"family": m.label, **point}
                             if check.needs_function:
                                 pp[check.fn_key] = args[1].descriptor
-                            cert = _placeholder(spec.name, pp, config.pass_tol)
+                            cert = _placeholder(spec.name, pp, pass_tol)
                             status = _classify(exc)
                         entries.append((cert, status))
 
@@ -229,7 +216,7 @@ def run(config) -> RunResult:
     certs = tuple(c for c, _ in entries)
     statuses = tuple(s for _, s in entries)
     serializer = to_csv if config.output_format == "csv" else to_json
-    report = serializer(certs, statuses=statuses, quad_tol=config.quad_rel_tol)
+    report = serializer(certs, statuses=statuses, quad_tol=config.numerics.rel_tol)
 
     if any(s.startswith("error") for s in statuses):
         code = EXIT_NUMERICAL

@@ -79,6 +79,14 @@ class TestVerify:
         assert err.count("config error:") == 2
         assert "did you mean 'cheeger'?" in err
 
+    def test_numeric_flag_and_measure_errors_both_listed(self, capsys):
+        code, _, err = run_cli(
+            capsys, "--pass-tol", "-1", "verify", "--measure", "bogus:1",
+        )
+        assert code == 2
+        assert "config error: measures[0]: unknown family 'bogus'" in err
+        assert "config error: pass_tol: must be a positive finite number" in err
+
     def test_rhs_scale_negative_control(self, capsys):
         code, _, err = run_cli(
             capsys, "--debug-rhs-scale", "0.1", "verify",
@@ -126,6 +134,25 @@ class TestSweepCommands:
     def test_sharpness_even_k_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sharpness", "--k", "2")
         assert code == 2 and "odd" in err
+
+    def test_sharpness_honours_numeric_flags(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--pass-tol", "0.5", "--debug-rhs-scale", "0.01",
+            "sharpness", "--p", "2", "--k", "1,3",
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == "# pass_tol=0.5"
+        assert out.splitlines()[1].split(",")[6] == "0.02"
+
+    def test_sharpness_bad_numeric_flag_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "--pass-tol", "-1", "sharpness")
+        assert code == 2 and "pass_tol: must be a positive finite number" in err
+
+    def test_best_constant_honours_quad_tol(self, capsys):
+        argv = ["best-constant", "--measure", "laplace:0,1", "--deltas", "1e-3"]
+        _, default, _ = run_cli(capsys, *argv)
+        _, loose, _ = run_cli(capsys, "--quad-rel-tol", "1e-4", *argv)
+        assert loose != default
 
     def test_best_constant_limit_lines(self, capsys):
         code, out, _ = run_cli(

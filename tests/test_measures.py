@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covineq import functions, measures
+from covineq import functions, isoperimetry, measures
 from covineq.errors import IngestionError, UnsupportedMeasureError
 
 x = functions.monomial(1)
@@ -96,6 +96,15 @@ def test_rescale_all_families():
     ):
         mc = m.rescale(2.0)
         assert abs(mc.quantile(0.75) - m.quantile(0.75) / 2.0) < 1e-9
+
+
+def test_gaussian_tiny_sd_builds():
+    # sd² underflows to 0 here; 1/sd² must read inf, not raise
+    sd = 1e-200
+    m = measures.gaussian(0, sd)
+    assert m.potential_second_derivative(0.0) == math.inf
+    want = math.sqrt(2 / math.pi) / sd
+    assert isoperimetry.isoperimetric_value(m) == pytest.approx(want, rel=1e-12)
 
 
 def test_beta_support_and_mass():

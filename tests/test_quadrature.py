@@ -1,14 +1,17 @@
 """Adaptive quadrature: oracles, error control, cumulative queries."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covineq import quadrature
+from covineq import numerics, quadrature, runner
+from covineq.config import parse_config
 from covineq.errors import IntegrationError
+from covineq.numerics import NumericContext, numeric_context
 
 
 def gauss_pdf(x):
@@ -95,16 +98,60 @@ class TestCumulative:
         assert abs(cum.left(1000.0) - cum.total) < 1e-15
 
 
-def test_tolerance_override_scopes_defaults():
-    before = quadrature._active_rel_tol
-    with quadrature.tolerance_override(1e-3, 1e-6):
-        assert quadrature._active_rel_tol == 1e-3
-        assert quadrature._active_abs_tol == 1e-6
-    assert quadrature._active_rel_tol == before
+LOOSE = NumericContext(rel_tol=1e-2, abs_tol=1e-2)
 
 
-def test_explicit_tolerance_beats_override():
-    # a loose override must not degrade a call that asks for tight tols
-    with quadrature.tolerance_override(1e-2, 1e-2):
-        v = quadrature.integrate(gauss_pdf, -40.0, 40.0, rel_tol=1e-12, abs_tol=1e-15)
-    assert abs(v - 1.0) < 1e-10
+def test_numeric_context_scopes_tolerances():
+    tight = quadrature.integrate(gauss_pdf, -40.0, 40.0)
+    with numeric_context(LOOSE):
+        assert numerics.active() is LOOSE
+        loose = quadrature.integrate(gauss_pdf, -40.0, 40.0)
+        with numeric_context(NumericContext(rel_tol=1e-3)):
+            assert numerics.active().rel_tol == 1e-3
+        assert numerics.active() is LOOSE
+    assert numerics.active() == NumericContext()
+    assert loose != tight and abs(loose - 1.0) < 1e-2
+
+
+def test_numeric_context_restored_when_block_raises():
+    with pytest.raises(RuntimeError):
+        with numeric_context(LOOSE):
+            raise RuntimeError("boom")
+    assert numerics.active() == NumericContext()
+
+
+def test_numeric_context_is_per_thread():
+    expected = quadrature.integrate(gauss_pdf, -40.0, 40.0)
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def hold_loose():
+        with numeric_context(LOOSE):
+            seen["loose"] = quadrature.integrate(gauss_pdf, -40.0, 40.0)
+            entered.set()
+            release.wait(timeout=60)
+
+    worker = threading.Thread(target=hold_loose)
+    worker.start()
+    try:
+        assert entered.wait(timeout=60)
+        got = quadrature.integrate(gauss_pdf, -40.0, 40.0)
+    finally:
+        release.set()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert got == expected
+    assert seen["loose"] != expected
+
+
+def test_runner_restores_default_context():
+    cfg = parse_config({
+        "measures": ["laplace:0,1"],
+        "functions": ["x"],
+        "checks": ["cheeger"],
+        "quad_rel_tol": 1e-8,
+        "debug_rhs_scale": 0.1,
+    })
+    assert cfg.numerics == NumericContext(rel_tol=1e-8, rhs_scale=0.1)
+    assert runner.run(cfg).exit_code == runner.EXIT_CERT_FAILURE
+    assert numerics.active() == NumericContext()
