@@ -10,11 +10,11 @@ Subcommands:
 
 Global flags (before the subcommand) override config-file values; the
 numeric ones (--pass-tol, --quad-rel-tol, --quad-abs-tol, --debug-rhs-scale)
-also apply to best-constant and sharpness.  Exit
-codes: 0 all executed certificates pass, 1 certificate failure, 2 config
-error, 3 numerical failure.  Output is plain text; no environment variable
-is consulted except NO_COLOR, which is trivially honored because reports
-are never colorized.
+also apply to best-constant and sharpness, and --output/--format to every
+subcommand.  Exit codes: 0 all executed certificates pass, 1 certificate
+failure, 2 config error, 3 numerical failure.  Output is plain CSV or JSON;
+no environment variable is consulted except NO_COLOR, which is trivially
+honored because reports are never colorized.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 
 from . import config as config_mod
 from . import functions, inequalities, runner
-from .certificates import to_csv, to_json
+from .certificates import _json_num, to_csv, to_json
 from .errors import (
     ComputationError,
     ConfigError,
@@ -170,12 +170,15 @@ def _run_suite(cfg_dict, args) -> int:
 def _cmd_iso(args) -> int:
     m = config_mod.parse_measure_spec(args.measure)
     prof = isoperimetric_constant(m, grid_size=args.grid_size)
-    print(f"{prof.is_value:.6f}")
-    if args.profile_out == "-":
-        sys.stdout.write(prof.to_csv())
-    elif args.profile_out is not None:
-        with open(args.profile_out, "w", encoding="utf-8") as fh:
-            fh.write(prof.to_csv())
+    if args.format == "json":
+        text = json.dumps(
+            {"measure": m.label, "is_value": _json_num(prof.is_value)}, indent=2
+        ) + "\n"
+    else:
+        text = f"{prof.is_value:.6f}\n"
+    _emit(text, args.output)
+    if args.profile_out is not None:
+        _emit(prof.to_csv(), None if args.profile_out == "-" else args.profile_out)
     return 0
 
 
@@ -257,11 +260,19 @@ def _cmd_best_constant(args) -> int:
             g = functions.parse_expression(args.g).bind(m)
         deltas = _float_list(args.deltas, "--deltas")
         est = inequalities.estimate_best_constant(m, g, deltas)
-    lines = [est.to_csv().rstrip("\n")]
-    lines.append(f"# limit={est.limit_estimate:.6f}")
-    lines.append(f"# target={est.target:.6f}")
-    lines.append(f"# monotone={'true' if est.monotone else 'false'}")
-    _emit("\n".join(lines) + "\n", args.output)
+    if args.format == "json":
+        text = json.dumps({
+            "deltas": est.deltas,
+            "ratios": [_json_num(r) for r in est.ratios],
+            "limit_estimate": _json_num(est.limit_estimate),
+            "target": _json_num(est.target),
+            "monotone": est.monotone,
+        }, indent=2) + "\n"
+    else:
+        text = (f"{est.to_csv()}# limit={est.limit_estimate:.6f}\n"
+                f"# target={est.target:.6f}\n"
+                f"# monotone={'true' if est.monotone else 'false'}\n")
+    _emit(text, args.output)
     return 0
 
 

@@ -29,13 +29,6 @@ from .certificates import InequalityCertificate, certify
 from .errors import DomainError
 
 
-def _union_knots(m, *fns) -> tuple[float, ...]:
-    out = set(m.knots)
-    for g in fns:
-        out.update(getattr(g, "knots", ()))
-    return tuple(sorted(out))
-
-
 def kernel_eval(m, x, y):
     """K(x,y) = F(min) − F(x)F(y), computed as F(min)·S(max) (no cancellation)."""
     x_arr = np.asarray(x, dtype=float)
@@ -51,51 +44,44 @@ def covariance_direct(m, g, h) -> float:
     return m.expectation(functions.product(g, h)) - m.expectation(g) * m.expectation(h)
 
 
+def tail_weights(m, h) -> tuple[Callable, Callable]:
+    """The two forms of W(x) = ∫ K(x,y) h′(y) dy, from one cumulative of h dF.
+
+    ``left(x)`` = F(x)E[h] − ∫_{−∞}^x h dF and ``right(x)`` =
+    ∫_{(x,∞)} h dF − S(x)E[h]; they are equal in exact arithmetic, and each
+    cancels mildly on its own side of the median.
+    """
+    ch = m.cumulative(h)
+    e_h = ch.total
+    return (lambda x: m.cdf(x) * e_h - ch.left(x),
+            lambda x: ch.right(x) - m.sf(x) * e_h)
+
+
 def covariance_kernel(m, g, h) -> float:
     """∫∫ g′(x) K(x,y) h′(y) dy dx, inner integral in closed form.
 
-    The y-integral against the kernel equals the tail quantity
-    W(x) = F(x)E[h] − ∫_{−∞}^x h dF = ∫_{(x,∞)} h dF − S(x)E[h]; the first
-    form is used below the median, the second above.
+    The y-integral against the kernel is the tail quantity W of
+    ``tail_weights``; its left form is used below the median, its right
+    form above.
     """
-    lo, hi = m.integration_domain()
-    ch = quadrature.cumulative(
-        lambda y: np.asarray(h(y), dtype=float) * m.pdf(y),
-        lo, hi, knots=_union_knots(m, h),
-    )
-    e_h = ch.total
+    left, right = tail_weights(m, h)
     med = m.median()
-
-    def w(x):
-        low = m.cdf(x) * e_h - ch.left(x)
-        high = ch.right(x) - m.sf(x) * e_h
-        return np.where(x <= med, low, high)
-
+    lo, hi = m.integration_domain()
     return quadrature.integrate(
-        lambda x: np.asarray(g.deriv(x), dtype=float) * w(x),
-        lo, hi, knots=_union_knots(m, g, h) + (med,),
+        lambda x: np.asarray(g.deriv(x), dtype=float)
+        * np.where(x <= med, left(x), right(x)),
+        lo, hi, knots=(*m.knots, *g.knots, *h.knots, med),
     )
 
 
 def _tail_identity(m, h, z, side) -> tuple[float, float]:
     z = float(z)
+    left, right = tail_weights(m, h)
+    lhs = left(z) if side == "left" else right(z)
     lo, hi = m.integration_domain()
-    knots = _union_knots(m, h)
-    e_h = m.expectation(h)
-    zc = min(max(z, lo), hi)
-    a, b = (lo, zc) if side == "left" else (zc, hi)
-    part = 0.0
-    if a < b:
-        part = quadrature.integrate(
-            lambda y: np.asarray(h(y), dtype=float) * m.pdf(y), a, b, knots=knots
-        )
-    if side == "left":
-        lhs = m.cdf(z) * e_h - part
-    else:
-        lhs = part - m.sf(z) * e_h
     rhs = quadrature.integrate(
         lambda y: kernel_eval(m, z, y) * np.asarray(h.deriv(y), dtype=float),
-        lo, hi, knots=knots + (zc,),
+        lo, hi, knots=(*m.knots, *h.knots, z),
     )
     return float(lhs), float(rhs)
 
@@ -149,12 +135,8 @@ class TkTransform:
 
 def t_transform(m, h, k) -> TkTransform:
     """Build T_k h with eagerly cached cumulative integrals."""
-    lo, hi = m.integration_domain()
-    knots = _union_knots(m, h)
-    ch = quadrature.cumulative(
-        lambda y: np.asarray(h(y), dtype=float) * m.pdf(y), lo, hi, knots=knots
-    )
-    cf = quadrature.cumulative(m.pdf, lo, hi, knots=knots)
+    ch = m.cumulative(h)
+    cf = m.cumulative(np.ones_like, h.knots)  # 1.0·pdf is pdf exactly
     return TkTransform(
         measure=m,
         k=float(k),
@@ -163,7 +145,7 @@ def t_transform(m, h, k) -> TkTransform:
         right_integral=ch.right,
         _mass_left=cf.left,
         _mass_right=cf.right,
-        domain=(lo, hi),
+        domain=m.integration_domain(),
     )
 
 
@@ -173,17 +155,13 @@ def t_norm(m, h, k, p, transform: TkTransform | None = None) -> float:
     if math.isnan(p) or p < 1.0:
         raise DomainError(f"t_norm requires p >= 1, got {p}")
     T = transform if transform is not None else t_transform(m, h, k)
-    lo, hi = m.integration_domain()
     if math.isinf(p):
+        lo, hi = m.integration_domain()
         # T jumps at the split point: probe both one-sided limits
         split = (T.k, np.nextafter(T.k, hi)) if lo < T.k < hi else ()
         return m.ess_sup(T, tuple(h.knots) + split)
-    knots = _union_knots(m, h)
-    if lo < T.k < hi:
-        knots = tuple(sorted(set(knots) | {T.k}))
-    total = quadrature.integrate(
-        lambda x: np.abs(T(x)) ** p * m.pdf(x), lo, hi, knots=knots
-    )
+    # a split point outside the window is dropped with the other stray knots
+    total = m.expectation(lambda x: np.abs(T(x)) ** p, (*h.knots, T.k))
     return total ** (1.0 / p)
 
 

@@ -7,10 +7,12 @@ distribution's; beta wraps ``scipy.stats.beta``, ``from_scipy`` wraps any
 frozen scipy-like distribution, and tabulated densities are ingested as a
 piecewise-linear pdf whose cdf is its exact piecewise-quadratic integral.
 
-All integral operations (expectation, lp_norm) run in x-space: the integrand
-g(x)·f(x) is integrated adaptively over [quantile(1e-300), isf(1e-300)]
-(exact endpoints where the support is bounded).  Upper-tail quantiles always
-go through the survival function, never through 1−t.
+``Measure.expectation`` and ``Measure.cumulative`` are the only integrals
+against μ in the package; every other one (lp_norm, the kernel's tail
+weights, T_k, the moment and Orlicz checks) is built on them.  They run in
+x-space: g(x)·f(x) is integrated adaptively over [quantile(1e-300),
+isf(1e-300)] (exact endpoints where the support is bounded).  Upper-tail
+quantiles always go through the survival function, never through 1−t.
 """
 
 from __future__ import annotations
@@ -90,13 +92,24 @@ class Measure:
         hi = b if math.isfinite(b) else float(self.dist.isf(_TAIL_EPS))
         return lo, hi
 
-    def expectation(self, g) -> float:
-        """∫ g dμ to relative tolerance 1e-9; IntegrationError on divergence."""
+    def expectation(self, g, knots=()) -> float:
+        """∫ g dμ to the active tolerances; IntegrationError on divergence.
+
+        Panels are seeded at ``g.knots``, the measure's knots and the extra
+        ``knots``: kinks that g cannot list itself, such as a split point.
+        """
+        return self._against(quadrature.integrate, g, knots)
+
+    def cumulative(self, g, knots=()) -> quadrature.CumulativeIntegral:
+        """Prefix/suffix queries x ↦ ∫_{(lo,x)} g dμ and ∫_{(x,hi)} g dμ,
+        seeded as in ``expectation``."""
+        return self._against(quadrature.cumulative, g, knots)
+
+    def _against(self, integrator, g, knots):
         lo, hi = self.integration_domain()
-        knots = tuple(getattr(g, "knots", ())) + self.knots
-        return quadrature.integrate(
-            lambda x: np.asarray(g(x), dtype=float) * self.dist.pdf(x),
-            lo, hi, knots=knots,
+        return integrator(
+            lambda x: np.asarray(g(x), dtype=float) * self.pdf(x),
+            lo, hi, knots=(*getattr(g, "knots", ()), *self.knots, *knots),
         )
 
     def lp_norm(self, g, p) -> float:
@@ -106,11 +119,9 @@ class Measure:
             raise DomainError(f"lp_norm requires p >= 1, got {p}")
         if math.isinf(p):
             return self.ess_sup(g)
-        lo, hi = self.integration_domain()
-        knots = tuple(getattr(g, "knots", ())) + self.knots
-        total = quadrature.integrate(
-            lambda x: np.abs(np.asarray(g(x), dtype=float)) ** p * self.dist.pdf(x),
-            lo, hi, knots=knots,
+        total = self.expectation(
+            lambda x: np.abs(np.asarray(g(x), dtype=float)) ** p,
+            getattr(g, "knots", ()),
         )
         return total ** (1.0 / p)
 

@@ -33,6 +33,17 @@ class TestIso:
         assert lines[1] == "t,x,ratio"
         assert len(lines) == 2 + 256
 
+    def test_output_and_json_format(self, capsys, tmp_path):
+        out_path = tmp_path / "iso.json"
+        code, out, _ = run_cli(
+            capsys, "--output", str(out_path), "--format", "json",
+            "iso", "--measure", "laplace:0,1",
+        )
+        assert code == 0 and out == ""
+        obj = json.loads(out_path.read_text())
+        assert obj["measure"] == "laplace(0,1)"
+        assert abs(obj["is_value"] - 1.0) < 1e-9
+
     def test_bad_measure_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "iso", "--measure", "norma:0,1")
         assert code == 2 and "did you mean 'uniform'" in err
@@ -164,6 +175,20 @@ class TestSweepCommands:
         limit = next(l for l in out.splitlines() if l.startswith("# limit="))
         assert abs(float(limit.split("=")[1]) - 0.5) < 0.01
         assert "# monotone=true" in out
+
+    def test_best_constant_json(self, capsys, tmp_path):
+        out_path = tmp_path / "best.json"
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "--output", str(out_path),
+            "best-constant", "--measure", "uniform:0,1", "--deltas", "1e-1,1e-2",
+        )
+        assert code == 0 and out == ""
+        obj = json.loads(out_path.read_text())
+        assert set(obj) == {"deltas", "ratios", "limit_estimate", "target",
+                            "monotone"}
+        assert obj["deltas"] == [0.1, 0.01] and len(obj["ratios"]) == 2
+        assert obj["monotone"] is True
+        assert abs(obj["target"] - 0.5) < 1e-9
 
     def test_best_constant_explicit_g(self, capsys):
         code, out, _ = run_cli(

@@ -70,6 +70,15 @@ class TestCovariance:
         assert kernel.covariance_kernel(measures.laplace(0, 1), one, x) == 0.0
 
 
+class TestTailWeights:
+    def test_uniform_identity_closed_form(self):
+        left, right = kernel.tail_weights(measures.uniform(0, 1), x)
+        t = np.linspace(0.0, 1.0, 21)
+        want = t / 2 - t**2 / 2
+        assert np.allclose(left(t), want, rtol=0, atol=1e-12)
+        assert np.allclose(right(t), want, rtol=0, atol=1e-12)
+
+
 class TestTailIdentities:
     def test_uniform_midpoint_oracle(self):
         u = measures.uniform(0, 1)

@@ -63,6 +63,33 @@ def test_lp_norm_laplace_gamma():
     assert abs(m.lp_norm(r, math.inf) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "m, g",
+    [
+        (measures.laplace(0, 1), x2),
+        (measures.gaussian(0, 1), x2),
+        (measures.uniform(0, 1), x),
+        (measures.exponential(1), x),
+    ],
+    ids=lambda v: getattr(v, "label", None),
+)
+def test_cumulative_splits_the_expectation(m, g):
+    cum = m.cumulative(g)
+    assert abs(cum.total - m.expectation(g)) <= 1e-12 * abs(cum.total)
+    # a query splits one accepted panel in two; each part is a fresh 15-point
+    # rule, exact only to the quadrature tolerance
+    ts = m.quantile(np.linspace(0.01, 0.99, 15))
+    assert np.allclose(cum.left(ts) + cum.right(ts), cum.total, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("c", [-2.0, 0.0, 0.3, 1.5])
+def test_expectation_extra_knots(c):
+    # E|X − c| = |c| + e^{−|c|} for X ~ laplace(0, 1); the kink at c is a knot
+    got = measures.laplace(0, 1).expectation(lambda v: np.abs(v - c), knots=(c,))
+    want = abs(c) + math.exp(-abs(c))
+    assert abs(got - want) <= 1e-9 * want
+
+
 def test_ess_sup():
     # bounded: exact sup over the support
     assert abs(measures.uniform(0, 1).ess_sup(x2) - 1.0) < 1e-9

@@ -65,6 +65,11 @@ class TestMomentComparison:
         with pytest.raises(HypothesisViolatedError):
             ineq.check_moment_comparison(expo, 2)
 
+    def test_centering_is_relative_to_scale(self):
+        # the computed mean of logistic(0, 1e8) is ~1e-8, far below its scale
+        c = ineq.check_moment_comparison(measures.logistic(0, 1e8), 2)
+        assert c.passed and c.side_conditions["norm_p"] > 1e8
+
 
 class TestLogconcaveMoments:
     def test_laplace_third_moment_witness(self, lap):
@@ -82,6 +87,12 @@ class TestLogconcaveMoments:
         cauchy = measures.from_scipy(scipy.stats.cauchy(), "cauchy")
         with pytest.raises(UnsupportedMeasureError):
             ineq.check_logconcave_moments(cauchy, 2)
+
+    def test_scale_free_centering(self):
+        assert ineq.check_logconcave_moments(measures.logistic(0, 1e8), 2).passed
+        # mean 1e-10 is 100 standard deviations away from 0
+        with pytest.raises(HypothesisViolatedError):
+            ineq.check_logconcave_moments(measures.gaussian(1e-10, 1e-12), 2)
 
     def test_small_p_rejected(self, lap):
         with pytest.raises(DomainError):

@@ -6,8 +6,8 @@ import pytest
 
 from covineq import functions as fn
 from covineq import inequalities as ineq
-from covineq import runner
-from covineq.errors import DomainError
+from covineq import kernel, runner
+from covineq.errors import ComputationError, DomainError
 
 x = fn.monomial(1)
 
@@ -59,6 +59,12 @@ class TestBestConstant:
     def test_g_must_increase(self, lap):
         with pytest.raises(DomainError):
             ineq.estimate_best_constant(lap, fn.monomial(2), DELTAS)
+
+    def test_non_finite_factor_raises(self, lap, monkeypatch):
+        # an overflowed transform sup would read as the ratio 0
+        monkeypatch.setattr(kernel, "t_norm", lambda *args: math.inf)
+        with pytest.raises(ComputationError, match=r"delta=0\.1.*T h0\|\|_inf = inf"):
+            ineq.estimate_best_constant(lap, x, DELTAS)
 
 
 class TestSharpnessSweep:
