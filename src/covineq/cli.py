@@ -9,11 +9,11 @@ Subcommands:
     moments        moment-growth / comparison / log-concave suite
 
 Global flags (before the subcommand) override config-file values; the
-numeric ones (--pass-tol, --quad-rel-tol, --quad-abs-tol, --debug-rhs-scale)
-also apply to best-constant and sharpness, and --output/--format to every
-subcommand.  Exit codes: 0 all executed certificates pass, 1 certificate
-failure, 2 config error, 3 numerical failure.  Output is plain CSV or JSON;
-no environment variable is consulted except NO_COLOR, which is trivially
+numeric ones (--pass-tol, --quad-rel-tol, --debug-rhs-scale) also apply to
+best-constant and sharpness, and --output/--format to every subcommand.
+Exit codes: 0 all executed certificates pass, 1 certificate failure, 2
+config error, 3 numerical failure.  Output is plain CSV or JSON; no
+environment variable is consulted except NO_COLOR, which is trivially
 honored because reports are never colorized.
 """
 
@@ -54,9 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pass-tol", type=float, default=None, metavar="TOL",
                     help="relative pass tolerance for certificates")
     ap.add_argument("--quad-rel-tol", type=float, default=None, metavar="TOL",
-                    help="quadrature relative tolerance")
-    ap.add_argument("--quad-abs-tol", type=float, default=None, metavar="TOL",
-                    help="quadrature absolute tolerance")
+                    help="quadrature tolerance, relative to the integral of |f|")
     ap.add_argument("--debug-rhs-scale", type=float, default=None, metavar="C",
                     help="scale every certificate rhs by C (negative controls)")
     ap.add_argument("--output", default=None, metavar="PATH",
@@ -134,7 +132,6 @@ def _overlay(cfg_dict: dict, args) -> dict:
     for key, val in (
         ("pass_tol", args.pass_tol),
         ("quad_rel_tol", args.quad_rel_tol),
-        ("quad_abs_tol", args.quad_abs_tol),
         ("seed", args.seed),
         ("debug_rhs_scale", args.debug_rhs_scale),
         ("output_format", args.format),

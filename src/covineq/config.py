@@ -11,8 +11,7 @@ the CLI from flags).  Keys:
                     choices), or objects {"name": ..., "<key>": [grid
                     values]} for checks with parameter grids
     pass_tol        relative pass tolerance for certificates (default 1e-6)
-    quad_rel_tol    quadrature relative tolerance (default 1e-9)
-    quad_abs_tol    quadrature absolute tolerance (default 1e-13)
+    quad_rel_tol    quadrature tolerance relative to ∫|f| (default 1e-9)
     debug_rhs_scale scales every certificate rhs (negative-control runs)
     seed            integer; when present, a battery of random piecewise-
                     linear functions with seeded knots is appended to
@@ -20,7 +19,7 @@ the CLI from flags).  Keys:
     output_format   "csv" or "json" (default "csv")
     output_path     file to write the report to (default: stdout)
 
-The four numeric keys (pass_tol ... debug_rhs_scale) make up
+The three numeric keys (pass_tol ... debug_rhs_scale) make up
 RunConfig.numerics, the numerics.NumericContext the runner activates.
 Validation collects *all* problems, each tagged with the offending field,
 and raises a single ConfigError.
@@ -223,13 +222,12 @@ def _parse_numerics(cfg, errors) -> NumericContext:
     return NumericContext(
         pass_tol=_parse_number(cfg, "pass_tol", default.pass_tol, errors),
         rel_tol=_parse_number(cfg, "quad_rel_tol", default.rel_tol, errors),
-        abs_tol=_parse_number(cfg, "quad_abs_tol", default.abs_tol, errors),
         rhs_scale=_parse_number(cfg, "debug_rhs_scale", default.rhs_scale, errors),
     )
 
 
 def parse_numerics(cfg: dict) -> NumericContext:
-    """The four numeric keys of a config dict alone, validated as parse_config does."""
+    """The three numeric keys of a config dict alone, validated as parse_config does."""
     errors: list[str] = []
     ctx = _parse_numerics(cfg, errors)
     if errors:
@@ -243,7 +241,6 @@ _KNOWN_KEYS = {
     "checks",
     "pass_tol",
     "quad_rel_tol",
-    "quad_abs_tol",
     "seed",
     "debug_rhs_scale",
     "output_format",

@@ -374,13 +374,13 @@ def check_mean_median_sandwich(m, g) -> InequalityCertificate:
 
     The certificate's lhs/rhs carry the upper inequality; the lower one
     is folded into ``pass`` and recorded under ``side_conditions``.
-    Deviations below quadrature noise on the scale of the centerings
+    Deviations below 1e-12·|E g|, quadrature noise relative to the mean,
     collapse to zero, so an (effectively) constant g certifies 0 ≤ 0.
     """
     center = m.expectation(g)
     mean_dev = _abs_deviation(m, g, center)
     med_dev = _abs_deviation(m, g, _pushforward_median(m, g))
-    floor = 1e-12 * (1.0 + abs(center))
+    floor = 1e-12 * abs(center)
     if mean_dev < floor and med_dev < floor:
         mean_dev = med_dev = 0.0
     cert = certify(
@@ -670,9 +670,9 @@ def _require_centered(m, norm_p) -> None:
 def check_moment_comparison(m, p) -> InequalityCertificate:
     """‖X‖_{p+1} ≤ (p²/((p−1)·Is(μ_c)))^{1/(p+1)}·‖X‖_p with c = ‖X‖_p.
 
-    μ_c is the rescaled law with density x ↦ c·f(cx); its isoperimetric
-    constant is computed fresh on the rescaled measure.  The comparison
-    is empty at p = 1 (the constant diverges), hence the domain error.
+    μ_c is the law of X/c, with density x ↦ c·f(cx); Is(μ_c) = c·Is(μ)
+    exactly, so no second profile is computed.  The comparison is empty at
+    p = 1 (the constant diverges), hence the domain error.
     """
     p = float(p)
     if p == 1.0:
@@ -681,7 +681,7 @@ def check_moment_comparison(m, p) -> InequalityCertificate:
     norm_p = m.lp_norm(_IDENTITY, p)
     _require_centered(m, norm_p)
     lhs = m.lp_norm(_IDENTITY, p + 1.0)
-    scaled_is = isoperimetric_value(m.rescale(norm_p))
+    scaled_is = norm_p * isoperimetric_value(m)
     if scaled_is == 0.0:
         rhs, trivial = math.inf, True
     else:
@@ -786,7 +786,8 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
     extrapolation of the limit.  A ratio that is not finite, or whose
     denominator ‖g′‖₁·‖T_m h₀‖_∞ is 0 or infinite, raises
     ``ComputationError``; only where Is(μ) = 0, so that the target 1/Is is
-    infinite and the bound vacuous, are the ratios returned as computed.
+    infinite and the bound vacuous, are the ratios returned, NaN where the
+    denominator is 0 or infinite.
     """
     ds = [float(d) for d in deltas]
     if not ds or any(d <= 0.0 for d in ds):
@@ -806,13 +807,14 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
         h = functions.ramp(functions.RampSpec(med, d))
         num = abs(kernel.covariance_kernel(m, g, h))
         t_sup = kernel.t_norm(m, functions.centered(h, m), med, math.inf)
-        finite = math.isfinite(num) and 0.0 < g1 * t_sup < math.inf
-        if not (finite or vacuous):
+        den = g1 * t_sup
+        ratio = num / den if 0.0 < den < math.inf else math.nan
+        if not (math.isfinite(ratio) or vacuous):
             raise ComputationError(
                 f"no finite ratio at delta={d:g}: |Cov| = {num:g}, "
                 f"||g'||_1 = {g1:g}, ||T h0||_inf = {t_sup:g}"
             )
-        ratios.append(num / (g1 * t_sup))
+        ratios.append(ratio)
     monotone = all(b >= a * (1.0 - 1e-12) for a, b in zip(ratios, ratios[1:]))
     if monotone and len(ds) >= 2:
         d1, d2 = ds[-2], ds[-1]

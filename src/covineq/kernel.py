@@ -112,11 +112,16 @@ class TkTransform:
     def __call__(self, x):
         lo, hi = self.domain
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        # clamp into the open interior so both tail masses stay positive
         xc = np.clip(x_arr, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        below = self.left_integral(xc) / self._mass_left(xc)
-        above = self.right_integral(xc) / self._mass_right(xc)
-        out = np.where(xc <= self.k, below, above)
+        below = xc <= self.k
+        num = np.where(below, self.left_integral(xc), self.right_integral(xc))
+        mass = np.where(below, self._mass_left(xc), self._mass_right(xc))
+        # where a tail mass underflows to 0 (beta(2,3) below x ≈ 1e-162),
+        # T h is h(x), the limit of the conditional mean
+        empty = ~(mass > 0.0)
+        out = np.divide(num, mass, out=np.empty_like(xc), where=~empty)
+        if np.any(empty):
+            out[empty] = np.asarray(self.source(xc[empty]), dtype=float)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def profile(self, n: int = 512):

@@ -1,7 +1,8 @@
-"""The numeric settings in force: quadrature tolerances, pass tolerance, rhs scale.
+"""The numeric settings in force: quadrature tolerance, pass tolerance, rhs scale.
 
-``quadrature.integrate``/``cumulative`` read the tolerances of the active
-NumericContext and ``certificates.certify`` its pass tolerance and rhs scale.
+``quadrature.integrate``/``cumulative`` read the tolerance of the active
+NumericContext (relative to ∫|f|; there is no absolute one) and
+``certificates.certify`` its pass tolerance and rhs scale.
 The active context lives in a ContextVar, so each thread sees its own;
 ``with numeric_context(NumericContext(rel_tol=1e-8)):`` activates one.
 """
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 __all__ = ["NumericContext", "active", "numeric_context"]
 
 DEFAULT_REL_TOL = 1e-9
-DEFAULT_ABS_TOL = 1e-13
 DEFAULT_PASS_TOL = 1e-6
 
 
@@ -24,7 +24,6 @@ class NumericContext:
     """Settings of one run; a rhs_scale other than 1 is a negative control."""
 
     rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
     pass_tol: float = DEFAULT_PASS_TOL
     rhs_scale: float = 1.0
 

@@ -7,9 +7,10 @@ same rule on its two halves,
 
     err_i = | GL15(a_i, b_i) - GL15(a_i, m_i) - GL15(m_i, b_i) | ,
 
-and accepted when err_i <= rel_tol * A_i + abs_tol * w_i / W, where A_i is
-the children's integral of |f| and w_i the panel width.  Summed over the
-partition this enforces  sum err_i <= rel_tol * int |f| + abs_tol.
+and accepted when err_i <= rel_tol * A_i, where A_i is the children's
+integral of |f|.  Summed over the partition this enforces
+sum err_i <= rel_tol * int |f|, a budget with no absolute part, so no
+result depends on the units of x or of f.
 
 Two refinements make the scheme robust on the integrands this package
 produces (quantile substitutions with log- or power-type endpoint
@@ -106,12 +107,11 @@ class _Partition:
     mass: float
 
 
-def _adapt(f, lo, hi, knots, rel_tol, abs_tol, deep_boundaries=False) -> _Partition:
+def _adapt(f, lo, hi, knots, rel_tol, deep_boundaries=False) -> _Partition:
     lo = float(lo)
     hi = float(hi)
     if not hi > lo:
         raise IntegrationError(f"empty integration interval ({lo}, {hi})", 0.0, 0.0)
-    W = hi - lo
     edges = _seed_edges(lo, hi, knots)
     act_a, act_b = edges[:-1], edges[1:]
 
@@ -128,16 +128,14 @@ def _adapt(f, lo, hi, knots, rel_tol, abs_tol, deep_boundaries=False) -> _Partit
         val, err, mass = _panel_batch(f, act_a, act_b)
         finite_mass = mass[np.isfinite(mass)]
         mass_est = acc_mass_sum + float(np.sum(finite_mass))
-        budget = rel_tol * mass_est + abs_tol
-        width = act_b - act_a
-        exempt_ok = mass <= _MASS_FRACTION * budget
+        exempt_ok = mass <= _MASS_FRACTION * rel_tol * mass_est
         if deep_boundaries:
             # prefix/suffix queries inherit a boundary stub's value error as
             # an *absolute* offset, which is a relative blow-up near the
             # endpoint; drive boundary stubs to width underflow instead
             exempt_ok &= (act_a != lo) & (act_b != hi)
         with np.errstate(invalid="ignore"):
-            ok = (err <= rel_tol * mass + abs_tol * (width / W)) | exempt_ok
+            ok = (err <= rel_tol * mass) | exempt_ok
         # a panel with non-finite error must keep splitting (inf <= inf is true)
         ok &= np.isfinite(err)
         exhausted = (
@@ -193,11 +191,11 @@ def _adapt(f, lo, hi, knots, rel_tol, abs_tol, deep_boundaries=False) -> _Partit
     total = float(np.sum(v_all))
     # frozen panels never passed a local test, so all_ok alone proves nothing
     if not ((all_ok and n_frozen == 0)
-            or acc_err_sum <= rel_tol * acc_mass_sum + abs_tol):
+            or acc_err_sum <= rel_tol * acc_mass_sum):
         raise IntegrationError(
             f"quadrature did not converge on ({lo}, {hi}): "
             f"error bound {acc_err_sum:.3e} exceeds budget "
-            f"{rel_tol * acc_mass_sum + abs_tol:.3e}",
+            f"{rel_tol * acc_mass_sum:.3e}",
             estimate=total,
             error_bound=acc_err_sum,
         )
@@ -217,11 +215,10 @@ def integrate(
     ``knots`` are abscissae where f (or a derivative) is discontinuous;
     they become seed panel edges so kinks never straddle a panel.  Raises
     IntegrationError when the tolerance cannot be met (divergent or broken
-    integrands end up here).  The tolerances are those of the active
+    integrands end up here).  The relative tolerance is that of the active
     numerics.NumericContext.
     """
-    ctx = active()
-    return _adapt(f, lo, hi, knots, ctx.rel_tol, ctx.abs_tol).total
+    return _adapt(f, lo, hi, knots, active().rel_tol).total
 
 
 def _partial_panels(f, a, b):
@@ -291,6 +288,5 @@ def cumulative(
     knots: Sequence[float] = (),
 ) -> CumulativeIntegral:
     """Adaptively integrate f once, returning prefix/suffix query access."""
-    ctx = active()
-    part = _adapt(f, lo, hi, knots, ctx.rel_tol, ctx.abs_tol, deep_boundaries=True)
+    part = _adapt(f, lo, hi, knots, active().rel_tol, deep_boundaries=True)
     return CumulativeIntegral(f, part)

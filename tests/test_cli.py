@@ -222,6 +222,12 @@ class TestTopLevel:
             main(["frobnicate"])
         assert info.value.code == 2
 
+    def test_quad_abs_tol_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--quad-abs-tol", "1e-12", "verify"])
+        assert info.value.code == 2
+        assert "--quad-abs-tol" not in capsys.readouterr().err  # not in usage
+
     def test_bad_flag_value_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "sharpness", "--k", "a,b",

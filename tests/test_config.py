@@ -164,6 +164,12 @@ class TestErrorCollection:
         base.update(patch)
         assert any(fragment in e for e in errors_of(base))
 
+    def test_quad_abs_tol_is_unknown(self):
+        # the quadrature budget is relative only; no absolute tolerance key
+        errs = errors_of({"measures": ["laplace:0,1"], "functions": ["x"],
+                          "checks": ["cheeger"], "quad_abs_tol": 1e-13})
+        assert errs == ["quad_abs_tol: unknown key"]
+
     def test_function_checks_need_a_battery(self):
         errs = errors_of({"measures": ["laplace:0,1"], "checks": ["cheeger"]})
         assert any("need a function battery" in e for e in errs)

@@ -10,7 +10,7 @@ from scipy import stats
 
 from covineq import functions as fn
 from covineq import inequalities as ineq
-from covineq import measures
+from covineq import kernel, measures
 from covineq.errors import (
     DomainError,
     HypothesisViolatedError,
@@ -170,6 +170,15 @@ class TestSandwich:
         c = ineq.check_mean_median_sandwich(lap, fn.constant(5.0))
         assert c.lhs == 0.0 and c.passed
 
+    def test_zero_g(self, lap):
+        c = ineq.check_mean_median_sandwich(lap, fn.constant(0.0))
+        assert c.lhs == c.rhs == 0.0 and c.passed
+
+    def test_tiny_spread_is_not_collapsed(self):
+        # the floor is relative to |E g|: a g of spread 1e-13 keeps it
+        c = ineq.check_mean_median_sandwich(measures.gaussian(0, 1e-13), x)
+        assert c.lhs > 0.0 and abs(c.ratio - 0.5) < 1e-9
+
 
 class TestBestConstant:
     def test_zero_isoperimetric_constant_gives_infinite_target(self):
@@ -178,3 +187,10 @@ class TestBestConstant:
         with np.errstate(invalid="ignore"):
             est = ineq.estimate_best_constant(cauchy, x, [1e-1, 1e-2])
         assert est.target == math.inf
+
+    def test_vacuous_ratio_with_zero_denominator_is_nan(self, lap, monkeypatch):
+        # Is = 0 makes the bound vacuous; a zero ||T h0||_inf must not divide
+        monkeypatch.setattr(ineq, "_inv_is", lambda m: (math.inf, True))
+        monkeypatch.setattr(kernel, "t_norm", lambda *args: 0.0)
+        est = ineq.estimate_best_constant(lap, x, [1e-1, 1e-2])
+        assert all(math.isnan(r) for r in est.ratios)

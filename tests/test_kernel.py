@@ -129,6 +129,15 @@ class TestTransform:
         for pt, want in [(-2.0, -3.0), (-0.5, -1.5), (0.5, 1.5), (2.0, 3.0)]:
             assert abs(Tm(pt) - want) < 1e-9
 
+    def test_underflowed_tail_mass_gives_h(self):
+        # on beta(2,3), F(x) and ∫_0^x t dF(t) both underflow below ~1e-162
+        b = measures.beta(2, 3)
+        T = kernel.t_transform(b, x, b.median())
+        lo, hi = b.integration_domain()
+        vals = T(np.array([lo, 1e-170, hi]))
+        assert np.all(np.isfinite(vals))
+        assert vals[1] == 1e-170 and vals[2] == np.nextafter(hi, lo)
+
     def test_profile_csv_shape(self):
         Tm = kernel.t_transform(measures.laplace(0, 1), x, 0.0)
         lines = Tm.profile_csv(64).strip().split("\n")
@@ -169,6 +178,11 @@ class TestHardy:
         for h in (x, x2, fn.ramp(fn.RampSpec(float(m.median()), 0.5))):
             c = kernel.hardy_certificate(m, h, float(m.median()), p)
             assert c.passed, c.describe()
+
+    def test_beta_with_underflowing_tail(self):
+        b = measures.beta(2, 3)
+        c = kernel.hardy_certificate(b, x, b.median(), 2.0)
+        assert c.passed and abs(c.ratio - 0.5613) < 1e-4
 
     def test_p_one_rejected(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covineq import numerics, quadrature, runner
+from covineq import measures, numerics, quadrature, runner
 from covineq.config import parse_config
 from covineq.errors import IntegrationError
 from covineq.numerics import NumericContext, numeric_context
@@ -98,7 +98,13 @@ class TestCumulative:
         assert abs(cum.left(1000.0) - cum.total) < 1e-15
 
 
-LOOSE = NumericContext(rel_tol=1e-2, abs_tol=1e-2)
+def test_subnormal_integrand():
+    # ∫_0^1 (x/10^6.2)^50 dx = 10^-310/51; the budget scales with ∫|f|
+    v = measures.uniform(0, 1).expectation(lambda x: (x / 10**6.2) ** 50)
+    assert abs(v - 1e-310 / 51) < 1e-9 * 1e-310 / 51
+
+
+LOOSE = NumericContext(rel_tol=1e-2)
 
 
 def test_numeric_context_scopes_tolerances():

@@ -120,8 +120,9 @@ class TestRun:
 
 class TestDefaultSuite:
     def test_full_default_suite_passes(self, monkeypatch):
-        # _tail_diverges runs once per computed Is profile: the 6 distinct
-        # measures (4 configured, 2 rescaled by moment_comparison) each get one
+        # _tail_diverges runs once per computed Is profile: each of the 4
+        # configured measures gets one (moment_comparison takes the rescaled
+        # law's Is from the scale law, not from a fresh profile)
         profiles = []
         real = isoperimetry._tail_diverges
 
@@ -131,7 +132,7 @@ class TestDefaultSuite:
 
         monkeypatch.setattr(isoperimetry, "_tail_diverges", spy)
         res = runner.run(cfg.parse_config(cfg.default_config_dict()))
-        assert len(profiles) == 6
+        assert len(profiles) == 4
         assert res.exit_code == runner.EXIT_PASS
         counts = {s: res.statuses.count(s) for s in set(res.statuses)}
         assert counts.get("fail", 0) == 0
