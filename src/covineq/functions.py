@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ComputationError, DomainError, ExpressionError
+from .numerics import active
 
 
 def _sign(x):
@@ -162,8 +163,16 @@ def shifted(g: DifferentiableFunction, c) -> DifferentiableFunction:
 
 
 def centered(g: DifferentiableFunction, m) -> DifferentiableFunction:
-    """g − E_m[g]; propagates the integration error if E_m[g] diverges."""
-    out = shifted(g, -m.expectation(g))
+    """g − E_m[g]; propagates the integration error if E_m[g] diverges.
+
+    E_m[g] is memoized on ``m`` per function object and quadrature
+    tolerance, so centering the same g again costs no integral.
+    """
+    key = ("mean", g, active().rel_tol)
+    mean = m._memo.get(key)
+    if mean is None:
+        mean = m._memo[key] = m.expectation(g)
+    out = shifted(g, -mean)
     # the shift value is measure-dependent quadrature output; report rows
     # read better with the semantic name
     return DifferentiableFunction(

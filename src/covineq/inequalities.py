@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import functions, kernel, search
+from . import functions, kernel
 from .certificates import InequalityCertificate, certify
 from .errors import (
     ComputationError,
@@ -346,27 +346,74 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
 # mean/median centering comparison
 
 
-def _abs_deviation(m, g, c) -> float:
-    """E|g − c|."""
-    return m.expectation(lambda x: np.abs(np.asarray(g(x), dtype=float) - c), g.knots)
+def _abs_deviation(m, g, c, knots=()) -> float:
+    """E|g − c|; ``knots`` are the crossings of g = c."""
+    return m.expectation(
+        lambda x: np.abs(np.asarray(g(x), dtype=float) - c), (*g.knots, *knots)
+    )
 
 
-def _pushforward_median(m, g) -> float:
+_CROSSING_STEPS = 60
+
+
+def _float_order(v: float) -> int:
+    """An integer that sorts like the float v (−0 and +0 tie)."""
+    i = int(np.float64(v).view(np.int64))
+    return i if i >= 0 else -(1 << 63) - i
+
+
+def _order_float(i: int) -> float:
+    """The float whose ``_float_order`` is i."""
+    bits = i if i >= 0 else -(1 << 63) - i
+    return float(np.int64(bits).view(np.float64))
+
+
+def _pushforward_median(m, g) -> tuple[float, tuple[float, ...]]:
+    """A median of g(X), and the crossings of g = median.
+
+    Monotone g (on the probe grid) pushes the median of X forward.
+    Otherwise the crossings of g = c between probe points are bisected on
+    g alone, P(g(X) ≤ c) is the sum of cdf differences over the runs where
+    g ≤ c, and c is bisected on that, over the ordered floats, to the
+    smallest c with P(g(X) ≤ c) ≥ 1/2.  g is taken to cross c at most once
+    between neighbouring probe points and not beyond the outermost ones.
+    """
     pts = m.probe_points()
     vals = np.asarray(g(pts), dtype=float)
     d = np.diff(vals)
     if np.all(d >= 0.0) or np.all(d <= 0.0):
-        # monotone g: the median pushes forward through g
-        return float(np.asarray(g(m.median()), dtype=float))
+        med = m.median()
+        return float(np.asarray(g(med), dtype=float)), (med,)
+
+    def crossings(c):
+        below = vals <= c
+        flip = np.flatnonzero(below[:-1] != below[1:])
+        a, b, rising = pts[flip], pts[flip + 1], below[flip]
+        for _ in range(_CROSSING_STEPS):
+            mid = a + 0.5 * (b - a)
+            same = (np.asarray(g(mid), dtype=float) <= c) == rising
+            a, b = np.where(same, mid, a), np.where(same, b, mid)
+        return a + 0.5 * (b - a), rising, below
+
+    def mass_below(c):
+        xs, rising, below = crossings(c)
+        cdf = np.asarray(m.cdf(xs), dtype=float)
+        # runs of g ≤ c end where g rises through c and start where it falls
+        total = float(np.sum(cdf[rising]) - np.sum(cdf[~rising]))
+        return total + (1.0 if below[-1] else 0.0)
+
     lo, hi = float(np.min(vals)), float(np.max(vals))
-    if lo == hi:
-        return lo
-
-    def dev(cs):
-        return np.array([_abs_deviation(m, g, float(c)) for c in np.atleast_1d(cs)])
-
-    cref, _ = search.golden_min(dev, np.array([lo]), np.array([hi]), iters=48)
-    return float(cref[0])
+    if mass_below(lo) >= 0.5:
+        return lo, tuple(crossings(lo)[0].tolist())
+    i_lo, i_hi = _float_order(lo), _float_order(hi)
+    while i_hi - i_lo > 1:
+        i_mid = (i_lo + i_hi) // 2
+        if mass_below(_order_float(i_mid)) >= 0.5:
+            i_hi = i_mid
+        else:
+            i_lo = i_mid
+    med = _order_float(i_hi)
+    return med, tuple(crossings(med)[0].tolist())
 
 
 def check_mean_median_sandwich(m, g) -> InequalityCertificate:
@@ -379,7 +426,7 @@ def check_mean_median_sandwich(m, g) -> InequalityCertificate:
     """
     center = m.expectation(g)
     mean_dev = _abs_deviation(m, g, center)
-    med_dev = _abs_deviation(m, g, _pushforward_median(m, g))
+    med_dev = _abs_deviation(m, g, *_pushforward_median(m, g))
     floor = 1e-12 * abs(center)
     if mean_dev < floor and med_dev < floor:
         mean_dev = med_dev = 0.0
@@ -405,13 +452,15 @@ class YoungFunction:
     """An even convex N with N(0)=0, N>0 off 0, its derivative, and C_N.
 
     ``cn`` is sup_x x·N′(x)/N(x) (+inf when the ratio diverges); the
-    Orlicz Poincaré constants scale with it.
+    Orlicz Poincaré constants scale with it.  ``power`` is p when
+    N = |x|^p, whose Orlicz norm is the L_p norm, and None otherwise.
     """
 
     N: Callable
     N_prime: Callable
     cn: float
     descriptor: str
+    power: float | None = None
 
     def __call__(self, x):
         return self.N(x)
@@ -488,7 +537,7 @@ def young_power(p) -> YoungFunction:
         x = np.asarray(x, dtype=float)
         return p * np.sign(x) * np.abs(x) ** (p - 1.0)
 
-    return young_function(N, N_prime, f"|x|^{p:g}")
+    return dataclasses.replace(young_function(N, N_prime, f"|x|^{p:g}"), power=p)
 
 
 def young_psi1() -> YoungFunction:
@@ -525,72 +574,182 @@ def young_spec(spec) -> Callable[[], YoungFunction]:
     raise DomainError(f"expected 'psi1' or '|x|^p' with finite p >= 1, got {spec!r}")
 
 
-_ORLICZ_LO = 1e-8
-_ORLICZ_HI = 1e8
+_EPS = sys.float_info.epsilon
 _ORLICZ_SLIDE = 1e8
 
 
+def _zeroin(h, a, b, ha, hb, tol):
+    """Brent's root finder for h on [a, b], where ha and hb differ in sign.
+
+    R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
+    ch. 4: inverse quadratic or secant steps, safeguarded by bisection,
+    until the bracket is narrower than 4·eps·|b| + tol.  Infinite values
+    are allowed and force bisection.  Returns (b, hb, c, hc): the best
+    point and the other end of the final bracket.
+    """
+    c, hc = a, ha
+    d = e = b - a
+    while True:
+        if (hb > 0.0) == (hc > 0.0):
+            c, hc = a, ha
+            d = e = b - a
+        if abs(hc) < abs(hb):
+            a, b, c = b, c, b
+            ha, hb, hc = hb, hc, hb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or hb == 0.0:
+            return b, hb, c, hc
+        finite = math.isfinite(ha) and math.isfinite(hb) and math.isfinite(hc)
+        if finite and abs(e) >= tol1 and abs(ha) > abs(hb):
+            s = hb / ha
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = ha / hc, hb / hc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(0.5 * e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, ha = b, hb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        hb = h(b)
+
+
+def _log_level(v: float) -> float:
+    """log v, with 0 → −inf and an undefined level (nan) → +inf."""
+    if v > 0.0:
+        return math.log(v)
+    return -math.inf if v == 0.0 else math.inf
+
+
+def _young_unit(N: YoungFunction) -> float:
+    """The t > 0 with N(t) = 1 (N increases on (0, ∞) from 0 to ∞)."""
+
+    def h(u):
+        with np.errstate(over="ignore"):
+            return _log_level(float(N(np.exp(u))))
+
+    a, b = -1.0, 1.0
+    ha, hb = h(a), h(b)
+    while ha > 0.0 and a > -2048.0:
+        a *= 2.0
+        ha = h(a)
+    while hb <= 0.0 and b < 2048.0:
+        b *= 2.0
+        hb = h(b)
+    u, hu, v, _ = _zeroin(h, a, b, ha, hb, 4.0 * _EPS)
+    return math.exp(u if hu <= 0.0 else v)
+
+
+def _power_of_two_above(v: float) -> float:
+    """The least power of two ≥ v, for finite v > 0 (1 for v = 0)."""
+    if v == 0.0:
+        return 1.0
+    mant, exp = math.frexp(v)
+    return math.ldexp(1.0, min(exp - 1 if mant == 0.5 else exp, 1023))
+
+
 def orlicz_norm(m, g, N: YoungFunction) -> float:
-    """inf{λ > 0 : E[N(g/λ)] ≤ 1} by geometric bisection to relative 1e-8.
+    """The Luxemburg norm inf{λ > 0 : E[N(g/λ)] ≤ 1}.
 
-    λ ↦ E[N(g/λ)] is non-increasing, so one bracket suffices.  It starts
-    as [1e-8, 1e8]; while the modular at its lower end is at most one it
-    slides down to [lo/1e8, lo], and while the modular at its upper end is
-    above one (or diverges) it slides up to [hi, 1e8·hi].  Bisection runs
-    on λ/unit, where unit is the product of the slides, so no midpoint
-    leaves the float range and norms inside [1e-8, 1e8] see the same steps
-    as a fixed bracket.  Past the bottom of the float range the norm is 0;
-    past its top ``DivergentNormError`` is raised.
+    For N = |x|^p (``N.power``) this is ‖g‖_p, computed in one quadrature
+    as unit·(E|g/unit|^p)^{1/p}, where unit is the power of two at or just
+    above the probed sup of |g|, so the moment neither overflows nor
+    underflows and the scaling itself is exact.
 
-    A modular of 0 counts as at most one: it is g = 0 μ-a.e., or N(g/λ)
-    underflowing far past the root (|x|^50 of x on uniform(0, 1e9) reads 0
-    at λ = 1e16).  Near a true root the modular is near one, so a root
-    where it drops from above one straight to 0 is mass the quadrature
-    lost, not a norm, and raises ``DivergentNormError``.
+    Any other N is solved for: λ ↦ log E[N(g/λ)] falls through 0 at the
+    norm, and Brent's method (``_zeroin``) finds that root in log λ.  The
+    bracket starts at [‖g‖₁/t₁, max(sup|g|, ‖g‖₁)/t₁], where N(t₁) = 1:
+    Jensen's inequality, E[N(g/λ)] ≥ N(‖g‖₁/λ), puts the norm above the
+    lower end, and the upper end bounds it when |g| stays below its
+    probed sup.  While the modular at the upper end is still above one
+    (g grows past the probe grid, or the modular diverges), the bracket
+    slides up to [hi, 1e8·hi]; past the top of the float range
+    ``DivergentNormError`` is raised.
+
+    ‖g‖₁ = ∞ makes every Orlicz norm infinite.  A moment, ‖g‖₁ or root
+    modular that reads 0 while g is not 0 on the probe grid is mass the
+    quadrature lost (Cauchy under |x|^1 reads 0 over its ±3e299 window),
+    not a norm, and also raises ``DivergentNormError``: near a true root
+    the modular is near one, never 0.
     """
     knots = getattr(g, "knots", ())
+    with np.errstate(all="ignore"):
+        sup = float(np.max(np.abs(np.asarray(g(m.probe_points()), dtype=float))))
+    if not math.isfinite(sup):
+        raise DivergentNormError(f"g is not finite on the probe grid of {m.label}")
 
-    def modular(lam: float) -> float:
+    def lost():
+        return DivergentNormError(
+            f"E[{N.descriptor}(g/lambda)] reads 0 where g is not 0 on the probe "
+            "grid: the quadrature lost the mass"
+        )
+
+    if N.power is not None:
+        p, unit = N.power, _power_of_two_above(sup)
         try:
-            return m.expectation(lambda x: N(np.asarray(g(x), float) / lam), knots)
+            moment = m.expectation(
+                lambda x: np.abs(np.asarray(g(x), dtype=float) / unit) ** p, knots
+            )
+        except IntegrationError as exc:
+            raise DivergentNormError(f"E|g|^{p:g} diverges: {exc}") from exc
+        if moment == 0.0 and sup > 0.0:
+            raise lost()
+        return unit * moment ** (1.0 / p)
+
+    try:
+        n1 = m.expectation(lambda x: np.abs(np.asarray(g(x), dtype=float)), knots)
+    except IntegrationError as exc:
+        raise DivergentNormError(f"E|g| diverges, and so does ‖g‖_N: {exc}") from exc
+    if n1 == 0.0:
+        if sup > 0.0:
+            raise lost()
+        return 0.0
+    t1 = _young_unit(N)
+    lo = n1 / t1
+    s_top = math.log(sys.float_info.max / lo)
+
+    def at(s: float) -> float:
+        """λ = lo·e^s, for s ≤ s_top."""
+        return lo * math.exp(s) if s < 700.0 else math.exp(math.log(lo) + s)
+
+    def level(s: float) -> float:
+        """log E[N(g/λ)] at λ = lo·e^s; +inf where the quadrature fails."""
+        lam = at(s)
+        try:
+            return _log_level(
+                m.expectation(lambda x: N(np.asarray(g(x), dtype=float) / lam), knots)
+            )
         except IntegrationError:
             return math.inf
 
-    lo, hi, unit = _ORLICZ_LO, _ORLICZ_HI, 1.0
-    at = modular(lo)
-    if at <= 1.0:
-        while at <= 1.0:
-            at_hi = at
-            unit /= _ORLICZ_SLIDE
-            if unit * lo < sys.float_info.min:
-                return 0.0
-            at = modular(unit * lo)
-        hi = lo * _ORLICZ_SLIDE
-    else:
-        at_hi = modular(hi)
-        while not at_hi <= 1.0:
-            unit *= _ORLICZ_SLIDE
-            if math.isinf(unit * hi):
-                raise DivergentNormError(
-                    f"E[{N.descriptor}(g/lambda)] stays above 1 for lambda "
-                    f"up to {unit / _ORLICZ_SLIDE * hi:g}"
-                )
-            at_hi = modular(unit * hi)
-        if unit > 1.0:
-            lo = hi / _ORLICZ_SLIDE
-    while hi - lo > 1e-8 * hi:
-        mid = math.sqrt(lo * hi)
-        at = modular(unit * mid)
-        if at <= 1.0:
-            hi, at_hi = mid, at
-        else:
-            lo = mid
-    if at_hi == 0.0:
-        raise DivergentNormError(
-            f"E[{N.descriptor}(g/lambda)] drops from above 1 to 0 at lambda = "
-            f"{unit * hi:g}: the quadrature lost the mass"
-        )
-    return unit * hi
+    at_lo = level(0.0)
+    if at_lo <= 0.0:
+        return lo
+    s_lo, s_hi = 0.0, math.log(max(sup, n1) / t1 / lo)
+    at_hi = level(s_hi)
+    while at_hi > 0.0:
+        s_lo, at_lo = s_hi, at_hi
+        s_hi += math.log(_ORLICZ_SLIDE)
+        if s_hi > s_top:
+            raise DivergentNormError(
+                f"E[{N.descriptor}(g/lambda)] stays above 1 for lambda "
+                f"up to {at(s_lo):g}"
+            )
+        at_hi = level(s_hi)
+    b, hb, c, hc = _zeroin(level, s_lo, s_hi, at_lo, at_hi, 4.0 * _EPS)
+    s, h = (b, hb) if hb <= 0.0 else (c, hc)
+    if h == -math.inf:
+        raise lost()
+    return at(s)
 
 
 def check_orlicz(m, f, N: YoungFunction, which) -> InequalityCertificate:

@@ -47,8 +47,8 @@ class Measure:
     are density kinks strictly inside the support (panel seeds for
     quadrature).  Instances are immutable and all methods are pure; each
     also carries a private memo of results derived from it (the ``Is(μ)``
-    profile), which lives and dies with the instance and takes no part in
-    comparison or repr.
+    profile, and E_μ[g] for ``functions.centered``), which lives and dies
+    with the instance and takes no part in comparison or repr.
     """
 
     family: str

@@ -222,7 +222,12 @@ def integrate(
 
 
 def _partial_panels(f, a, b):
-    """Vectorized 15-point rule on sub-panels [a_i, b_i] (may be zero-width)."""
+    """Vectorized 15-point rule on sub-panels [a_i, b_i] (may be zero-width).
+
+    Each row is summed on its own in a fixed order, so a query's value does
+    not depend on the other points queried with it (a matrix product
+    rounds differently with the number of rows).
+    """
     half = 0.5 * (b - a)
     out = np.zeros_like(half)
     nz = half != 0.0
@@ -231,7 +236,7 @@ def _partial_panels(f, a, b):
         hh = half[nz]
         pts = (ah + hh)[:, None] + hh[:, None] * _NODES
         vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
-        out[nz] = hh * (vals @ _WEIGHTS)
+        out[nz] = hh * np.einsum("ij,j->i", vals, _WEIGHTS)
     return out
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from covineq import functions as F
 from covineq import measures as M
 from covineq.errors import DomainError, ExpressionError
+from covineq.numerics import NumericContext, numeric_context
 
 
 def test_monomial_values():
@@ -38,6 +39,39 @@ def test_centered_subtracts_mean():
     c2 = F.centered(F.monomial(2), M.uniform(0, 1))
     assert abs(c2(1.0) - (1 - 1 / 3)) < 1e-12
     assert c2.descriptor == "centered(monomial(2))"
+
+
+class TestCenteredMemo:
+    @pytest.fixture()
+    def expectations(self, monkeypatch):
+        calls = []
+        real = M.Measure.expectation
+
+        def spy(self, g, knots=()):
+            calls.append(g)
+            return real(self, g, knots)
+
+        monkeypatch.setattr(M.Measure, "expectation", spy)
+        return calls
+
+    def test_same_function_and_measure_is_a_hit(self, expectations):
+        m, g = M.laplace(0, 1), F.monomial(3)
+        first = F.centered(g, m)
+        second = F.centered(g, m)
+        assert len(expectations) == 1
+        xs = np.linspace(-3.0, 3.0, 7)
+        assert np.array_equal(first(xs), second(xs))
+
+    def test_other_function_measure_or_tolerance_is_a_miss(self, expectations):
+        m, g = M.laplace(0, 1), F.monomial(3)
+        F.centered(g, m)
+        F.centered(F.monomial(3), m)
+        F.centered(g, M.laplace(0, 1))
+        with numeric_context(NumericContext(rel_tol=1e-8)):
+            F.centered(g, m)
+        assert len(expectations) == 4
+        F.centered(g, m)
+        assert len(expectations) == 4
 
 
 def test_product_rule_away_from_knots():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from covineq import functions as fn
 from covineq import inequalities as ineq
@@ -165,6 +165,27 @@ class TestSandwich:
 
     def test_non_monotone_pushforward(self, lap):
         assert ineq.check_mean_median_sandwich(lap, x2).passed
+
+    def test_pushforward_median_of_square(self, lap, gau):
+        # P(X² ≤ c) = 1 − e^{−√c} on laplace(0,1); X² is chi2(1) on gaussian
+        med, knots = ineq._pushforward_median(lap, x2)
+        want = math.log(2) ** 2
+        assert abs(med - want) <= 1e-14 * want
+        assert np.allclose(knots, [-math.log(2), math.log(2)], rtol=1e-15)
+        med, _ = ineq._pushforward_median(gau, x2)
+        want = stats.chi2(1).median()
+        assert abs(med - want) <= 1e-14 * want
+
+    def test_pushforward_median_from_crossings(self, lap):
+        # g falls on [−1, 0] and rises on [0, 2]; for c < 1, g ≤ c on
+        # [−c/2, 2c], so the median solves e^{−2c} + e^{−c/2} = 1
+        g = fn.piecewise_linear([-1.0, 0.0, 2.0], [2.0, 0.0, 1.0])
+        want = optimize.brentq(
+            lambda c: math.exp(-2 * c) + math.exp(-c / 2) - 1, 0.1, 0.9, xtol=1e-16
+        )
+        med, knots = ineq._pushforward_median(lap, g)
+        assert abs(med - want) <= 1e-14 * want
+        assert np.allclose(knots, [-want / 2, 2 * want], rtol=1e-14)
 
     def test_constant_g(self, lap):
         c = ineq.check_mean_median_sandwich(lap, fn.constant(5.0))

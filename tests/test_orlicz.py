@@ -106,6 +106,46 @@ class TestOrliczNorm:
             ineq.orlicz_norm(cauchy, x, ineq.young_power(1))
 
 
+class TestExactNorms:
+    @pytest.fixture()
+    def expectations(self, monkeypatch):
+        calls = []
+        real = measures.Measure.expectation
+
+        def spy(self, g, knots=()):
+            calls.append(g)
+            return real(self, g, knots)
+
+        monkeypatch.setattr(measures.Measure, "expectation", spy)
+        return calls
+
+    def test_power_norm_is_one_quadrature(self, lap, expectations):
+        n = ineq.orlicz_norm(lap, x, ineq.young_power(2))
+        assert len(expectations) == 1
+        assert abs(n - math.sqrt(2)) < 1e-13
+
+    def test_power_function_is_marked(self):
+        assert ineq.young_power(2.5).power == 2.5
+        assert ineq.young_psi1().power is None
+
+    def test_psi1_laplace_closed_form(self, lap):
+        # E[exp(|X|/λ)] = λ/(λ − 1) = 2 at λ = 2
+        assert abs(ineq.orlicz_norm(lap, fn.centered(x, lap), ineq.young_psi1()) - 2.0) < 1e-12
+
+    def test_psi1_exponential_centered(self, expo):
+        # the root of E[exp(|X − 1|/λ)] = 2 from mpmath at 30 digits; the
+        # earlier geometric bisection gave 1.5313468496269993
+        got = ineq.orlicz_norm(expo, fn.centered(x, expo), ineq.young_psi1())
+        assert abs(got - 1.5313468496269993) < 1e-8 * got
+        assert abs(got - 1.5313468378543573) < 1e-13 * got
+
+    def test_psi1_costs_few_quadratures(self, lap, expectations):
+        g = fn.centered(x, lap)
+        expectations.clear()
+        ineq.orlicz_norm(lap, g, ineq.young_psi1())
+        assert len(expectations) <= 15
+
+
 class TestOrliczCertificate:
     def test_median_centered_oracle(self, lap):
         c = ineq.check_orlicz(lap, x, ineq.young_power(2), "median_centered")

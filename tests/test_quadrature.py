@@ -92,6 +92,17 @@ class TestCumulative:
         assert lefts.shape == ts.shape
         assert np.all(np.diff(lefts) > 0)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_query_does_not_depend_on_batch(self, side):
+        # each partial panel is summed on its own: a point's value is the
+        # same bits whatever else is queried with it
+        cum = measures.exponential(1).cumulative(lambda x: np.asarray(x, float))
+        query = getattr(cum, side)
+        for t in np.linspace(27.6, 29.9, 11):
+            alone = query(np.array([t]))[0]
+            assert query(np.array([t, 1.0]))[0] == alone
+            assert query(np.linspace(0.0, 40.0, 1001).tolist() + [t])[-1] == alone
+
     def test_queries_clip_to_domain(self):
         cum = quadrature.cumulative(gauss_pdf, -40.0, 40.0)
         assert abs(cum.left(-1000.0)) == 0.0

@@ -91,6 +91,15 @@ def test_certificate_ratio_is_scale_free(m, name):
     _assert_scale_free(m, name)
 
 
+@pytest.mark.parametrize("c", SCALES)
+def test_orlicz_power_norm_is_scale_free(c):
+    # the |x|^2 norm is one quadrature, so it rescales to rounding
+    m, g, N = measures.gaussian(0, 1), fn.monomial(1), ineq.young_power(2)
+    want = ineq.check_orlicz(m, g, N, "median_centered").ratio
+    got = ineq.check_orlicz(m.rescale(c), _dilated(g, c), N, "median_centered").ratio
+    assert abs(got - want) <= 1e-12 * want
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the cov_variant rhs is a tail sup of |W|/f whose error is absolute "
