@@ -284,12 +284,12 @@ def parse_config(text_or_dict) -> RunConfig:
     raw_fns = cfg.get("functions", [])
     if not isinstance(raw_fns, list):
         errors.append("functions: must be a list of expression strings")
-        raw_fns = []
-    for i, text in enumerate(raw_fns):
-        try:
-            exprs.append(functions.parse_expression(str(text)))
-        except ExpressionError as exc:
-            errors.append(f"functions[{i}]: {exc}")
+    else:
+        for i, text in enumerate(raw_fns):
+            try:
+                exprs.append(functions.parse_expression(str(text)))
+            except ExpressionError as exc:
+                errors.append(f"functions[{i}]: {exc}")
 
     checks = _parse_checks(cfg.get("checks"), errors)
 
@@ -306,7 +306,7 @@ def parse_config(text_or_dict) -> RunConfig:
         path = None
 
     needs_fn = [c.name for c in checks if CHECKS[c.name].needs_function]
-    if needs_fn and not exprs and seed is None:
+    if needs_fn and raw_fns == [] and seed is None:
         errors.append(
             "functions: checks "
             + ", ".join(sorted(set(needs_fn)))

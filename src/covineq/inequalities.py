@@ -7,16 +7,16 @@ ratio.  Conditional inequalities compute their side conditions numerically
 and refuse (``HypothesisViolatedError``) to certify when a hypothesis
 fails; the computed values are recorded in ``side_conditions`` either way.
 
-The module also houses the Orlicz-norm machinery (``YoungFunction``,
-``orlicz_norm``, ``young_cn``), the moment-growth suite, and the two
-extremal estimators (``estimate_best_constant``, ``sharpness_sweep``)
-that probe sharpness of the covariance and Poincaré bounds.
+The module also houses the Orlicz norms (``orlicz_norm`` under the two
+closed-form Young functions ``young_power`` and ``young_psi1``), the
+moment-growth suite, and the two extremal estimators
+(``estimate_best_constant``, ``sharpness_sweep``) that probe sharpness of
+the covariance and Poincaré bounds.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -48,11 +48,9 @@ __all__ = [
     "check_brascamp_lieb",
     "check_cov_variant",
     "check_cov_final",
-    "young_function",
     "young_power",
     "young_psi1",
     "young_spec",
-    "young_cn",
     "orlicz_norm",
     "check_orlicz",
     "check_moment_growth",
@@ -165,12 +163,8 @@ def check_cov_lp_lq(m, g, h, p) -> InequalityCertificate:
     inv_is, trivial = _inv_is(m)
     lhs = abs(kernel.covariance_kernel(m, g, h))
     h0 = functions.centered(h, m)
-    if p == 1.0:
-        q = math.inf
-        rhs = inv_is * _deriv_norm(m, g, 1.0) * m.ess_sup(h0, h0.knots)
-    else:
-        q = _holder_conjugate(p)
-        rhs = p * inv_is * _deriv_norm(m, g, p) * m.lp_norm(h0, q)
+    q = math.inf if p == 1.0 else _holder_conjugate(p)
+    rhs = (1.0 if p == 1.0 else p) * inv_is * _deriv_norm(m, g, p) * m.lp_norm(h0, q)
     return certify(
         "cov_lp_lq",
         lhs=lhs,
@@ -259,18 +253,23 @@ def check_cov_variant(m, g, h, side) -> InequalityCertificate:
 # Lp Poincaré inequalities
 
 
-def _signed_moment(m, v, p) -> tuple[float, float]:
-    """E[sign(v)|v|^{p−1}] and the normalizer E[|v|^{p−1}]."""
+def _sign_moment(m, v, p) -> float:
+    """E[sign(v)|v|^{p−1}] / E[|v|^{p−1}], 0 when the normalizer is.
+
+    Both moments are taken of v/unit (``Measure.probe_unit``), so neither
+    underflows at any scale; the unit cancels in the ratio.
+    """
+    unit = m.probe_unit(v)
 
     def signed(x):
-        vals = np.asarray(v(x), dtype=float)
+        vals = np.asarray(v(x), dtype=float) / unit
         return np.sign(vals) * np.abs(vals) ** (p - 1.0)
 
     num = m.expectation(signed, v.knots)
     den = m.expectation(
-        lambda x: np.abs(np.asarray(v(x), dtype=float)) ** (p - 1.0), v.knots
+        lambda x: np.abs(np.asarray(v(x), dtype=float) / unit) ** (p - 1.0), v.knots
     )
-    return num, den
+    return num / den if den > 0.0 else 0.0
 
 
 def _require_odd_integer(p: float) -> int:
@@ -304,9 +303,7 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
         v = functions.centered(u, m)
         constant = 2.0 * p if variant == "centered_2p" else p
         if variant == "centered_p":
-            num, den = _signed_moment(m, v, p)
-            cond = num / den if den > 0.0 else 0.0
-            side["sign_moment"] = cond
+            cond = side["sign_moment"] = _sign_moment(m, v, p)
             if abs(cond) > HYPOTHESIS_TOL:
                 raise HypothesisViolatedError(
                     "E[sign(u-Eu)|u-Eu|^(p-1)] = 0", cond
@@ -315,9 +312,13 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
     else:
         k = _require_odd_integer(p)
         side["p_odd"] = float(k)
-        raw = m.expectation(lambda x: np.asarray(u(x), dtype=float) ** k, u.knots)
+        # E[u^k]/‖u‖_p^k, both of u/unit as in ``_sign_moment``
+        unit = m.probe_unit(u)
+        raw = m.expectation(
+            lambda x: (np.asarray(u(x), dtype=float) / unit) ** k, u.knots
+        )
         lhs = m.lp_norm(u, p)
-        scale = lhs**k if lhs > 0.0 else 1.0
+        scale = (lhs / unit) ** k if lhs > 0.0 else 1.0
         side["raw_moment"] = raw / scale
         if abs(side["raw_moment"]) > HYPOTHESIS_TOL:
             raise HypothesisViolatedError("E[u^p] = 0", side["raw_moment"])
@@ -449,16 +450,17 @@ def check_mean_median_sandwich(m, g) -> InequalityCertificate:
 
 @dataclass(frozen=True, eq=False)
 class YoungFunction:
-    """An even convex N with N(0)=0, N>0 off 0, its derivative, and C_N.
+    """An even convex N with N(0) = 0 and N > 0 off 0, in closed form.
 
-    ``cn`` is sup_x x·N′(x)/N(x) (+inf when the ratio diverges); the
-    Orlicz Poincaré constants scale with it.  ``power`` is p when
-    N = |x|^p, whose Orlicz norm is the L_p norm, and None otherwise.
+    ``cn`` is C_N = sup_x x·N′(x)/N(x) (+inf when the ratio diverges); the
+    Orlicz Poincaré constants scale with it.  ``t1`` is the t > 0 with
+    N(t) = 1.  ``power`` is p when N = |x|^p, whose Orlicz norm is the L_p
+    norm, and None otherwise.
     """
 
     N: Callable
-    N_prime: Callable
     cn: float
+    t1: float
     descriptor: str
     power: float | None = None
 
@@ -466,111 +468,39 @@ class YoungFunction:
         return self.N(x)
 
 
-_YOUNG_GRID = np.concatenate([[0.0], np.logspace(-6.0, 6.0, 97)])
-
-
-def _cn_value(N, N_prime, grid=None) -> float:
-    xs = np.asarray(_YOUNG_GRID[1:] if grid is None else grid, dtype=float)
-    xs = np.unique(xs[xs > 0.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        nv = np.asarray(N(xs), dtype=float)
-        dv = np.asarray(N_prime(xs), dtype=float)
-        ratio = xs * dv / nv
-    ok = np.isfinite(nv) & (nv > 0.0) & np.isfinite(ratio)
-    if not np.any(ok):
-        raise DomainError("C_N probe grid produced no finite ratio values")
-    xs, ratio = xs[ok], ratio[ok]
-    # divergence test: three successive increases across the last usable
-    # decade mean the ratio is still climbing at the edge of float range
-    tail = ratio[xs >= xs[-1] / 10.0]
-    if len(tail) >= 4:
-        inc = np.diff(tail) > 0.0
-        run = 0
-        for step in inc:
-            run = run + 1 if step else 0
-            if run >= 3:
-                return math.inf
-    return float(np.max(ratio))
-
-
-def young_cn(N: YoungFunction, probe_grid=None) -> float:
-    """sup x·N′(x)/N(x) over the probe grid, +inf when it diverges."""
-    return _cn_value(N.N, N.N_prime, probe_grid)
-
-
-def young_function(N, N_prime, descriptor: str) -> YoungFunction:
-    """Validate (evenness, N(0)=0, positivity, midpoint convexity) and wrap."""
-    xs = _YOUNG_GRID
-    with np.errstate(over="ignore"):
-        pos = np.asarray(N(xs), dtype=float)
-        neg = np.asarray(N(-xs), dtype=float)
-    both = np.isfinite(pos) & np.isfinite(neg)
-    scale = np.abs(pos[both]) + 1e-300
-    if np.any(np.abs(pos[both] - neg[both]) > 1e-9 * scale):
-        raise DomainError(f"{descriptor} is not even on the sample grid")
-    if pos[0] != 0.0:
-        raise DomainError(f"{descriptor}(0) must be 0, got {pos[0]!r}")
-    if np.any(pos[1:][np.isfinite(pos[1:])] <= 0.0):
-        raise DomainError(f"{descriptor} must be positive away from 0")
-    fin = np.flatnonzero(np.isfinite(pos))
-    a, b = xs[fin[:-1]], xs[fin[1:]]
-    with np.errstate(over="ignore"):
-        mid = np.asarray(N((a + b) / 2.0), dtype=float)
-        chord = (pos[fin[:-1]] + pos[fin[1:]]) / 2.0
-    bad = mid > chord * (1.0 + 1e-9) + 1e-300
-    if np.any(bad[np.isfinite(mid) & np.isfinite(chord)]):
-        raise DomainError(f"{descriptor} fails the midpoint convexity test")
-    cn = _cn_value(N, N_prime)
-    if cn < 1.0 - 1e-9:
-        raise DomainError(f"{descriptor} has C_N = {cn} < 1; not a Young function")
-    return YoungFunction(N, N_prime, cn, descriptor)
-
-
 def young_power(p) -> YoungFunction:
-    """N(x) = |x|^p, for which C_N = p."""
+    """N(x) = |x|^p: C_N = p and N(1) = 1."""
     p = _check_p(p)
+    return YoungFunction(
+        lambda x: np.abs(np.asarray(x, dtype=float)) ** p, p, 1.0, f"|x|^{p:g}", p
+    )
 
-    def N(x):
-        return np.abs(np.asarray(x, dtype=float)) ** p
 
-    def N_prime(x):
-        x = np.asarray(x, dtype=float)
-        return p * np.sign(x) * np.abs(x) ** (p - 1.0)
-
-    return dataclasses.replace(young_function(N, N_prime, f"|x|^{p:g}"), power=p)
+def _psi1(x):
+    with np.errstate(over="ignore"):
+        return np.expm1(np.abs(np.asarray(x, dtype=float)))
 
 
 def young_psi1() -> YoungFunction:
-    """Ψ1(x) = e^{|x|} − 1; its C_N diverges."""
-
-    def N(x):
-        with np.errstate(over="ignore"):
-            return np.expm1(np.abs(np.asarray(x, dtype=float)))
-
-    def N_prime(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return np.sign(x) * np.exp(np.abs(x))
-
-    return young_function(N, N_prime, "psi1")
+    """Ψ1(x) = e^{|x|} − 1: C_N diverges and Ψ1(ln 2) = 1."""
+    return YoungFunction(_psi1, math.inf, math.log(2.0), "psi1")
 
 
-def young_spec(spec) -> Callable[[], YoungFunction]:
+def young_spec(spec) -> YoungFunction:
     """Parse a Young spec, ``psi1`` or ``|x|^p`` with finite p >= 1.
 
-    Returns a factory for the Young function, so that a config can be
-    validated without building it; any other spec raises ``DomainError``.
+    Any other spec raises ``DomainError``.
     """
     s = spec.strip() if isinstance(spec, str) else ""
     if s == "psi1":
-        return young_psi1
+        return young_psi1()
     if s.startswith("|x|^"):
         try:
             p = float(s[4:])
         except ValueError:
             p = math.nan
         if 1.0 <= p < math.inf:
-            return functools.partial(young_power, p)
+            return young_power(p)
     raise DomainError(f"expected 'psi1' or '|x|^p' with finite p >= 1, got {spec!r}")
 
 
@@ -630,44 +560,16 @@ def _log_level(v: float) -> float:
     return -math.inf if v == 0.0 else math.inf
 
 
-def _young_unit(N: YoungFunction) -> float:
-    """The t > 0 with N(t) = 1 (N increases on (0, ∞) from 0 to ∞)."""
-
-    def h(u):
-        with np.errstate(over="ignore"):
-            return _log_level(float(N(np.exp(u))))
-
-    a, b = -1.0, 1.0
-    ha, hb = h(a), h(b)
-    while ha > 0.0 and a > -2048.0:
-        a *= 2.0
-        ha = h(a)
-    while hb <= 0.0 and b < 2048.0:
-        b *= 2.0
-        hb = h(b)
-    u, hu, v, _ = _zeroin(h, a, b, ha, hb, 4.0 * _EPS)
-    return math.exp(u if hu <= 0.0 else v)
-
-
-def _power_of_two_above(v: float) -> float:
-    """The least power of two ≥ v, for finite v > 0 (1 for v = 0)."""
-    if v == 0.0:
-        return 1.0
-    mant, exp = math.frexp(v)
-    return math.ldexp(1.0, min(exp - 1 if mant == 0.5 else exp, 1023))
-
-
 def orlicz_norm(m, g, N: YoungFunction) -> float:
     """The Luxemburg norm inf{λ > 0 : E[N(g/λ)] ≤ 1}.
 
-    For N = |x|^p (``N.power``) this is ‖g‖_p, computed in one quadrature
-    as unit·(E|g/unit|^p)^{1/p}, where unit is the power of two at or just
-    above the probed sup of |g|, so the moment neither overflows nor
-    underflows and the scaling itself is exact.
+    For N = |x|^p (``N.power``) this is ‖g‖_p, ``Measure.lp_norm``: one
+    quadrature.
 
-    Any other N is solved for: λ ↦ log E[N(g/λ)] falls through 0 at the
-    norm, and Brent's method (``_zeroin``) finds that root in log λ.  The
-    bracket starts at [‖g‖₁/t₁, max(sup|g|, ‖g‖₁)/t₁], where N(t₁) = 1:
+    Any other N (ψ1) is solved for: λ ↦ log E[N(g/λ)] falls through 0 at
+    the norm, and Brent's method (``_zeroin``) finds that root in log λ.
+    The bracket starts at [‖g‖₁/t₁, max(sup|g|, ‖g‖₁)/t₁], where
+    t₁ = ``N.t1`` is the closed-form root of N(t₁) = 1:
     Jensen's inequality, E[N(g/λ)] ≥ N(‖g‖₁/λ), puts the norm above the
     lower end, and the upper end bounds it when |g| stays below its
     probed sup.  While the modular at the upper end is still above one
@@ -675,7 +577,7 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
     slides up to [hi, 1e8·hi]; past the top of the float range
     ``DivergentNormError`` is raised.
 
-    ‖g‖₁ = ∞ makes every Orlicz norm infinite.  A moment, ‖g‖₁ or root
+    ‖g‖₁ = ∞ makes every Orlicz norm infinite.  An L_p norm, ‖g‖₁ or root
     modular that reads 0 while g is not 0 on the probe grid is mass the
     quadrature lost (Cauchy under |x|^1 reads 0 over its ±3e299 window),
     not a norm, and also raises ``DivergentNormError``: near a true root
@@ -694,16 +596,13 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
         )
 
     if N.power is not None:
-        p, unit = N.power, _power_of_two_above(sup)
         try:
-            moment = m.expectation(
-                lambda x: np.abs(np.asarray(g(x), dtype=float) / unit) ** p, knots
-            )
+            norm = m.lp_norm(g, N.power)
         except IntegrationError as exc:
-            raise DivergentNormError(f"E|g|^{p:g} diverges: {exc}") from exc
-        if moment == 0.0 and sup > 0.0:
+            raise DivergentNormError(f"E|g|^{N.power:g} diverges: {exc}") from exc
+        if norm == 0.0 and sup > 0.0:
             raise lost()
-        return unit * moment ** (1.0 / p)
+        return norm
 
     try:
         n1 = m.expectation(lambda x: np.abs(np.asarray(g(x), dtype=float)), knots)
@@ -713,8 +612,7 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
         if sup > 0.0:
             raise lost()
         return 0.0
-    t1 = _young_unit(N)
-    lo = n1 / t1
+    lo = n1 / N.t1
     s_top = math.log(sys.float_info.max / lo)
 
     def at(s: float) -> float:
@@ -734,7 +632,7 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
     at_lo = level(0.0)
     if at_lo <= 0.0:
         return lo
-    s_lo, s_hi = 0.0, math.log(max(sup, n1) / t1 / lo)
+    s_lo, s_hi = 0.0, math.log(max(sup, n1) / N.t1 / lo)
     at_hi = level(s_hi)
     while at_hi > 0.0:
         s_lo, at_lo = s_hi, at_hi
@@ -1071,7 +969,7 @@ CHECKS: dict[str, CheckEntry] = {
         lambda m, fn: check_mean_median_sandwich(m, fn)
     ),
     "orlicz": CheckEntry(
-        lambda m, fn, young, which: check_orlicz(m, fn, young_spec(young)(), which),
+        lambda m, fn, young, which: check_orlicz(m, fn, young_spec(young), which),
         {"young": ("|x|^2",), "which": ("median_centered",)},
         {"which": ORLICZ_VARIANTS},
         fn_key="f",

@@ -154,20 +154,12 @@ def t_transform(m, h, k) -> TkTransform:
     )
 
 
-def t_norm(m, h, k, p, transform: TkTransform | None = None) -> float:
-    """‖T_k h‖_p; p = inf takes the probed supremum with golden refinement."""
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise DomainError(f"t_norm requires p >= 1, got {p}")
-    T = transform if transform is not None else t_transform(m, h, k)
-    if math.isinf(p):
-        lo, hi = m.integration_domain()
-        # T jumps at the split point: probe both one-sided limits
-        split = (T.k, np.nextafter(T.k, hi)) if lo < T.k < hi else ()
-        return m.ess_sup(T, tuple(h.knots) + split)
-    # a split point outside the window is dropped with the other stray knots
-    total = m.expectation(lambda x: np.abs(T(x)) ** p, (*h.knots, T.k))
-    return total ** (1.0 / p)
+def t_norm(m, h, k, p) -> float:
+    """‖T_k h‖_p.  T jumps at k, so k is a knot, and at p = inf its right
+    neighbour is probed too: both one-sided limits are seen."""
+    T = t_transform(m, h, k)
+    split = (T.k, np.nextafter(T.k, math.inf)) if math.isinf(p) else (T.k,)
+    return m.lp_norm(T, p, (*h.knots, *split))
 
 
 def hardy_certificate(m, h, k, p) -> InequalityCertificate:

@@ -47,8 +47,8 @@ class Measure:
     are density kinks strictly inside the support (panel seeds for
     quadrature).  Instances are immutable and all methods are pure; each
     also carries a private memo of results derived from it (the ``Is(μ)``
-    profile, and E_μ[g] for ``functions.centered``), which lives and dies
-    with the instance and takes no part in comparison or repr.
+    profile, probe grids, E_μ[g] for ``functions.centered``), which lives
+    and dies with the instance and takes no part in comparison or repr.
     """
 
     family: str
@@ -112,32 +112,60 @@ class Measure:
             lo, hi, knots=(*getattr(g, "knots", ()), *self.knots, *knots),
         )
 
-    def lp_norm(self, g, p) -> float:
-        """(∫|g|^p dμ)^(1/p) for real p ≥ 1; p = inf takes the grid sup."""
+    def lp_norm(self, g, p, knots=()) -> float:
+        """‖g‖_p = (∫|g|^p dμ)^(1/p) for real p ≥ 1; p = inf is ``ess_sup``.
+
+        The moment is taken of g/unit, unit = ``probe_unit(g)``, so it
+        neither overflows nor underflows and the scaling back is exact.
+        ``knots`` are kinks of g that it cannot list itself, as in
+        ``expectation``.
+        """
         p = float(p)
         if math.isnan(p) or p < 1.0:
             raise DomainError(f"lp_norm requires p >= 1, got {p}")
+        knots = (*getattr(g, "knots", ()), *knots)
         if math.isinf(p):
-            return self.ess_sup(g)
+            return self.ess_sup(g, knots)
+        unit = self.probe_unit(g)
         total = self.expectation(
-            lambda x: np.abs(np.asarray(g(x), dtype=float)) ** p,
-            getattr(g, "knots", ()),
+            lambda x: np.abs(np.asarray(g(x), dtype=float) / unit) ** p, knots
         )
-        return total ** (1.0 / p)
+        return unit * total ** (1.0 / p)
+
+    def probe_unit(self, g) -> float:
+        """The least power of two at or above max|g| on a 64-point probe grid.
+
+        Dividing by it is exact, and it brings g's moments into the float
+        range whatever the measure's scale; 1 where that max is 0 or not
+        finite.
+        """
+        with np.errstate(all="ignore"):
+            vals = np.asarray(g(self.probe_points(64)), dtype=float)
+            top = float(np.max(np.abs(vals)))
+        if not (math.isfinite(top) and top > 0.0):
+            return 1.0
+        mant, exp = math.frexp(top)
+        return math.ldexp(1.0, min(exp - 1 if mant == 0.5 else exp, 1023))
 
     # ---- sup norms -------------------------------------------------------
 
     def probe_points(self, n: int = 2048) -> np.ndarray:
-        """Interior quantile grid plus deep tail probes, sorted and unique."""
-        t = np.linspace(0.0, 1.0, n + 2)[1:-1]
-        pts = [self.quantile(t)]
-        s = 10.0 ** -np.arange(4.0, 14.0)
-        pts.append(np.asarray(self.dist.ppf(s), dtype=float))
-        pts.append(np.asarray(self.dist.isf(s), dtype=float))
-        pts.append(np.asarray(self.knots, dtype=float))
-        lo, hi = self.integration_domain()
-        out = np.unique(np.concatenate([np.atleast_1d(p) for p in pts]))
-        return out[(out >= lo) & (out <= hi)]
+        """Interior quantile grid plus deep tail probes, sorted and unique;
+        memoized on the measure per n, read-only."""
+        key = ("probe", n)
+        if key not in self._memo:
+            t = np.linspace(0.0, 1.0, n + 2)[1:-1]
+            pts = [self.quantile(t)]
+            s = 10.0 ** -np.arange(4.0, 14.0)
+            pts.append(np.asarray(self.dist.ppf(s), dtype=float))
+            pts.append(np.asarray(self.dist.isf(s), dtype=float))
+            pts.append(np.asarray(self.knots, dtype=float))
+            lo, hi = self.integration_domain()
+            out = np.unique(np.concatenate([np.atleast_1d(p) for p in pts]))
+            out = out[(out >= lo) & (out <= hi)]
+            out.flags.writeable = False
+            self._memo[key] = out
+        return self._memo[key]
 
     def ess_sup(self, g, extra_knots=()) -> float:
         """Grid supremum of |g| with golden refinement around the top points.

@@ -153,6 +153,7 @@ class TestErrorCollection:
                 {"checks": [{"name": "orlicz", "young": ["|x|^inf"]}]},
                 "checks[0].young[0]: expected 'psi1' or '|x|^p' with finite p",
             ),
+            ({"functions": None}, "functions: must be a list"),
         ],
     )
     def test_single_field_errors(self, patch, fragment):
@@ -162,7 +163,10 @@ class TestErrorCollection:
             "checks": ["cheeger"],
         }
         base.update(patch)
-        assert any(fragment in e for e in errors_of(base))
+        # one bad field is one error: a battery that fails to parse, say, is
+        # configured, not missing
+        errs = errors_of(base)
+        assert len(errs) == 1 and fragment in errs[0]
 
     def test_quad_abs_tol_is_unknown(self):
         # the quadrature budget is relative only; no absolute tolerance key

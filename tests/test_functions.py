@@ -1,5 +1,8 @@
 """Function builders, derivatives, and the expression grammar."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -172,6 +175,19 @@ class TestExpressions:
         assert abs(e.bind(M.uniform(0, 1))(0.0) + 1 / 3) < 1e-12
         with pytest.raises(ExpressionError):
             e.bind()
+
+    def test_every_readme_form_parses(self):
+        # the README's grammar sentence, with its placeholders filled in
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        sentence = re.search(r"Function\s+expressions:(.*?)\.\n", readme, re.S)
+        forms = re.findall(r"`([^`]+)`", sentence.group(1))
+        assert "abspow(p)" in forms and "sgnpow(p)" in forms
+        values = {"k": "3", "p": "1.5", "alpha": "-0.25", "m": "0",
+                  "delta": "0.1", "a": "x", "b": "x^2", "c": "0.5"}
+        for form in forms:
+            text = re.sub(r"\b[a-z]+\b", lambda w: values.get(w[0], w[0]), form)
+            f = F.parse_expression(text).bind(M.laplace(0, 1))
+            assert np.isfinite(f(0.7)), form
 
     @pytest.mark.parametrize(
         "bad",

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from covineq import functions as fn
 from covineq import inequalities as ineq
-from covineq import measures
+from covineq import kernel, measures
+from covineq.errors import HypothesisViolatedError
 from covineq.isoperimetry import isoperimetric_value
 
 # one measure per analytic family, off its standard parameters
@@ -98,6 +99,45 @@ def test_orlicz_power_norm_is_scale_free(c):
     want = ineq.check_orlicz(m, g, N, "median_centered").ratio
     got = ineq.check_orlicz(m.rescale(c), _dilated(g, c), N, "median_centered").ratio
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("c", [1e-60, 1e60])
+def test_lp_norm_is_scale_free(c):
+    # E X^6 = 15c^6 under- or overflows at these c; the norm must not
+    got = measures.gaussian(0, c).lp_norm(fn.monomial(1), 6)
+    assert abs(got - c * 15 ** (1 / 6)) <= 1e-12 * c * 15 ** (1 / 6)
+
+
+# ratios that read 0.0 when the moments under- or overflowed
+EXTREME_CASES = {
+    "hardy": lambda c: kernel.hardy_certificate(
+        measures.laplace(0, c), fn.monomial(1), 0.0, 5
+    ),
+    "moment_growth": lambda c: ineq.check_moment_growth(measures.gaussian(0, c), 6),
+    "lp_poincare_raw_2p": lambda c: ineq.check_lp_poincare(
+        measures.laplace(0, c), fn.monomial(1), 5, "raw_2p"
+    ),
+}
+
+
+@pytest.mark.parametrize("c", [1e-70, 1e70])
+@pytest.mark.parametrize("name", sorted(EXTREME_CASES))
+def test_ratio_at_extreme_scale(name, c):
+    want = EXTREME_CASES[name](1.0).ratio
+    assert abs(EXTREME_CASES[name](c).ratio - want) <= 1e-12 * want
+
+
+def _sign_moment(m):
+    with pytest.raises(HypothesisViolatedError) as info:
+        ineq.check_lp_poincare(m, fn.monomial(1), 6, "centered_p")
+    return info.value.value
+
+
+@pytest.mark.parametrize("rate", [1e-70, 1e70])
+def test_centered_p_hypothesis_at_extreme_scale(rate):
+    # E[sign(X−EX)|X−EX|^5]/E|X−EX|^5 on the exponential law is one number
+    want = _sign_moment(measures.exponential(1.0))
+    assert abs(_sign_moment(measures.exponential(rate)) - want) <= 1e-12 * want
 
 
 @pytest.mark.xfail(
