@@ -206,13 +206,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hardy(args) -> int:
-    ps = _float_list(args.p, "--p")
-    cfg_dict = {
-        "measures": args.measure
-        or ["laplace:0,1", "gaussian:0,1", "uniform:0,1", "exponential:1"],
-        "functions": args.function or ["x", "x^2", "center(x)"],
-        "checks": [{"name": "hardy", "p": ps}],
-    }
+    cfg_dict = config_mod.default_config_dict()
+    cfg_dict["measures"] = args.measure or cfg_dict["measures"]
+    cfg_dict["functions"] = args.function or cfg_dict["functions"]
+    cfg_dict["checks"] = [{"name": "hardy", "p": _float_list(args.p, "--p")}]
     return _run_suite(cfg_dict, args)
 
 
@@ -228,12 +225,9 @@ def _cmd_moments(args) -> int:
         checks.append(
             {"name": "logconcave_moments", "p": [p for p in ps if p >= 2.0]}
         )
-    cfg_dict = {
-        "measures": args.measure
-        or ["laplace:0,1", "gaussian:0,1", "uniform:0,1", "exponential:1"],
-        "functions": [],
-        "checks": checks,
-    }
+    cfg_dict = config_mod.default_config_dict()
+    cfg_dict.update(measures=args.measure or cfg_dict["measures"],
+                    functions=[], checks=checks)
     return _run_suite(cfg_dict, args)
 
 

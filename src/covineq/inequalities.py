@@ -564,7 +564,8 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
     """The Luxemburg norm inf{λ > 0 : E[N(g/λ)] ≤ 1}.
 
     For N = |x|^p (``N.power``) this is ‖g‖_p, ``Measure.lp_norm``: one
-    quadrature.
+    quadrature, with g probed on the 64-point grid that ``lp_norm`` takes
+    its unit on.  Only the ψ1 bracket needs the sup over ``probe_points()``.
 
     Any other N (ψ1) is solved for: λ ↦ log E[N(g/λ)] falls through 0 at
     the norm, and Brent's method (``_zeroin``) finds that root in log λ.
@@ -585,7 +586,8 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
     """
     knots = getattr(g, "knots", ())
     with np.errstate(all="ignore"):
-        sup = float(np.max(np.abs(np.asarray(g(m.probe_points()), dtype=float))))
+        pts = m.probe_points(64) if N.power is not None else m.probe_points()
+        sup = float(np.max(np.abs(np.asarray(g(pts), dtype=float))))
     if not math.isfinite(sup):
         raise DivergentNormError(f"g is not finite on the probe grid of {m.label}")
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import quadrature
+from . import measures, quadrature
 from .certificates import InequalityCertificate, certify
 from .errors import DomainError
 
@@ -157,6 +157,7 @@ def t_transform(m, h, k) -> TkTransform:
 def t_norm(m, h, k, p) -> float:
     """‖T_k h‖_p.  T jumps at k, so k is a knot, and at p = inf its right
     neighbour is probed too: both one-sided limits are seen."""
+    p = measures.lp_exponent(p)  # before T_k h is built
     T = t_transform(m, h, k)
     split = (T.k, np.nextafter(T.k, math.inf)) if math.isinf(p) else (T.k,)
     return m.lp_norm(T, p, (*h.knots, *split))

@@ -5,7 +5,7 @@ pdf/cdf/sf/ppf/isf in closed form (numpy and scipy.special), repeating
 scipy's arithmetic so that every value equals the scipy frozen
 distribution's; beta wraps ``scipy.stats.beta``, ``from_scipy`` wraps any
 frozen scipy-like distribution, and tabulated densities are ingested as a
-piecewise-linear pdf whose cdf is its exact piecewise-quadratic integral.
+piecewise-linear pdf with an exact piecewise-quadratic cdf and its inverse.
 
 ``Measure.expectation`` and ``Measure.cumulative`` are the only integrals
 against μ in the package; every other one (lp_norm, the kernel's tail
@@ -35,6 +35,13 @@ LOG_CONCAVE = "log_concave"
 STRICTLY_LOG_CONCAVE = "strictly_log_concave"
 
 _TAIL_EPS = 1e-300  # quantile depth standing in for an infinite endpoint
+
+
+def lp_exponent(p) -> float:
+    """p as a float; DomainError unless p ≥ 1 (p = inf included, NaN not)."""
+    if not float(p) >= 1.0:
+        raise DomainError(f"lp_norm requires p >= 1, got {float(p)}")
+    return float(p)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -120,9 +127,7 @@ class Measure:
         ``knots`` are kinks of g that it cannot list itself, as in
         ``expectation``.
         """
-        p = float(p)
-        if math.isnan(p) or p < 1.0:
-            raise DomainError(f"lp_norm requires p >= 1, got {p}")
+        p = lp_exponent(p)
         knots = (*getattr(g, "knots", ()), *knots)
         if math.isinf(p):
             return self.ess_sup(g, knots)
@@ -572,12 +577,13 @@ def from_scipy(
 
 class _TabulatedDist:
     """Piecewise-linear pdf; cdf/sf are its exact piecewise-quadratic
-    integrals accumulated from their own end (no upper-tail cancellation);
-    quantiles by vectorized bisection on the exact cdf/sf."""
+    integrals accumulated from their own end (no upper-tail cancellation),
+    ppf/isf their exact inverses by ``searchsorted`` and one quadratic root."""
 
     def __init__(self, xs: np.ndarray, ds: np.ndarray):
         self.xs = xs
         self.ds = ds
+        self._slope = np.diff(ds) / np.diff(xs)
         seg = np.diff(xs) * 0.5 * (ds[:-1] + ds[1:])
         total = float(np.sum(seg))
         self._cum = np.concatenate([[0.0], np.cumsum(seg)]) / total
@@ -593,50 +599,46 @@ class _TabulatedDist:
                          left=0.0, right=0.0)
 
     def _segment(self, x):
-        idx = np.searchsorted(self.xs, x, side="right") - 1
-        return np.clip(idx, 0, len(self.xs) - 2)
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
+        return x, i, x - self.xs[i]
+
+    def _clamped(self, x, val, below, above):
+        val = np.where(x <= self.xs[0], below, np.where(x >= self.xs[-1], above, val))
+        return np.clip(val, 0.0, 1.0)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        i = self._segment(x)
-        u = x - self.xs[i]
-        slope = (self.ds[i + 1] - self.ds[i]) / (self.xs[i + 1] - self.xs[i])
-        val = self._cum[i] + u * (self.ds[i] + 0.5 * slope * u)
-        val = np.where(x <= self.xs[0], 0.0, np.where(x >= self.xs[-1], 1.0, val))
-        return np.clip(val, 0.0, 1.0)
+        x, i, u = self._segment(x)
+        val = self._cum[i] + u * (self.ds[i] + 0.5 * self._slope[i] * u)
+        return self._clamped(x, val, 0.0, 1.0)
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        i = self._segment(x)
-        u = x - self.xs[i]
-        slope = (self.ds[i + 1] - self.ds[i]) / (self.xs[i + 1] - self.xs[i])
-        dx_here = self.ds[i] + slope * u
+        x, i, u = self._segment(x)
+        dx_here = self.ds[i] + self._slope[i] * u
         rest = (self.xs[i + 1] - x) * 0.5 * (dx_here + self.ds[i + 1])
-        val = self._suf[i + 1] + rest
-        val = np.where(x <= self.xs[0], 1.0, np.where(x >= self.xs[-1], 0.0, val))
-        return np.clip(val, 0.0, 1.0)
+        return self._clamped(x, self._suf[i + 1] + rest, 1.0, 0.0)
 
     def ppf(self, t):
         t = np.asarray(t, dtype=float)
-        lo = np.full(t.shape, self.xs[0])
-        hi = np.full(t.shape, self.xs[-1])
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < t
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        i = np.clip(np.searchsorted(self._cum, t, side="right") - 1, 0, len(self.xs) - 2)
+        return self._root(i, t - self._cum[i], self._cum[i + 1] - t, t <= 0.0, t >= 1.0)
 
     def isf(self, s):
         s = np.asarray(s, dtype=float)
-        lo = np.full(s.shape, self.xs[0])
-        hi = np.full(s.shape, self.xs[-1])
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            above = self.sf(mid) > s
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        return 0.5 * (lo + hi)
+        i = np.clip(np.searchsorted(-self._suf, -s) - 1, 0, len(self.xs) - 2)
+        return self._root(i, self._suf[i] - s, s - self._suf[i + 1], s >= 1.0, s <= 0.0)
+
+    def _root(self, i, left, right, at_lo, at_hi):
+        """x in segment i with mass ``left`` on [xs[i], x], ``right`` on [x, xs[i+1]],
+        from the end with less mass m: u = 2m/(d + √(d² ± 2·slope·m)) then has a
+        radicand ≥ d²/2.  ``at_lo``/``at_hi`` levels give the support's ends."""
+        near_left = left <= right
+        m, d, k = np.where(near_left, (left, self.ds[i], self._slope[i]),
+                           (right, self.ds[i + 1], -self._slope[i]))
+        with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 at t = 0, 1
+            u = 2.0 * m / (d + np.sqrt(d * d + 2.0 * k * m))
+        x = np.where(near_left, self.xs[i] + u, self.xs[i + 1] - u)
+        return np.where(at_lo, self.xs[0], np.where(at_hi, self.xs[-1], x))
 
 
 def ingest_tabulated(nodes, values) -> Measure:

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st_h
 
 from covineq import functions as fn
-from covineq import kernel, measures
+from covineq import kernel, measures, quadrature
 from covineq.errors import DomainError
 
 x = fn.monomial(1)
@@ -187,3 +187,14 @@ class TestHardy:
     def test_p_one_rejected(self):
         with pytest.raises(DomainError):
             kernel.hardy_certificate(measures.laplace(0, 1), x, 0.0, 1.0)
+
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_t_norm_rejects_p_before_building(self, monkeypatch, p):
+        builds = []
+        real = quadrature.cumulative
+        monkeypatch.setattr(
+            quadrature, "cumulative", lambda *a, **kw: builds.append(1) or real(*a, **kw)
+        )
+        with pytest.raises(DomainError, match="p >= 1"):
+            kernel.t_norm(measures.laplace(0, 1), x, 0.0, p)
+        assert builds == []

@@ -190,6 +190,85 @@ class TestTabulated:
             measures.load_tabulated(str(p))
 
 
+# ---- tabulated quantiles against a 50-digit inverse -----------------------
+
+
+def _random_table(seed):
+    """8–60 random nodes over a width up to 60; seeds ≡ 0, 1 mod 3 give the
+    left end zero density, seeds ≡ 0, 2 mod 3 the right end."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 61))
+    xs = np.sort(rng.uniform(-30.0, 30.0, n))
+    ds = rng.uniform(0.1, 1.0, n)
+    ds[0] = 0.0 if seed % 3 != 2 else ds[0]
+    ds[-1] = 0.0 if seed % 3 != 1 else ds[-1]
+    return measures.ingest_tabulated(xs, ds).dist
+
+
+def _mp_mass_inverse(xs, ds, mass):
+    """The x with `mass` to its left under the density ds/∫ds, piecewise
+    linear on xs, in mpmath at the working precision."""
+    xs = [mp.mpf(float(v)) for v in xs]
+    ds = [mp.mpf(float(v)) for v in ds]
+    segs = [(xs[i + 1] - xs[i]) * (ds[i] + ds[i + 1]) / 2 for i in range(len(xs) - 1)]
+    r = mp.mpf(float(mass)) * sum(segs)
+    for i, seg in enumerate(segs):
+        if r <= seg or i == len(segs) - 1:
+            d, slope = ds[i], (ds[i + 1] - ds[i]) / (xs[i + 1] - xs[i])
+            return xs[i] + 2 * r / (d + mp.sqrt(d * d + 2 * slope * r))
+        r -= seg
+
+
+_TAB_LEVELS = np.array(
+    [10.0 ** -k for k in range(1, 301)]
+    + [1.0 - 10.0 ** -k for k in range(1, 17)]
+    + list(np.linspace(0.0, 1.0, 41)[1:-1])
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tabulated_quantiles_match_mpmath(seed):
+    d = _random_table(seed)
+    with mp.workdps(50):
+        want_ppf = [float(_mp_mass_inverse(d.xs, d.ds, t)) for t in _TAB_LEVELS]
+        # isf(s) has mass s to its right: the left inverse of the mirrored table
+        want_isf = [-float(_mp_mass_inverse(-d.xs[::-1], d.ds[::-1], s)) for s in _TAB_LEVELS]
+    width = d.xs[-1] - d.xs[0]
+    for name, want in (("ppf", want_ppf), ("isf", want_isf)):
+        err = np.abs(getattr(d, name)(_TAB_LEVELS) - np.array(want)) / width
+        assert np.max(err) <= 1e-14, (name, float(np.max(err)))
+
+
+def test_tabulated_quantile_ends_and_nan():
+    d = _random_table(0)  # zero density at both ends: the root reads 0/0 there
+    lo, hi = d.support()
+    with np.errstate(all="raise"):
+        assert list(d.ppf([0.0, 1.0])) == [lo, hi]
+        assert list(d.isf([1.0, 0.0])) == [lo, hi]
+        assert np.isnan(d.ppf(np.nan)) and np.isnan(d.isf(np.nan))
+
+
+def test_tabulated_quantiles_do_not_search(monkeypatch):
+    d = _random_table(4)
+    calls = []
+    for name in ("cdf", "sf"):
+        real = getattr(measures._TabulatedDist, name)
+        monkeypatch.setattr(
+            measures._TabulatedDist, name,
+            lambda self, x, real=real: calls.append(1) or real(self, x),
+        )
+    d.ppf(_TAB_LEVELS)
+    d.isf(_TAB_LEVELS)
+    assert calls == []
+
+
+@pytest.mark.parametrize("c", [1e-9, 0.37, 1e9])
+def test_tabulated_is_scale_law(tab_laplace_file, c):
+    m = measures.load_tabulated(tab_laplace_file)
+    want = c * isoperimetry.isoperimetric_value(m)
+    assert abs(isoperimetry.isoperimetric_value(m.rescale(c)) - want) <= 1e-12 * want
+
+
 # ---- closed-form primitives against scipy and mpmath ----------------------
 
 _FAMILY_PAIRS = [

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -117,6 +118,26 @@ class TestExactNorms:
         got = ineq.orlicz_norm(expo, fn.centered(x, expo), ineq.young_psi1())
         assert abs(got - 1.5313468496269993) < 1e-8 * got
         assert abs(got - 1.5313468378543573) < 1e-13 * got
+
+    def test_power_norm_probes_only_the_lp_grid(self, lap):
+        # the guards of the |x|^p branch read g on probe_points(64), which
+        # lp_norm probes for its unit, not on the 2,048-point grid
+        points = []
+
+        def g(v):
+            v = np.asarray(v, dtype=float)
+            points.append(v.size)
+            return v
+
+        want = lap.lp_norm(g, 2.0)
+        in_lp_norm = sum(points)
+        points.clear()
+        assert ineq.orlicz_norm(lap, g, ineq.young_power(2)) == want
+        assert sum(points) <= in_lp_norm + lap.probe_points(64).size
+
+    def test_power_norm_of_g_not_finite_on_probe_grid(self, lap):
+        with pytest.raises(DivergentNormError, match="not finite"):
+            ineq.orlicz_norm(lap, lambda v: np.exp(np.asarray(v) ** 2), ineq.young_power(2))
 
     def test_psi1_costs_few_quadratures(self, lap, expectations):
         g = fn.centered(x, lap)
