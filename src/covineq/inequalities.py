@@ -225,18 +225,18 @@ def check_brascamp_lieb(m, g, h) -> InequalityCertificate:
 
 
 def check_cov_variant(m, g, h, side) -> InequalityCertificate:
-    """|Cov(g,h)| ≤ sup_x |F(x)E[h] − ∫_{−∞}^x h dF| / f(x) · ‖g′‖₁.
+    """|Cov(g,h)| ≤ sup_x |W(x)| / f(x) · ‖g′‖₁, W(x) = ∫ K(x,y) h′(y) dy.
 
-    ``side`` picks the form of the numerator: ``left`` evaluates
-    F(x)E[h] − ∫_{-∞}^x h dF and ``right`` the mirror image
-    ∫_{(x,∞)} h dF − S(x)E[h]; the two agree analytically and the
-    certificates differ only in roundoff.
+    W is ``kernel.tail_weight``: F(x)E[h] − ∫_{−∞}^x h dF at or below the
+    median and ∫_{(x,∞)} h dF − S(x)E[h] above it, so the sup never reads
+    a form in the tail where it cancels.  ``side`` is a report label only:
+    both values give the same certificate.  It stays because the default
+    suite's row count is pinned by the benchmark's status table.
     """
     if side not in COV_VARIANT_SIDES:
         raise DomainError(f"side must be one of {COV_VARIANT_SIDES}, got {side!r}")
     lhs = abs(kernel.covariance_kernel(m, g, h))
-    left, right = kernel.tail_weights(m, h)
-    w = left if side == "left" else right
+    w = kernel.tail_weight(m, h)
 
     def ratio(x):
         x = np.asarray(x, dtype=float)

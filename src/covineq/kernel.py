@@ -1,17 +1,18 @@
 """Covariance kernel K(x,y) = F(x∧y)·S(x∨y), tail identities, T_k transform.
 
 The kernel represents covariances of absolutely continuous functions as
-Cov(g,h) = ∫∫ g′(x) K(x,y) h′(y) dx dy.  The inner integral has the closed
-forms F(z)·E[h] − ∫_{−∞}^z h dF (lower tail) and ∫_{(z,∞)} h dF − S(z)·E[h]
-(upper tail), which are equal; using each on its own side of the median
-keeps the cancellation mild and collapses the double integral to a single
-quadrature.
+Cov(g,h) = ∫∫ g′(x) K(x,y) h′(y) dx dy.  The inner integral is the tail
+weight W of ``tail_weight``: F(z)·E[h] − ∫_{−∞}^z h dF at or below the
+median, ∫_{(z,∞)} h dF − S(z)·E[h] above it.  The two forms are equal, and
+each cancels mildly on its own side; W collapses the double integral to a
+single quadrature.  Only the tail identities write out both forms.
 
 T_k conditionally averages h over the tail cut at the moving point:
 T_k h(x) = (∫_{−∞}^x h dF)/F(x) for x ≤ k and (∫_{(x,∞)} h dF)/(1−F(x))
 above.  Both numerator and denominator are prefix integrals from the same
 engine over the same panel layout, so the ratio stays stable deep in the
-tails and T_k 1 ≡ 1 holds exactly.
+tails and T_k 1 ≡ 1 holds exactly.  Both splits, W at the median and T_k
+at k, query each side only on the points of that side (``_split``).
 """
 
 from __future__ import annotations
@@ -44,40 +45,44 @@ def covariance_direct(m, g, h) -> float:
     return m.expectation(functions.product(g, h)) - m.expectation(g) * m.expectation(h)
 
 
-def tail_weights(m, h) -> tuple[Callable, Callable]:
-    """The two forms of W(x) = ∫ K(x,y) h′(y) dy, from one cumulative of h dF.
+def _split(x, k, below, above):
+    """below(x) at x ≤ k, above(x) at x > k, on a float array x.  Each side
+    is called only on its own points, and not at all without any; a
+    cumulative query sums each row on its own, so its bits do not move."""
+    low = x <= k
+    out = np.empty_like(x)
+    for mask, side in ((low, below), (~low, above)):
+        if mask.any():
+            out[mask] = side(x[mask])
+    return out
 
-    ``left(x)`` = F(x)E[h] − ∫_{−∞}^x h dF and ``right(x)`` =
-    ∫_{(x,∞)} h dF − S(x)E[h]; they are equal in exact arithmetic, and each
-    cancels mildly on its own side of the median.
-    """
-    ch = m.cumulative(h)
-    e_h = ch.total
-    return (lambda x: m.cdf(x) * e_h - ch.left(x),
-            lambda x: ch.right(x) - m.sf(x) * e_h)
+
+def tail_weight(m, h) -> Callable:
+    """W(x) = ∫ K(x,y) h′(y) dy from one cumulative of h dF: F(x)E[h] −
+    ∫_{−∞}^x h dF at or below the median, ∫_{(x,∞)} h dF − S(x)E[h] above
+    it.  The forms are equal; each cancels mildly on its own side."""
+    ch, med = m.cumulative(h), m.median()
+    return lambda x: _split(np.asarray(x, dtype=float), med,
+                            lambda t: m.cdf(t) * ch.total - ch.left(t),
+                            lambda t: ch.right(t) - m.sf(t) * ch.total)
 
 
 def covariance_kernel(m, g, h) -> float:
-    """∫∫ g′(x) K(x,y) h′(y) dy dx, inner integral in closed form.
-
-    The y-integral against the kernel is the tail quantity W of
-    ``tail_weights``; its left form is used below the median, its right
-    form above.
-    """
-    left, right = tail_weights(m, h)
-    med = m.median()
+    """∫∫ g′(x) K(x,y) h′(y) dy dx = ∫ g′·W with W of ``tail_weight``; the
+    median, where W switches form, is a knot."""
+    w = tail_weight(m, h)
     lo, hi = m.integration_domain()
     return quadrature.integrate(
-        lambda x: np.asarray(g.deriv(x), dtype=float)
-        * np.where(x <= med, left(x), right(x)),
-        lo, hi, knots=(*m.knots, *g.knots, *h.knots, med),
+        lambda x: np.asarray(g.deriv(x), dtype=float) * w(x),
+        lo, hi, knots=(*m.knots, *g.knots, *h.knots, m.median()),
     )
 
 
 def _tail_identity(m, h, z, side) -> tuple[float, float]:
     z = float(z)
-    left, right = tail_weights(m, h)
-    lhs = left(z) if side == "left" else right(z)
+    ch = m.cumulative(h)
+    lhs = (m.cdf(z) * ch.total - ch.left(z) if side == "left"
+           else ch.right(z) - m.sf(z) * ch.total)
     lo, hi = m.integration_domain()
     rhs = quadrature.integrate(
         lambda y: kernel_eval(m, z, y) * np.asarray(h.deriv(y), dtype=float),
@@ -98,24 +103,22 @@ def tail_identity_right(m, h, z) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class TkTransform:
-    """Immutable T_k h with cached prefix integrals of h dF and dF."""
+    """Immutable T_k h with cached cumulative integrals of h dF and dF,
+    each split at k: prefixes are queried at x ≤ k, suffixes above."""
 
     measure: object
     k: float
     source: object
-    left_integral: Callable    # x ↦ ∫_{(lo,x)} h dF
-    right_integral: Callable   # x ↦ ∫_{(x,hi)} h dF
-    _mass_left: Callable       # x ↦ ∫_{(lo,x)} dF, same panel layout
-    _mass_right: Callable
+    integral: quadrature.CumulativeIntegral  # of h dF
+    mass: quadrature.CumulativeIntegral      # of dF, seeded with h's knots
     domain: tuple[float, float]
 
     def __call__(self, x):
         lo, hi = self.domain
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         xc = np.clip(x_arr, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        below = xc <= self.k
-        num = np.where(below, self.left_integral(xc), self.right_integral(xc))
-        mass = np.where(below, self._mass_left(xc), self._mass_right(xc))
+        num = _split(xc, self.k, self.integral.left, self.integral.right)
+        mass = _split(xc, self.k, self.mass.left, self.mass.right)
         # where a tail mass underflows to 0 (beta(2,3) below x ≈ 1e-162),
         # T h is h(x), the limit of the conditional mean
         empty = ~(mass > 0.0)
@@ -140,16 +143,12 @@ class TkTransform:
 
 def t_transform(m, h, k) -> TkTransform:
     """Build T_k h with eagerly cached cumulative integrals."""
-    ch = m.cumulative(h)
-    cf = m.cumulative(np.ones_like, h.knots)  # 1.0·pdf is pdf exactly
     return TkTransform(
         measure=m,
         k=float(k),
         source=h,
-        left_integral=ch.left,
-        right_integral=ch.right,
-        _mass_left=cf.left,
-        _mass_right=cf.right,
+        integral=m.cumulative(h),
+        mass=m.cumulative(np.ones_like, h.knots),  # 1.0·pdf is pdf exactly
         domain=m.integration_domain(),
     )
 

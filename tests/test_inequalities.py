@@ -88,9 +88,26 @@ class TestCovarianceChecks:
             ineq.check_brascamp_lieb(lap, x, x)
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_cov_variant_gaussian_witness(self, gau, side):
-        c = ineq.check_cov_variant(gau, x, x, side)
-        assert abs(c.ratio - 1.0) < 1e-6
+    @pytest.mark.parametrize(
+        "m, h, exact",
+        [
+            # rhs = ‖h′‖₁·sup|W|/f; on the probe grid the sup sits at the
+            # deepest tail probe t = isf(1e-13) wherever |W|/f grows
+            (measures.gaussian(0, 1), x, lambda t: 1.0),  # W = f
+            (measures.gaussian(0, 1), x2,  # W = x·f
+             lambda t: 2 * math.sqrt(2 / math.pi) * t),
+            (measures.laplace(0, 1), x2,  # W = (x² + 2x)·f above 0
+             lambda t: 2 * (t * t + 2 * t)),
+            (measures.exponential(1), x, lambda t: t),  # W = x·f
+        ],
+        ids=["gaussian-x", "gaussian-x2", "laplace-x2", "exponential-x"],
+    )
+    def test_cov_variant_gaussian_witness(self, m, h, exact, side):
+        c = ineq.check_cov_variant(m, h, h, side)
+        want = exact(float(m.dist.isf(1e-13)))
+        assert abs(c.rhs - want) <= 1e-13 * want
+        other = "right" if side == "left" else "left"
+        assert c.rhs == ineq.check_cov_variant(m, h, h, other).rhs
 
     def test_cov_variant_bad_side(self, lap):
         with pytest.raises(DomainError):

@@ -72,11 +72,41 @@ class TestCovariance:
 
 class TestTailWeights:
     def test_uniform_identity_closed_form(self):
-        left, right = kernel.tail_weights(measures.uniform(0, 1), x)
+        w = kernel.tail_weight(measures.uniform(0, 1), x)
         t = np.linspace(0.0, 1.0, 21)
         want = t / 2 - t**2 / 2
-        assert np.allclose(left(t), want, rtol=0, atol=1e-12)
-        assert np.allclose(right(t), want, rtol=0, atol=1e-12)
+        assert np.allclose(w(t), want, rtol=0, atol=1e-12)
+
+    def test_each_side_queried_only_on_its_points(self, monkeypatch):
+        queried, integrand = [], []
+        for name in ("left", "right"):
+            query = getattr(quadrature.CumulativeIntegral, name)
+
+            def spy(self, t, query=query):
+                queried.append(np.size(t))
+                return query(self, t)
+
+            monkeypatch.setattr(quadrature.CumulativeIntegral, name, spy)
+        integrate = quadrature.integrate
+
+        def counted(f, *args, **kwargs):
+            def f_counted(t):
+                integrand.append(np.size(t))
+                return f(t)
+
+            return integrate(f_counted, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counted)
+        m = measures.gaussian(0, 1)
+        # W at each integrand point comes from one cumulative side, not both
+        kernel.covariance_kernel(m, x, x2)
+        assert sum(integrand) > 0 and sum(queried) == sum(integrand)
+        # T_k h: one side of the numerator and one of the mass per point
+        T = kernel.t_transform(m, x, 0.3)
+        queried.clear()
+        xs = np.linspace(-3.0, 3.0, 101)
+        T(xs)
+        assert sum(queried) == 2 * len(xs)
 
 
 class TestTailIdentities:

@@ -87,7 +87,7 @@ RATIO_MEASURES = [measures.laplace(0, 1), measures.logistic(0, 1), measures.beta
 
 
 @pytest.mark.parametrize("m", RATIO_MEASURES, ids=lambda m: m.label)
-@pytest.mark.parametrize("name", sorted(set(ineq.CHECKS) - {"cov_variant"}))
+@pytest.mark.parametrize("name", sorted(ineq.CHECKS))
 def test_certificate_ratio_is_scale_free(m, name):
     _assert_scale_free(m, name)
 
@@ -140,11 +140,6 @@ def test_centered_p_hypothesis_at_extreme_scale(rate):
     assert abs(_sign_moment(measures.exponential(rate)) - want) <= 1e-12 * want
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the cov_variant rhs is a tail sup of |W|/f whose error is absolute "
-    "in the total mass; at c = 1e10 it moves by 2.3e-5 (ROADMAP item 4)",
-)
 def test_cov_variant_ratio_is_scale_free():
     _assert_scale_free(measures.gaussian(0, 1), "cov_variant")
 
