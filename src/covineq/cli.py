@@ -185,15 +185,7 @@ def _cmd_verify(args) -> int:
             raise ConfigError(
                 ["--config cannot be combined with --measure/--function/--check"]
             )
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg_dict = json.load(fh)
-        except OSError as exc:
-            raise ConfigError([f"cannot read config file: {exc}"])
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config is not valid JSON: {exc}"])
-        if not isinstance(cfg_dict, dict):
-            raise ConfigError(["config must be a JSON object"])
+        cfg_dict = config_mod.read_config(args.config)
     else:
         cfg_dict = config_mod.default_config_dict()
         if args.measure:

@@ -52,6 +52,7 @@ __all__ = [
     "parse_config",
     "parse_measure_spec",
     "parse_numerics",
+    "read_config",
 ]
 
 
@@ -255,15 +256,7 @@ def parse_config(text_or_dict) -> RunConfig:
     is collected; a ConfigError carrying the full list is raised if any.
     """
     errors: list[str] = []
-    if isinstance(text_or_dict, dict):
-        cfg = text_or_dict
-    else:
-        try:
-            cfg = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config is not valid JSON: {exc}"])
-    if not isinstance(cfg, dict):
-        raise ConfigError(["config must be a JSON object"])
+    cfg = _decoded(text_or_dict)
 
     for key in sorted(set(cfg) - _KNOWN_KEYS):
         errors.append(f"{key}: unknown key")
@@ -328,11 +321,31 @@ def parse_config(text_or_dict) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
-    """Read a JSON config file and parse it."""
+def _decoded(text_or_dict) -> dict:
+    """The config object from JSON text (or a dict as it is); ConfigError
+    unless the text decodes to a JSON object."""
+    if isinstance(text_or_dict, dict):
+        return text_or_dict
+    try:
+        cfg = json.loads(text_or_dict)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"config is not valid JSON: {exc}"])
+    if not isinstance(cfg, dict):
+        raise ConfigError(["config must be a JSON object"])
+    return cfg
+
+
+def read_config(path) -> dict:
+    """The JSON object in a config file, not yet validated; ConfigError if
+    the file cannot be read or holds no JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError([f"cannot read config file {path!r}: {exc}"])
-    return parse_config(text)
+    return _decoded(text)
+
+
+def load_config(path) -> RunConfig:
+    """Read a JSON config file and parse it."""
+    return parse_config(read_config(path))

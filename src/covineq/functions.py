@@ -38,14 +38,6 @@ class DifferentiableFunction:
         return f"DifferentiableFunction({self.descriptor})"
 
 
-@dataclass(frozen=True)
-class RampSpec:
-    """Center and width of a sign-approximating ramp."""
-
-    center: float
-    delta: float
-
-
 def monomial(k) -> DifferentiableFunction:
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"monomial degree must be a positive integer, got {k!r}")
@@ -121,10 +113,10 @@ def power(alpha) -> DifferentiableFunction:
     return DifferentiableFunction(ev, dv, (0.0,), f"power({alpha:g})")
 
 
-def ramp(spec: RampSpec) -> DifferentiableFunction:
+def ramp(center, delta) -> DifferentiableFunction:
     """clamp((x−center)/δ, −1, 1): Lipschitz sign approximation, knots at c±δ."""
-    c = float(spec.center)
-    d = float(spec.delta)
+    c = float(center)
+    d = float(delta)
     if not d > 0.0:
         raise DomainError(f"ramp width must be positive, got {d}")
 
@@ -358,7 +350,7 @@ class _Parser:
             elif val == "abspow" and len(args) == 1:
                 fn = self._checked(abs_power, args[0])
             elif val == "ramp" and len(args) == 2:
-                fn = self._checked(lambda c, d: ramp(RampSpec(c, d)), *args)
+                fn = self._checked(ramp, *args)
             else:
                 raise ExpressionError(
                     f"wrong argument count for {val} in {self.text!r}"

@@ -863,7 +863,7 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
     target, vacuous = _inv_is(m)
     ratios = []
     for d in ds:
-        h = functions.ramp(functions.RampSpec(med, d))
+        h = functions.ramp(med, d)
         num = abs(kernel.covariance_kernel(m, g, h))
         t_sup = kernel.t_norm(m, functions.centered(h, m), med, math.inf)
         den = g1 * t_sup

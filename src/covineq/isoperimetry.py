@@ -22,7 +22,7 @@ from . import search
 from .errors import ComputationError, DomainError
 
 DEFAULT_GRID_SIZE = 1024
-DEFAULT_REFINE_ITERS = 60
+REFINE_ITERS = 60  # golden-section steps per refinement bracket
 
 # boundary probe depths for the diverging-tail guard (all below t = 1e-6)
 _PROBE_LEVELS = 10.0 ** -np.arange(7.0, 14.0)
@@ -92,26 +92,24 @@ def _tail_diverges(m, interior_min) -> bool:
     return False
 
 
-def isoperimetric_constant(
-    m, grid_size: int = DEFAULT_GRID_SIZE, refine_iters: int = DEFAULT_REFINE_ITERS
-) -> IsoperimetricProfile:
+def isoperimetric_constant(m, grid_size: int = DEFAULT_GRID_SIZE) -> IsoperimetricProfile:
     """Grid minimum of the ratio profile plus golden-section refinement.
 
     The grid is t_i = i/(grid_size+1); refinement searches brackets around
     the three lowest grid points.  Heavy-tailed measures are reported as
     is_value = 0 with the diverging-tail flag set.  The result is memoized
-    on ``m`` per (grid_size, refine_iters); its arrays are read-only.
+    on ``m`` per grid_size; its arrays are read-only.
     """
     if not grid_size >= 64:
         raise DomainError(f"grid_size must be at least 64, got {grid_size}")
-    key = (grid_size, refine_iters)
+    key = ("iso", grid_size)
     prof = m._memo.get(key)
     if prof is None:
-        prof = m._memo[key] = _profile(m, grid_size, refine_iters)
+        prof = m._memo[key] = _profile(m, grid_size)
     return prof
 
 
-def _profile(m, grid_size, refine_iters) -> IsoperimetricProfile:
+def _profile(m, grid_size) -> IsoperimetricProfile:
     t = np.arange(1, grid_size + 1, dtype=float) / (grid_size + 1)
     xs = m.quantile(t)
     ratios = m.pdf(xs) / np.minimum(t, 1.0 - t)
@@ -134,7 +132,7 @@ def _profile(m, grid_size, refine_iters) -> IsoperimetricProfile:
     lo = t[np.maximum(order - 1, 0)]
     hi = t[np.minimum(order + 1, grid_size - 1)]
     t_ref, r_ref = search.golden_min(
-        lambda tt: _ratio_at_t(m, tt), lo, hi, iters=refine_iters
+        lambda tt: _ratio_at_t(m, tt), lo, hi, iters=REFINE_ITERS
     )
     cand_t = np.concatenate([t_ref, [t[order[0]], t[int(np.argmin(ratios))]]])
     cand_r = np.concatenate([r_ref, [ratios[order[0]], rmin]])

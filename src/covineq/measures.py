@@ -1,11 +1,11 @@
 """One-dimensional probability measures with positive density on an interval.
 
-The gaussian, laplace, exponential, uniform and logistic families compute
-pdf/cdf/sf/ppf/isf in closed form (numpy and scipy.special), repeating
-scipy's arithmetic so that every value equals the scipy frozen
-distribution's; beta wraps ``scipy.stats.beta``, ``from_scipy`` wraps any
-frozen scipy-like distribution, and tabulated densities are ingested as a
-piecewise-linear pdf with an exact piecewise-quadratic cdf and its inverse.
+The six named families (gaussian, laplace, exponential, uniform, logistic,
+beta) compute pdf/cdf/sf/ppf/isf in closed form (numpy and scipy.special),
+repeating scipy's arithmetic so that every value equals the scipy frozen
+distribution's; ``from_scipy`` wraps any frozen scipy-like distribution, and
+tabulated densities are ingested as a piecewise-linear pdf with an exact
+piecewise-quadratic cdf and its inverse.
 
 ``Measure.expectation`` and ``Measure.cumulative`` are the only integrals
 against μ in the package; every other one (lp_norm, the kernel's tail
@@ -24,7 +24,8 @@ from operator import mul, truediv
 from typing import Any, Callable
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
+from scipy.special import _ufuncs
 
 from . import quadrature, search
 from .errors import DomainError, IngestionError, UnsupportedMeasureError
@@ -54,8 +55,9 @@ class Measure:
     are density kinks strictly inside the support (panel seeds for
     quadrature).  Instances are immutable and all methods are pure; each
     also carries a private memo of results derived from it (the ``Is(μ)``
-    profile, probe grids, E_μ[g] for ``functions.centered``), which lives
-    and dies with the instance and takes no part in comparison or repr.
+    profile, the median, probe grids, E_μ[g] for ``functions.centered``),
+    which lives and dies with the instance and takes no part in comparison
+    or repr.
     """
 
     family: str
@@ -88,7 +90,10 @@ class Measure:
         return float(out) if np.ndim(t) == 0 else np.asarray(out, dtype=float)
 
     def median(self) -> float:
-        return self.quantile(0.5)
+        """quantile(0.5), memoized on the measure."""
+        if "median" not in self._memo:
+            self._memo["median"] = self.quantile(0.5)
+        return self._memo["median"]
 
     # ---- integration ----------------------------------------------------
 
@@ -238,7 +243,8 @@ class Measure:
 class _Standard:
     """Standard form of a location-scale family: support (a, b) and the
     five functions of y = (x − loc)/scale (or of the level q), copied
-    expression for expression from ``scipy/stats/_continuous_distns.py``."""
+    expression for expression from ``scipy/stats/_continuous_distns.py``;
+    a shape family binds its shapes into the five functions."""
 
     a: float
     b: float
@@ -306,6 +312,24 @@ _LOGISTIC = _Standard(
     ppf=special.logit,
     isf=lambda q: -special.logit(q),
 )
+
+
+def _beta_standard(a, b) -> _Standard:
+    """Beta(a, b) on [0, 1]; the pdf and ppf are the private ufuncs that
+    scipy's ``beta_gen`` calls, pinned by the tests against ``stats.beta``."""
+
+    def pdf(y):
+        with np.errstate(over="ignore"):
+            return _ufuncs._beta_pdf(y, a, b)
+
+    return _Standard(
+        0.0, 1.0,
+        pdf=pdf,
+        cdf=lambda y: special.betainc(a, b, y),
+        sf=lambda y: special.betaincc(a, b, y),
+        ppf=lambda q: _ufuncs._beta_ppf(q, a, b),
+        isf=lambda q: special.betainccinv(a, b, q),
+    )
 
 
 def _elementwise(method):
@@ -505,7 +529,7 @@ def beta(alpha, beta, scale=1.0) -> Measure:
     return Measure(
         family="beta",
         params=params,
-        dist=stats.beta(alpha, beta, loc=0.0, scale=scale),
+        dist=_LocScaleDist(_beta_standard(alpha, beta), 0.0, scale),
         support=(0.0, scale),
         log_concavity=concavity,
         potential_second_derivative=phi2,

@@ -62,7 +62,7 @@ def test_criterion_02_kernel_covariance_equivalence():
             x,
             x2,
             x3,
-            fn.ramp(fn.RampSpec(med, 0.3)),
+            fn.ramp(med, 0.3),
             fn.piecewise_linear(
                 [float(m.quantile(q)) for q in (0.05, 0.3, 0.7, 0.95)],
                 [0.0, 1.5, -0.5, 2.0],
@@ -119,7 +119,7 @@ def test_criterion_04_hardy_suite():
     for p in (1.5, 2.0, 3.0, 5.0):
         for m in families:
             med = float(m.median())
-            for h in (x, x2, fn.ramp(fn.RampSpec(med, 0.5))):
+            for h in (x, x2, fn.ramp(med, 0.5)):
                 c = kernel.hardy_certificate(m, h, med, p)
                 total += 1
                 violations += 0 if c.passed else 1

@@ -78,6 +78,19 @@ class TestVerify:
         )
         assert code == 2 and "cannot be combined" in err
 
+    def test_missing_config_file(self, capsys, tmp_path):
+        p = tmp_path / "absent.json"
+        code, out, err = run_cli(capsys, "verify", "--config", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: cannot read config file {str(p)!r}: ")
+
+    def test_config_file_not_an_object(self, capsys, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "verify", "--config", str(p))
+        assert code == 2 and out == ""
+        assert err == "config error: config must be a JSON object\n"
+
     def test_config_errors_listed_one_per_line(self, capsys, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({

@@ -30,7 +30,7 @@ def test_signed_and_abs_powers():
 
 
 def test_ramp_saturates_exactly():
-    r = F.ramp(F.RampSpec(0.3, 1e-2))
+    r = F.ramp(0.3, 1e-2)
     xs = np.linspace(-3, 3, 1001)
     far = np.abs(xs - 0.3) > 1e-2
     sgn = np.where(xs - 0.3 >= 0, 1.0, -1.0)
@@ -78,7 +78,7 @@ class TestCenteredMemo:
 
 
 def test_product_rule_away_from_knots():
-    g, h = F.abs_power(1.5), F.ramp(F.RampSpec(0.2, 0.7))
+    g, h = F.abs_power(1.5), F.ramp(0.2, 0.7)
     p = F.product(g, h)
     xs = np.linspace(-2, 2, 211)
     ok = np.min(np.abs(xs[:, None] - np.array(p.knots)[None, :]), axis=1) > 1e-3
@@ -92,7 +92,7 @@ def test_product_rule_away_from_knots():
         F.monomial(3),
         F.signed_power(1.5),
         F.abs_power(2.5),
-        F.ramp(F.RampSpec(0.1, 0.5)),
+        F.ramp(0.1, 0.5),
         F.power(-0.25),
         F.shifted(F.monomial(2), 3.0),
         F.piecewise_linear([-1, 0, 0.5, 2], [0, 1, -1, 2]),
@@ -144,7 +144,7 @@ def test_piecewise_linear_interpolates_nodes(xs, data):
         lambda: F.monomial(2.5),
         lambda: F.signed_power(0.5),
         lambda: F.abs_power(0.99),
-        lambda: F.ramp(F.RampSpec(0, 0.0)),
+        lambda: F.ramp(0, 0.0),
         lambda: F.power(0),
         lambda: F.piecewise_linear([0, 0], [1, 1]),
     ],

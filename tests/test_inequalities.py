@@ -24,7 +24,7 @@ x3 = fn.monomial(3)
 
 class TestCovarianceChecks:
     def test_l1_linf_ramp_approaches_equality(self, lap):
-        c = ineq.check_cov_l1_linf(lap, x, fn.ramp(fn.RampSpec(0.0, 1e-3)))
+        c = ineq.check_cov_l1_linf(lap, x, fn.ramp(0.0, 1e-3))
         assert c.passed and abs(c.ratio - 1.0) < 2e-3
 
     def test_l1_linf_constant_g_trivial(self, lap):
@@ -161,7 +161,7 @@ class TestLpPoincare:
     def test_soundness_battery(self, standard_measures, m_name, p):
         # every certificate whose hypotheses hold must pass
         m = {s.family: s for s in standard_measures}[m_name]
-        for u in (x, x2, fn.ramp(fn.RampSpec(float(m.median()), 0.3))):
+        for u in (x, x2, fn.ramp(float(m.median()), 0.3)):
             for variant in ineq.POINCARE_VARIANTS:
                 try:
                     c = ineq.check_lp_poincare(m, u, p, variant)

@@ -58,7 +58,7 @@ class TestCovariance:
             (measures.exponential(1), x, x2),
             (measures.logistic(0, 1), x, x),
             (measures.beta(2, 5), x2, x),
-            (measures.laplace(0, 1), fn.ramp(fn.RampSpec(0.0, 0.1)), x),
+            (measures.laplace(0, 1), fn.ramp(0.0, 0.1), x),
             (measures.gaussian(0, 1), fn.abs_power(1.5), x),
         ]
         for m, g, h in pairs:
@@ -180,7 +180,7 @@ class TestTransform:
             assert abs(kernel.t_norm(lap, one, 0.0, p) - 1.0) < 1e-9
 
     def test_t_norm_bounded_h_never_exceeds_sup(self):
-        r = fn.ramp(fn.RampSpec(0.3, 0.2))
+        r = fn.ramp(0.3, 0.2)
         for m in (measures.gaussian(0, 1), measures.laplace(0, 1),
                   measures.uniform(0, 1)):
             assert kernel.t_norm(m, r, m.median(), math.inf) <= 1.0 + 1e-9
@@ -205,7 +205,7 @@ class TestHardy:
         ids=lambda m: m.label,
     )
     def test_no_violations_across_families(self, m, p):
-        for h in (x, x2, fn.ramp(fn.RampSpec(float(m.median()), 0.5))):
+        for h in (x, x2, fn.ramp(float(m.median()), 0.5)):
             c = kernel.hardy_certificate(m, h, float(m.median()), p)
             assert c.passed, c.describe()
 

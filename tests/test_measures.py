@@ -1,6 +1,9 @@
 """Measure construction, moments, rescaling, and tabulated ingestion."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +13,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+import covineq
 from covineq import functions, isoperimetry, measures
 from covineq.errors import IngestionError, UnsupportedMeasureError
 
@@ -39,6 +43,33 @@ def test_median():
     assert abs(measures.laplace(3, 2).median() - 3.0) < 1e-9
 
 
+def test_median_is_memoized(monkeypatch):
+    m = measures.beta(2, 3)
+    first = m.median()
+    calls = []
+    real = measures.Measure.quantile
+    monkeypatch.setattr(
+        measures.Measure, "quantile",
+        lambda self, t: calls.append(t) or real(self, t),
+    )
+    assert m.median() == first
+    assert calls == []
+    assert measures.beta(2, 3).median() == first
+    assert calls == [0.5]
+
+
+def test_import_leaves_scipy_stats_out():
+    # every named family is closed-form; scipy.stats is loaded only by a
+    # caller that brings its own law to from_scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covineq.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, covineq; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "m, g, want",
     [
@@ -59,7 +90,7 @@ def test_lp_norm_laplace_gamma():
         want = math.gamma(p + 1.0) ** (1.0 / p)
         assert abs(m.lp_norm(x, p) - want) < 1e-8 * want
     # sup norm of a bounded function
-    r = functions.ramp(functions.RampSpec(0.0, 0.5))
+    r = functions.ramp(0.0, 0.5)
     assert abs(m.lp_norm(r, math.inf) - 1.0) < 1e-9
 
 
@@ -93,7 +124,7 @@ def test_expectation_extra_knots(c):
 def test_ess_sup():
     # bounded: exact sup over the support
     assert abs(measures.uniform(0, 1).ess_sup(x2) - 1.0) < 1e-9
-    r = functions.ramp(functions.RampSpec(0.0, 0.5))
+    r = functions.ramp(0.0, 0.5)
     assert abs(measures.laplace(0, 1).ess_sup(r) - 1.0) < 1e-12
     # unbounded: documented under-report = largest probed value
     assert measures.gaussian(0, 1).ess_sup(x2) > 50.0
@@ -282,6 +313,10 @@ _FAMILY_PAIRS = [
     (measures.uniform(2e3, 2e3 + 3e-2), scipy.stats.uniform(loc=2e3, scale=2e3 + 3e-2 - 2e3)),
     (measures.logistic(-1.5, 0.7), scipy.stats.logistic(-1.5, 0.7)),
     (measures.logistic(2e3, 3e-2), scipy.stats.logistic(2e3, 3e-2)),
+    (measures.beta(2, 3), scipy.stats.beta(2, 3)),
+    (measures.beta(0.5, 0.5), scipy.stats.beta(0.5, 0.5)),
+    (measures.beta(0.7, 3, 3.7), scipy.stats.beta(0.7, 3, scale=3.7)),
+    (measures.beta(7, 1, 2e3), scipy.stats.beta(7, 1, scale=2e3)),
 ]
 
 
