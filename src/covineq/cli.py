@@ -12,7 +12,9 @@ Global flags (before the subcommand) override config-file values; the
 numeric ones (--pass-tol, --quad-rel-tol, --debug-rhs-scale) also apply to
 best-constant and sharpness, and --output/--format to every subcommand.
 Exit codes: 0 all executed certificates pass, 1 certificate failure, 2
-config error, 3 numerical failure.  Output is plain CSV or JSON; no
+config error, 3 numerical failure.  A library error that escapes a
+subcommand exits by its class's ``status`` (see ``errors``): 3 for an
+``error:*`` status, 2 for any other.  Output is plain CSV or JSON; no
 environment variable is consulted except NO_COLOR, which is trivially
 honored because reports are never colorized.
 """
@@ -26,17 +28,7 @@ import sys
 from . import config as config_mod
 from . import functions, inequalities, runner
 from .certificates import _json_num, to_csv, to_json
-from .errors import (
-    ComputationError,
-    ConfigError,
-    CovineqError,
-    DivergentNormError,
-    DomainError,
-    HypothesisViolatedError,
-    IngestionError,
-    IntegrationError,
-    UnsupportedMeasureError,
-)
+from .errors import ConfigError, CovineqError
 from .isoperimetry import isoperimetric_constant
 from .numerics import numeric_context
 
@@ -155,7 +147,7 @@ def _run_suite(cfg_dict, args) -> int:
     n = len(result.statuses)
     fails = sum(s == "fail" for s in result.statuses)
     skips = sum(s.startswith("skip") for s in result.statuses)
-    errs = sum(s.startswith("error") for s in result.statuses)
+    errs = sum(s.startswith(("error", "config")) for s in result.statuses)
     print(
         f"{n} rows: {n - fails - skips - errs} ok, {fails} fail, "
         f"{skips} skipped, {errs} errors",
@@ -225,7 +217,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_sharpness(args) -> int:
     m = config_mod.parse_measure_spec(args.measure)
-    ks = [int(v) for v in _float_list(args.k, "--k")]
+    ks = _float_list(args.k, "--k")
     with _numerics(args):
         certs = inequalities.sharpness_sweep(m, args.p, ks)
     statuses = tuple("ok" if c.passed else "fail" for c in certs)
@@ -277,20 +269,13 @@ def main(argv=None) -> int:
         return runner.EXIT_CONFIG_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
-        for line in exc.errors:
+    except CovineqError as exc:
+        if exc.status.startswith("error"):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return runner.EXIT_NUMERICAL
+        for line in getattr(exc, "errors", [exc]):
             print(f"config error: {line}", file=sys.stderr)
         return runner.EXIT_CONFIG_ERROR
-    except (DomainError, IngestionError, UnsupportedMeasureError,
-            HypothesisViolatedError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return runner.EXIT_CONFIG_ERROR
-    except (IntegrationError, ComputationError, DivergentNormError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return runner.EXIT_NUMERICAL
-    except CovineqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return runner.EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

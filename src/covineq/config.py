@@ -67,7 +67,6 @@ class CheckSpec:
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     measures: tuple  # of measures.Measure
-    measure_specs: tuple  # of str, parallel to measures
     functions: tuple  # of functions.Expression
     checks: tuple  # of CheckSpec
     numerics: NumericContext = NumericContext()
@@ -261,7 +260,7 @@ def parse_config(text_or_dict) -> RunConfig:
     for key in sorted(set(cfg) - _KNOWN_KEYS):
         errors.append(f"{key}: unknown key")
 
-    ms, specs = [], []
+    ms = []
     raw_measures = cfg.get("measures")
     if not isinstance(raw_measures, list) or not raw_measures:
         errors.append("measures: must be a non-empty list of measure specs")
@@ -269,7 +268,6 @@ def parse_config(text_or_dict) -> RunConfig:
         for i, spec in enumerate(raw_measures):
             try:
                 ms.append(parse_measure_spec(spec))
-                specs.append(str(spec).strip())
             except (DomainError, IngestionError) as exc:
                 errors.append(f"measures[{i}]: {exc}")
 
@@ -311,7 +309,6 @@ def parse_config(text_or_dict) -> RunConfig:
         raise ConfigError(errors)
     return RunConfig(
         measures=tuple(ms),
-        measure_specs=tuple(specs),
         functions=tuple(exprs),
         checks=tuple(checks),
         numerics=numerics,

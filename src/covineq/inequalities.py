@@ -849,8 +849,8 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
     denominator is 0 or infinite.
     """
     ds = [float(d) for d in deltas]
-    if not ds or any(d <= 0.0 for d in ds):
-        raise DomainError("deltas must be positive")
+    if not ds or not all(0.0 < d < math.inf for d in ds):
+        raise DomainError(f"deltas must be positive and finite, got {ds}")
     if any(b >= a for a, b in zip(ds, ds[1:])):
         raise DomainError("deltas must be strictly decreasing")
     pts = m.probe_points()
@@ -898,11 +898,14 @@ def sharpness_sweep(m, p, k_values) -> list[InequalityCertificate]:
     Uses the constant-p variants: the raw form at p = 1 (where odd
     monomials are exactly extremal) and the centered form otherwise.
     For a Laplace-type measure the ratios must be nondecreasing in k.
+    Each k must be a finite odd integer ≥ 1 (3.0 counts as 3); any other
+    value raises ``DomainError`` rather than being truncated.
     """
     p = _check_p(p)
-    ks = [int(k) for k in k_values]
-    if any(k < 1 or k % 2 == 0 for k in ks):
-        raise DomainError(f"k_values must be odd positive integers, got {ks}")
+    ks = [float(k) for k in k_values]
+    if not all(math.isfinite(k) and k >= 1.0 and k % 2.0 == 1.0 for k in ks):
+        raise DomainError(f"k_values must be finite odd integers >= 1, got {ks}")
+    ks = [int(k) for k in ks]
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise DomainError("k_values must be strictly increasing")
     variant = "raw_p" if p == 1.0 else "centered_p"

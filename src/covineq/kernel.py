@@ -5,7 +5,8 @@ Cov(g,h) = ∫∫ g′(x) K(x,y) h′(y) dx dy.  The inner integral is the tail
 weight W of ``tail_weight``: F(z)·E[h] − ∫_{−∞}^z h dF at or below the
 median, ∫_{(z,∞)} h dF − S(z)·E[h] above it.  The two forms are equal, and
 each cancels mildly on its own side; W collapses the double integral to a
-single quadrature.  Only the tail identities write out both forms.
+single quadrature.  ``_w_forms`` writes both forms out once, for W and for
+the tail identities.
 
 T_k conditionally averages h over the tail cut at the moving point:
 T_k h(x) = (∫_{−∞}^x h dF)/F(x) for x ≤ k and (∫_{(x,∞)} h dF)/(1−F(x))
@@ -17,10 +18,7 @@ at k, query each side only on the points of that side (``_split``).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,14 +55,20 @@ def _split(x, k, below, above):
     return out
 
 
+def _w_forms(m, ch):
+    """W's two forms over the cumulative ``ch`` of h dF: F(x)E[h] −
+    ∫_{−∞}^x h dF, and ∫_{(x,∞)} h dF − S(x)E[h]."""
+    return (lambda t: m.cdf(t) * ch.total - ch.left(t),
+            lambda t: ch.right(t) - m.sf(t) * ch.total)
+
+
 def tail_weight(m, h) -> Callable:
-    """W(x) = ∫ K(x,y) h′(y) dy from one cumulative of h dF: F(x)E[h] −
-    ∫_{−∞}^x h dF at or below the median, ∫_{(x,∞)} h dF − S(x)E[h] above
-    it.  The forms are equal; each cancels mildly on its own side."""
+    """W(x) = ∫ K(x,y) h′(y) dy from one cumulative of h dF, in the first
+    form of ``_w_forms`` at or below the median and the second above it.
+    The forms are equal; each cancels mildly on its own side."""
     ch, med = m.cumulative(h), m.median()
-    return lambda x: _split(np.asarray(x, dtype=float), med,
-                            lambda t: m.cdf(t) * ch.total - ch.left(t),
-                            lambda t: ch.right(t) - m.sf(t) * ch.total)
+    below, above = _w_forms(m, ch)
+    return lambda x: _split(np.asarray(x, dtype=float), med, below, above)
 
 
 def covariance_kernel(m, g, h) -> float:
@@ -80,9 +84,8 @@ def covariance_kernel(m, g, h) -> float:
 
 def _tail_identity(m, h, z, side) -> tuple[float, float]:
     z = float(z)
-    ch = m.cumulative(h)
-    lhs = (m.cdf(z) * ch.total - ch.left(z) if side == "left"
-           else ch.right(z) - m.sf(z) * ch.total)
+    below, above = _w_forms(m, m.cumulative(h))
+    lhs = (below if side == "left" else above)(z)
     lo, hi = m.integration_domain()
     rhs = quadrature.integrate(
         lambda y: kernel_eval(m, z, y) * np.asarray(h.deriv(y), dtype=float),
@@ -101,65 +104,36 @@ def tail_identity_right(m, h, z) -> tuple[float, float]:
     return _tail_identity(m, h, z, "right")
 
 
-@dataclass(frozen=True, eq=False)
-class TkTransform:
-    """Immutable T_k h with cached cumulative integrals of h dF and dF,
-    each split at k: prefixes are queried at x ≤ k, suffixes above."""
+def t_transform(m, h, k) -> Callable:
+    """T_k h over two cumulatives built here, of h dF and of dF (seeded
+    with h's knots); prefixes are queried at x ≤ k, suffixes above."""
+    k = float(k)
+    integral = m.cumulative(h)
+    mass = m.cumulative(np.ones_like, h.knots)  # 1.0·pdf is pdf exactly
+    lo, hi = m.integration_domain()
 
-    measure: object
-    k: float
-    source: object
-    integral: quadrature.CumulativeIntegral  # of h dF
-    mass: quadrature.CumulativeIntegral      # of dF, seeded with h's knots
-    domain: tuple[float, float]
-
-    def __call__(self, x):
-        lo, hi = self.domain
+    def T(x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         xc = np.clip(x_arr, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        num = _split(xc, self.k, self.integral.left, self.integral.right)
-        mass = _split(xc, self.k, self.mass.left, self.mass.right)
+        num = _split(xc, k, integral.left, integral.right)
+        den = _split(xc, k, mass.left, mass.right)
         # where a tail mass underflows to 0 (beta(2,3) below x ≈ 1e-162),
         # T h is h(x), the limit of the conditional mean
-        empty = ~(mass > 0.0)
-        out = np.divide(num, mass, out=np.empty_like(xc), where=~empty)
+        empty = ~(den > 0.0)
+        out = np.divide(num, den, out=np.empty_like(xc), where=~empty)
         if np.any(empty):
-            out[empty] = np.asarray(self.source(xc[empty]), dtype=float)
+            out[empty] = np.asarray(h(xc[empty]), dtype=float)
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def profile(self, n: int = 512):
-        t = np.arange(1, n + 1, dtype=float) / (n + 1)
-        xs = self.measure.quantile(t)
-        return t, xs, self(xs)
-
-    def profile_csv(self, n: int = 512) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "x", "Tkh"])
-        for t, x, v in zip(*self.profile(n)):
-            writer.writerow([f"{t:.12g}", f"{x:.12g}", f"{v:.12g}"])
-        return buf.getvalue()
-
-
-def t_transform(m, h, k) -> TkTransform:
-    """Build T_k h with eagerly cached cumulative integrals."""
-    return TkTransform(
-        measure=m,
-        k=float(k),
-        source=h,
-        integral=m.cumulative(h),
-        mass=m.cumulative(np.ones_like, h.knots),  # 1.0·pdf is pdf exactly
-        domain=m.integration_domain(),
-    )
+    return T
 
 
 def t_norm(m, h, k, p) -> float:
     """‖T_k h‖_p.  T jumps at k, so k is a knot, and at p = inf its right
     neighbour is probed too: both one-sided limits are seen."""
-    p = measures.lp_exponent(p)  # before T_k h is built
-    T = t_transform(m, h, k)
-    split = (T.k, np.nextafter(T.k, math.inf)) if math.isinf(p) else (T.k,)
-    return m.lp_norm(T, p, (*h.knots, *split))
+    p, k = measures.lp_exponent(p), float(k)  # p before T_k h is built
+    split = (k, np.nextafter(k, math.inf)) if math.isinf(p) else (k,)
+    return m.lp_norm(t_transform(m, h, k), p, (*h.knots, *split))
 
 
 def hardy_certificate(m, h, k, p) -> InequalityCertificate:

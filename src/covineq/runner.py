@@ -2,14 +2,15 @@
 
 Cells are all (measure x function x check x grid-point) combinations for
 function-battery checks and (measure x check x grid-point) for measure-level
-checks.  A cell that raises a library error is recorded in the report with a
-``status`` explaining why (skip:* for inapplicable cells, error:* for
-numerical failures) instead of aborting the sweep; the exit code summarizes
-the worst outcome.
+checks.  A cell that raises a library error is recorded in the report with
+the error class's ``status`` (skip:* for inapplicable cells, error:* for
+numerical failures; see ``errors``) instead of aborting the sweep, and any
+other exception propagates; the exit code summarizes the worst outcome.
 
 Exit codes: 0 all executed certificates pass, 1 at least one certificate
 fails beyond tolerance, 2 config error (raised by the config parser before
-this module runs), 3 numerical failure anywhere in the sweep.
+this module runs, or a ``config`` status in a cell), 3 numerical failure
+anywhere in the sweep.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ import numpy as np
 
 from . import functions
 from .certificates import InequalityCertificate, _params_text, to_csv, to_json
-from .errors import (
-    ComputationError,
-    DivergentNormError,
-    DomainError,
-    HypothesisViolatedError,
-    IntegrationError,
-    UnsupportedMeasureError,
-)
+from .errors import CovineqError
 from .inequalities import CHECKS
 from .isoperimetry import isoperimetric_constant
 from .numerics import numeric_context
@@ -88,22 +82,6 @@ def _random_battery(m, rng, seed) -> list:
     return fns
 
 
-def _classify(exc) -> str:
-    if isinstance(exc, HypothesisViolatedError):
-        return "skip:hypothesis"
-    if isinstance(exc, UnsupportedMeasureError):
-        return "skip:unsupported-measure"
-    if isinstance(exc, DomainError):
-        return "skip:domain"
-    if isinstance(exc, IntegrationError):
-        return "error:integration"
-    if isinstance(exc, DivergentNormError):
-        return "error:divergent-norm"
-    if isinstance(exc, ComputationError):
-        return "error:computation"
-    raise exc
-
-
 def _placeholder(name, params, tol) -> InequalityCertificate:
     nan = math.nan
     return InequalityCertificate(
@@ -150,11 +128,11 @@ def run(config) -> RunResult:
             params = {"family": m.label}
             try:
                 prof = isoperimetric_constant(m)
-            except (IntegrationError, ComputationError) as exc:
+            except CovineqError as exc:
                 entries.append(
                     (
                         _placeholder("isoperimetric_constant", params, pass_tol),
-                        _classify(exc),
+                        exc.status,
                     )
                 )
                 prof = None
@@ -182,7 +160,7 @@ def run(config) -> RunResult:
             for expr in config.functions:
                 try:
                     battery.append(expr.bind(m))
-                except (IntegrationError, ComputationError, DomainError) as exc:
+                except CovineqError as exc:
                     entries.append(
                         (
                             _placeholder(
@@ -190,7 +168,7 @@ def run(config) -> RunResult:
                                 {"family": m.label, "g": expr.text},
                                 pass_tol,
                             ),
-                            _classify(exc),
+                            exc.status,
                         )
                     )
             if rng is not None:
@@ -204,12 +182,12 @@ def run(config) -> RunResult:
                         try:
                             cert = check.call(*args, **point)
                             status = "ok" if cert.passed else "fail"
-                        except Exception as exc:  # noqa: BLE001 - classified below
+                        except CovineqError as exc:
                             pp = {"family": m.label, **point}
                             if check.needs_function:
                                 pp[check.fn_key] = args[1].descriptor
                             cert = _placeholder(spec.name, pp, pass_tol)
-                            status = _classify(exc)
+                            status = exc.status
                         entries.append((cert, status))
 
     entries.sort(key=lambda e: _sort_key(e[0]))
@@ -220,7 +198,9 @@ def run(config) -> RunResult:
 
     if any(s.startswith("error") for s in statuses):
         code = EXIT_NUMERICAL
-    elif any(s == "fail" for s in statuses):
+    elif "config" in statuses:
+        code = EXIT_CONFIG_ERROR
+    elif "fail" in statuses:
         code = EXIT_CERT_FAILURE
     else:
         code = EXIT_PASS

@@ -159,6 +159,12 @@ class TestSweepCommands:
         code, _, err = run_cli(capsys, "sharpness", "--k", "2")
         assert code == 2 and "odd" in err
 
+    @pytest.mark.parametrize("ks", ["1.5,3", "nan", "inf"])
+    def test_sharpness_k_not_a_finite_odd_integer_exit_2(self, capsys, ks):
+        code, out, err = run_cli(capsys, "sharpness", "--k", ks)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: k_values must be finite odd")
+
     def test_sharpness_honours_numeric_flags(self, capsys):
         code, out, _ = run_cli(
             capsys, "--pass-tol", "0.5", "--debug-rhs-scale", "0.01",
@@ -209,6 +215,20 @@ class TestSweepCommands:
         )
         limit = next(l for l in out.splitlines() if l.startswith("# limit="))
         assert code == 0 and abs(float(limit.split("=")[1]) - 1.0) < 0.02
+
+    def test_best_constant_bad_g_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "best-constant", "--measure", "laplace:0,1", "--g", "x^",
+        )
+        assert code == 2 and err.startswith("config error: ")
+
+    def test_best_constant_nonfinite_delta_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "best-constant", "--measure", "laplace:0,1",
+            "--deltas", "inf,0.1",
+        )
+        assert code == 2
+        assert err.startswith("config error: deltas must be positive and finite")
 
     def test_hardy_suite(self, capsys):
         code, out, err = run_cli(

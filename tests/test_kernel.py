@@ -168,11 +168,6 @@ class TestTransform:
         assert np.all(np.isfinite(vals))
         assert vals[1] == 1e-170 and vals[2] == np.nextafter(hi, lo)
 
-    def test_profile_csv_shape(self):
-        Tm = kernel.t_transform(measures.laplace(0, 1), x, 0.0)
-        lines = Tm.profile_csv(64).strip().split("\n")
-        assert lines[0] == "t,x,Tkh" and len(lines) == 65
-
     def test_t_norm_oracles(self):
         lap = measures.laplace(0, 1)
         assert abs(kernel.t_norm(lap, x, 0.0, 2.0) - math.sqrt(5.0)) < 1e-7

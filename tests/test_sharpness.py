@@ -56,6 +56,11 @@ class TestBestConstant:
         with pytest.raises(DomainError):
             ineq.estimate_best_constant(lap, x, [1e-2, 1e-1])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-2])
+    def test_deltas_must_be_positive_and_finite(self, lap, bad):
+        with pytest.raises(DomainError):
+            ineq.estimate_best_constant(lap, x, [bad])
+
     def test_g_must_increase(self, lap):
         with pytest.raises(DomainError):
             ineq.estimate_best_constant(lap, fn.monomial(2), DELTAS)
@@ -85,3 +90,12 @@ class TestSharpnessSweep:
     def test_even_degree_rejected(self, lap):
         with pytest.raises(DomainError):
             ineq.sharpness_sweep(lap, 2, [2, 4])
+
+    @pytest.mark.parametrize("k", [1.5, 0.0, -1.0, math.nan, math.inf])
+    def test_degree_not_a_finite_odd_integer_rejected(self, lap, k):
+        with pytest.raises(DomainError):
+            ineq.sharpness_sweep(lap, 2, [k])
+
+    def test_integral_float_degrees_accepted(self, lap):
+        assert ([c.ratio for c in ineq.sharpness_sweep(lap, 2, [1.0, 3.0])]
+                == [c.ratio for c in ineq.sharpness_sweep(lap, 2, [1, 3])])
