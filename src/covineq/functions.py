@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ComputationError, DomainError, ExpressionError
-from .numerics import active
 
 
 def _sign(x):
@@ -157,19 +156,20 @@ def shifted(g: DifferentiableFunction, c) -> DifferentiableFunction:
 def centered(g: DifferentiableFunction, m) -> DifferentiableFunction:
     """g − E_m[g]; propagates the integration error if E_m[g] diverges.
 
-    E_m[g] is memoized on ``m`` per function object and quadrature
-    tolerance, so centering the same g again costs no integral.
+    Memoized on ``m`` per function object and quadrature tolerance: a
+    second call returns the same object, so memo keys built on h₀ (its
+    cumulatives, its covariances) hit too.
     """
-    key = ("mean", g, active().rel_tol)
-    mean = m._memo.get(key)
-    if mean is None:
-        mean = m._memo[key] = m.expectation(g)
-    out = shifted(g, -mean)
-    # the shift value is measure-dependent quadrature output; report rows
-    # read better with the semantic name
-    return DifferentiableFunction(
-        out.eval, out.deriv, out.knots, f"centered({g.descriptor})"
-    )
+
+    def build():
+        out = shifted(g, -m.expectation(g))
+        # the shift value is measure-dependent quadrature output; report rows
+        # read better with the semantic name
+        return DifferentiableFunction(
+            out.eval, out.deriv, out.knots, f"centered({g.descriptor})"
+        )
+
+    return m.memo(("centered", g), build)
 
 
 def product(g: DifferentiableFunction, h: DifferentiableFunction) -> DifferentiableFunction:

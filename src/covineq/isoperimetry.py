@@ -98,15 +98,12 @@ def isoperimetric_constant(m, grid_size: int = DEFAULT_GRID_SIZE) -> Isoperimetr
     The grid is t_i = i/(grid_size+1); refinement searches brackets around
     the three lowest grid points.  Heavy-tailed measures are reported as
     is_value = 0 with the diverging-tail flag set.  The result is memoized
-    on ``m`` per grid_size; its arrays are read-only.
+    on ``m`` per grid_size (and, as every ``Measure.memo`` entry, per
+    quadrature tolerance); its arrays are read-only.
     """
     if not grid_size >= 64:
         raise DomainError(f"grid_size must be at least 64, got {grid_size}")
-    key = ("iso", grid_size)
-    prof = m._memo.get(key)
-    if prof is None:
-        prof = m._memo[key] = _profile(m, grid_size)
-    return prof
+    return m.memo(("iso", grid_size), lambda: _profile(m, grid_size))
 
 
 def _profile(m, grid_size) -> IsoperimetricProfile:

@@ -73,13 +73,19 @@ def tail_weight(m, h) -> Callable:
 
 def covariance_kernel(m, g, h) -> float:
     """∫∫ g′(x) K(x,y) h′(y) dy dx = ∫ g′·W with W of ``tail_weight``; the
-    median, where W switches form, is a knot."""
-    w = tail_weight(m, h)
-    lo, hi = m.integration_domain()
-    return quadrature.integrate(
-        lambda x: np.asarray(g.deriv(x), dtype=float) * w(x),
-        lo, hi, knots=(*m.knots, *g.knots, *h.knots, m.median()),
-    )
+    median, where W switches form, is a knot.  Memoized on ``m`` per (g, h)
+    and quadrature tolerance: every cell with lhs |Cov(g,h)| reads one
+    quadrature."""
+
+    def build():
+        w = tail_weight(m, h)
+        lo, hi = m.integration_domain()
+        return quadrature.integrate(
+            lambda x: np.asarray(g.deriv(x), dtype=float) * w(x),
+            lo, hi, knots=(*m.knots, *g.knots, *h.knots, m.median()),
+        )
+
+    return m.memo(("covariance", g, h), build)
 
 
 def _tail_identity(m, h, z, side) -> tuple[float, float]:

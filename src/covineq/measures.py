@@ -29,6 +29,7 @@ from scipy.special import _ufuncs
 
 from . import quadrature, search
 from .errors import DomainError, IngestionError, UnsupportedMeasureError
+from .numerics import active
 
 # log-concavity flags
 LOG_CONCAVITY_NONE = "none"
@@ -54,10 +55,13 @@ class Measure:
     is present exactly when the measure is strictly log-concave.  ``knots``
     are density kinks strictly inside the support (panel seeds for
     quadrature).  Instances are immutable and all methods are pure; each
-    also carries a private memo of results derived from it (the ``Is(μ)``
-    profile, the median, probe grids, E_μ[g] for ``functions.centered``),
-    which lives and dies with the instance and takes no part in comparison
-    or repr.
+    also carries a private memo (``memo``) of results derived from it: the
+    median, probe grids, the ``Is(μ)`` profile, each ``cumulative``, each
+    |Cov(g,h)| of ``kernel.covariance_kernel``, each centered function of
+    ``functions.centered`` and the W sup of ``check_cov_variant``.  It
+    takes no part in comparison or repr.  Keys hold their function
+    objects, so on a long-lived measure the memo grows with every distinct
+    function used on it; it is freed with the measure.
     """
 
     family: str
@@ -91,9 +95,16 @@ class Measure:
 
     def median(self) -> float:
         """quantile(0.5), memoized on the measure."""
-        if "median" not in self._memo:
-            self._memo["median"] = self.quantile(0.5)
-        return self._memo["median"]
+        return self.memo(("median",), lambda: self.quantile(0.5))
+
+    def memo(self, key: tuple, build: Callable[[], Any]):
+        """The value kept under ``key`` and the active quadrature tolerance,
+        from ``build()`` on the first call.  A build that raises keeps
+        nothing, so the next call raises again."""
+        key = (*key, active().rel_tol)
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # ---- integration ----------------------------------------------------
 
@@ -114,8 +125,12 @@ class Measure:
 
     def cumulative(self, g, knots=()) -> quadrature.CumulativeIntegral:
         """Prefix/suffix queries x ↦ ∫_{(lo,x)} g dμ and ∫_{(x,hi)} g dμ,
-        seeded as in ``expectation``."""
-        return self._against(quadrature.cumulative, g, knots)
+        seeded as in ``expectation``.  Built once per (g, knots) and kept in
+        the memo: the mass cumulative of ``kernel.t_transform`` serves every
+        h with the same knots, a centered h₀ included."""
+        knots = tuple(knots)
+        return self.memo(("cumulative", g, knots),
+                         lambda: self._against(quadrature.cumulative, g, knots))
 
     def _against(self, integrator, g, knots):
         lo, hi = self.integration_domain()
@@ -162,8 +177,8 @@ class Measure:
     def probe_points(self, n: int = 2048) -> np.ndarray:
         """Interior quantile grid plus deep tail probes, sorted and unique;
         memoized on the measure per n, read-only."""
-        key = ("probe", n)
-        if key not in self._memo:
+
+        def build():
             t = np.linspace(0.0, 1.0, n + 2)[1:-1]
             pts = [self.quantile(t)]
             s = 10.0 ** -np.arange(4.0, 14.0)
@@ -174,8 +189,9 @@ class Measure:
             out = np.unique(np.concatenate([np.atleast_1d(p) for p in pts]))
             out = out[(out >= lo) & (out <= hi)]
             out.flags.writeable = False
-            self._memo[key] = out
-        return self._memo[key]
+            return out
+
+        return self.memo(("probe", n), build)
 
     def ess_sup(self, g, extra_knots=()) -> float:
         """Grid supremum of |g| with golden refinement around the top points.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from covineq import measures
+from covineq import measures, quadrature
 
 # quadrature-backed properties are slow per example; keep the budget modest
 # and kill the wall-clock deadline (adaptive refinement has fat tails)
@@ -13,6 +13,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("covineq")
+
+
+@pytest.fixture()
+def quadratures(monkeypatch):
+    """The name of every quadrature.integrate and quadrature.cumulative call."""
+    calls = []
+    for name in ("integrate", "cumulative"):
+        real = getattr(quadrature, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, name, spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -76,6 +76,17 @@ class TestCenteredMemo:
         F.centered(g, m)
         assert len(expectations) == 4
 
+    def test_second_call_returns_the_same_object(self, expectations):
+        m, g = M.laplace(0, 1), F.monomial(3)
+        first = F.centered(g, m)
+        assert F.centered(g, m) is first
+        assert F.centered(F.monomial(3), m) is not first
+        assert F.centered(g, M.laplace(0, 1)) is not first
+        with numeric_context(NumericContext(rel_tol=1e-8)):
+            assert F.centered(g, m) is not first
+        assert F.centered(g, m) is first
+        assert len(expectations) == 4
+
 
 def test_product_rule_away_from_knots():
     g, h = F.abs_power(1.5), F.ramp(0.2, 0.7)

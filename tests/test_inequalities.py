@@ -16,6 +16,7 @@ from covineq.errors import (
     HypothesisViolatedError,
     UnsupportedMeasureError,
 )
+from covineq.numerics import NumericContext, numeric_context
 
 x = fn.monomial(1)
 x2 = fn.monomial(2)
@@ -112,6 +113,29 @@ class TestCovarianceChecks:
     def test_cov_variant_bad_side(self, lap):
         with pytest.raises(DomainError):
             ineq.check_cov_variant(lap, x, x, "up")
+
+    def test_cov_variant_sides_read_one_sup(self, monkeypatch):
+        sups = []
+        real = measures.Measure.ess_sup
+
+        def spy(self, g, extra_knots=()):
+            sups.append(self)
+            return real(self, g, extra_knots)
+
+        monkeypatch.setattr(measures.Measure, "ess_sup", spy)
+        m = measures.gaussian(0, 1)
+        left = ineq.check_cov_variant(m, x, x2, "left")
+        right = ineq.check_cov_variant(m, x, x2, "right")
+        assert len(sups) == 1
+        assert (left.lhs, left.rhs, left.ratio) == (right.lhs, right.rhs, right.ratio)
+        # the sup is W's alone: another g reads it too
+        ineq.check_cov_variant(m, x3, x2, "left")
+        assert len(sups) == 1
+        ineq.check_cov_variant(m, x, fn.monomial(2), "left")
+        ineq.check_cov_variant(measures.gaussian(0, 1), x, x2, "left")
+        with numeric_context(NumericContext(rel_tol=1e-8)):
+            ineq.check_cov_variant(m, x, x2, "right")
+        assert len(sups) == 4
 
 
 class TestLpPoincare:

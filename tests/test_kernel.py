@@ -11,6 +11,7 @@ from hypothesis import strategies as st_h
 from covineq import functions as fn
 from covineq import kernel, measures, quadrature
 from covineq.errors import DomainError
+from covineq.numerics import NumericContext, numeric_context
 
 x = fn.monomial(1)
 x2 = fn.monomial(2)
@@ -68,6 +69,32 @@ class TestCovariance:
 
     def test_constant_factor_gives_exact_zero(self):
         assert kernel.covariance_kernel(measures.laplace(0, 1), one, x) == 0.0
+
+
+class TestCovarianceMemo:
+    def test_second_call_makes_no_quadrature(self, quadratures):
+        m = measures.laplace(0, 1)
+        first = kernel.covariance_kernel(m, x, x3)
+        built = len(quadratures)
+        assert built > 0
+        assert kernel.covariance_kernel(m, x, x3) == first
+        assert len(quadratures) == built
+
+    def test_other_functions_measure_or_tolerance_is_a_miss(self, quadratures):
+        m = measures.laplace(0, 1)
+        kernel.covariance_kernel(m, x, x3)
+        built = len(quadratures)
+        for args in ((m, fn.monomial(1), x3), (m, x, fn.monomial(3)),
+                     (measures.laplace(0, 1), x, x3)):
+            kernel.covariance_kernel(*args)
+            assert len(quadratures) > built
+            built = len(quadratures)
+        with numeric_context(NumericContext(rel_tol=1e-8)):
+            kernel.covariance_kernel(m, x, x3)
+        assert len(quadratures) > built
+        built = len(quadratures)
+        kernel.covariance_kernel(m, x, x3)
+        assert len(quadratures) == built
 
 
 class TestTailWeights:
@@ -167,6 +194,21 @@ class TestTransform:
         vals = T(np.array([lo, 1e-170, hi]))
         assert np.all(np.isfinite(vals))
         assert vals[1] == 1e-170 and vals[2] == np.nextafter(hi, lo)
+
+    def test_mass_cumulative_shared_with_centered_h(self, quadratures):
+        m = measures.laplace(0, 1)
+        h = fn.ramp(0.3, 0.2)
+        kernel.t_transform(m, h, 0.0)
+        kernel.t_transform(m, fn.centered(h, m), 0.0)
+        # h, h₀ = h − E[h] and the mass 1: three cumulatives, not four
+        assert quadratures.count("cumulative") == 3
+        with numeric_context(NumericContext(rel_tol=1e-8)):
+            kernel.t_transform(m, h, 0.0)
+        kernel.t_transform(measures.laplace(0, 1), h, 0.0)
+        assert quadratures.count("cumulative") == 7
+        # another h with other knots needs its own mass as well
+        kernel.t_transform(m, fn.ramp(0.5, 0.2), 0.0)
+        assert quadratures.count("cumulative") == 9
 
     def test_t_norm_oracles(self):
         lap = measures.laplace(0, 1)

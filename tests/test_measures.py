@@ -14,8 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import covineq
-from covineq import functions, isoperimetry, measures
-from covineq.errors import IngestionError, UnsupportedMeasureError
+from covineq import functions, isoperimetry, kernel, measures
+from covineq.errors import IngestionError, IntegrationError, UnsupportedMeasureError
+from covineq.numerics import NumericContext, numeric_context
 
 x = functions.monomial(1)
 x2 = functions.monomial(2)
@@ -56,6 +57,65 @@ def test_median_is_memoized(monkeypatch):
     assert calls == []
     assert measures.beta(2, 3).median() == first
     assert calls == [0.5]
+
+
+class TestMemo:
+    def test_build_runs_once_per_key_and_tolerance(self):
+        m, built = measures.laplace(0, 1), []
+        build = lambda: built.append(1) or len(built)  # noqa: E731
+        assert m.memo(("k",), build) == m.memo(("k",), build) == 1
+        assert m.memo(("other",), build) == 2
+        with numeric_context(NumericContext(rel_tol=1e-8)):
+            assert m.memo(("k",), build) == 3
+        assert measures.laplace(0, 1).memo(("k",), build) == 4
+        assert m.memo(("k",), build) == 1
+
+    def test_cumulative_second_call_is_a_hit(self, quadratures):
+        m = measures.gaussian(0, 1)
+        first = m.cumulative(x, (0.5,))
+        assert m.cumulative(x, [0.5]) is first
+        assert quadratures == ["cumulative"]
+
+    def test_cumulative_other_function_knots_measure_or_tolerance_is_a_miss(self, quadratures):
+        m = measures.gaussian(0, 1)
+        first = m.cumulative(x)
+        others = [
+            m.cumulative(functions.monomial(1)),
+            m.cumulative(x, (0.5,)),
+            measures.gaussian(0, 1).cumulative(x),
+        ]
+        with numeric_context(NumericContext(rel_tol=1e-8)):
+            others.append(m.cumulative(x))
+        assert quadratures == ["cumulative"] * 5
+        assert all(c is not first for c in others)
+        assert m.cumulative(x) is first and len(quadratures) == 5
+
+    def test_a_build_that_raises_keeps_nothing(self, quadratures):
+        m = measures.from_scipy(scipy.stats.t(3))  # empty window: every integral raises
+        tries = []
+
+        def failing():
+            tries.append(1)
+            raise IntegrationError("no value", math.nan, math.inf)
+
+        for _ in range(2):
+            with pytest.raises(IntegrationError):
+                m.memo(("k",), failing)
+        assert len(tries) == 2
+        assert m.memo(("k",), lambda: 1.0) == 1.0
+        m._memo.clear()
+        for build in (
+            lambda: m.cumulative(x),
+            lambda: functions.centered(x, m),
+            lambda: kernel.covariance_kernel(m, x, x),
+        ):
+            for _ in range(2):
+                with pytest.raises(IntegrationError):
+                    build()
+        assert m._memo == {}
+        # cumulative and covariance's W reach the quadrature on both calls,
+        # centered's E[x] too
+        assert quadratures == ["cumulative"] * 2 + ["integrate"] * 2 + ["cumulative"] * 2
 
 
 def test_import_leaves_scipy_stats_out():

@@ -139,6 +139,12 @@ class TestDefaultSuite:
         assert not any(s.startswith("error") for s in res.statuses)
         assert len(res.statuses) > 150
 
+    def test_default_suite_quadrature_budget(self, quadratures):
+        # the per-measure memo builds each shared covariance, cumulative,
+        # centered function and W sup once: 398 quadratures, budget +10%
+        runner.run(cfg.parse_config(cfg.default_config_dict()))
+        assert len(quadratures) <= 440
+
 
 class TestNearExtremalProbe:
     @pytest.mark.parametrize("spec", ["laplace:0,1", "uniform:0,1", "gaussian:0,1"])
