@@ -5,6 +5,11 @@ tolerance".  A certificate stores both sides, the ratio, the slack, the
 side conditions that were verified numerically, and the tolerance itself,
 so a report line is meaningful in isolation.  ``certify`` takes the pass
 tolerance and the rhs scale from the active numerics.NumericContext.
+
+One vacuity rule: a certificate whose rhs, after the rhs scale, is not
+finite is ``uninformative`` (Is(μ) = 0 makes every 1/Is-controlled rhs
++inf, or NaN where a norm is 0).  The runner's Is info row is not built
+by ``certify`` and keeps its own flag, the profile's ``diverging_tail``.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ def certify(
     rhs: float,
     params: dict | None = None,
     side_conditions: dict | None = None,
-    uninformative: bool = False,
 ) -> InequalityCertificate:
     ctx = active()
     lhs, rhs = float(lhs), float(rhs) * ctx.rhs_scale
@@ -70,7 +74,7 @@ def certify(
         side_conditions={k: float(v) for k, v in (side_conditions or {}).items()},
         passed=bool(lhs <= rhs * (1.0 + ctx.pass_tol)),
         tol=float(ctx.pass_tol),
-        uninformative=uninformative,
+        uninformative=not math.isfinite(rhs),
     )
 
 

@@ -129,7 +129,7 @@ def _suggest_check(name: str) -> str:
     return f" (did you mean {hits[0]!r}?)" if hits else ""
 
 
-def _coerce_grid_values(key, raw):
+def _coerce_grid_values(raw):
     """Normalize a grid entry to a tuple; scalars become one-element grids."""
     if isinstance(raw, (list, tuple)):
         return tuple(raw)
@@ -162,7 +162,7 @@ def _parse_checks(raw, errors):
                 errors.append(f"{loc}.{key}: check {name!r} takes no {key!r} grid")
                 bad = True
                 continue
-            vals = _coerce_grid_values(key, raw_vals)
+            vals = _coerce_grid_values(raw_vals)
             if not vals:
                 errors.append(f"{loc}.{key}: empty grid")
                 bad = True
@@ -198,7 +198,7 @@ def _parse_checks(raw, errors):
     return specs
 
 
-def _parse_number(cfg, key, default, errors, *, positive=True, integer=False):
+def _parse_number(cfg, key, default, errors, *, integer=False):
     if key not in cfg or cfg[key] is None:
         return default
     v = cfg[key]
@@ -211,7 +211,7 @@ def _parse_number(cfg, key, default, errors, *, positive=True, integer=False):
         errors.append(f"{key}: must be a number, got {v!r}")
         return default
     v = float(v)
-    if positive and not (v > 0.0 and math.isfinite(v)):
+    if not (v > 0.0 and math.isfinite(v)):
         errors.append(f"{key}: must be a positive finite number, got {v!r}")
         return default
     return v

@@ -76,12 +76,11 @@ _IDENTITY = functions.monomial(1)
 # shared helpers
 
 
-def _inv_is(m) -> tuple[float, bool]:
-    """1/Is(μ) and an 'uninformative' flag (Is=0 → infinite rhs)."""
+def _inv_is(m) -> float:
+    """1/Is(μ), +inf where Is(μ) = 0: the factor that makes every
+    Is-controlled rhs non-finite there, which ``certify`` flags."""
     val = isoperimetric_value(m)
-    if val == 0.0:
-        return math.inf, True
-    return 1.0 / val, False
+    return math.inf if val == 0.0 else 1.0 / val
 
 
 def _deriv_norm(m, g, p) -> float:
@@ -94,12 +93,12 @@ def _holder_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _check_p(p, *, open_left=False, allow_inf=False) -> float:
+def _check_p(p, *, open_left=False) -> float:
     p = float(p)
     if math.isnan(p) or p < 1.0 or (open_left and p == 1.0):
         low = "> 1" if open_left else ">= 1"
         raise DomainError(f"exponent must be {low}, got {p}")
-    if math.isinf(p) and not allow_inf:
+    if math.isinf(p):
         raise DomainError("exponent must be finite")
     return p
 
@@ -114,24 +113,21 @@ def _pair_params(m, g, h, **extra) -> dict:
 # covariance inequalities
 
 
-def check_cov_l1_linf(m, g, h) -> InequalityCertificate:
-    """|Cov(g,h)| ≤ Is(μ)⁻¹·‖g′‖₁·‖T_m h₀‖_∞ with h₀ = h − E[h].
-
-    The L₁ derivative norm applies to g and the transform sup to h; for
-    unbounded h the probed sup under-reports the rhs, which only makes
-    the certificate harder to pass.
-    """
-    inv_is, trivial = _inv_is(m)
+def _t_bound(name, m, g, h, p, q, params) -> InequalityCertificate:
+    """|Cov(g,h)| ≤ Is(μ)⁻¹·‖g′‖_p·‖T_m h₀‖_q, h₀ = h − E[h], T cut at the
+    median; p and q come checked (q = ∞ at p = 1).  At q = ∞ the probed sup
+    under-reports the rhs for unbounded h, which only makes it harder to pass."""
+    inv_is = _inv_is(m)
     lhs = abs(kernel.covariance_kernel(m, g, h))
-    med = m.median()
     h0 = functions.centered(h, m)
-    rhs = inv_is * _deriv_norm(m, g, 1.0) * kernel.t_norm(m, h0, med, math.inf)
-    return certify(
-        "cov_l1_linf",
-        lhs=lhs,
-        rhs=rhs,
-        params=_pair_params(m, g, h, p=1.0),
-        uninformative=trivial,
+    rhs = inv_is * _deriv_norm(m, g, p) * kernel.t_norm(m, h0, m.median(), q)
+    return certify(name, lhs=lhs, rhs=rhs, params=params)
+
+
+def check_cov_l1_linf(m, g, h) -> InequalityCertificate:
+    """|Cov(g,h)| ≤ Is(μ)⁻¹·‖g′‖₁·‖T_m h₀‖_∞: ``_t_bound`` at p = 1."""
+    return _t_bound(
+        "cov_l1_linf", m, g, h, 1.0, math.inf, _pair_params(m, g, h, p=1.0)
     )
 
 
@@ -139,16 +135,8 @@ def check_cov_lp_lq_T(m, g, h, p) -> InequalityCertificate:
     """|Cov(g,h)| ≤ Is(μ)⁻¹·‖g′‖_p·‖T_m h₀‖_q, q = p/(p−1), p ∈ (1,∞)."""
     p = _check_p(p, open_left=True)
     q = _holder_conjugate(p)
-    inv_is, trivial = _inv_is(m)
-    lhs = abs(kernel.covariance_kernel(m, g, h))
-    h0 = functions.centered(h, m)
-    rhs = inv_is * _deriv_norm(m, g, p) * kernel.t_norm(m, h0, m.median(), q)
-    return certify(
-        "cov_lp_lq_T",
-        lhs=lhs,
-        rhs=rhs,
-        params=_pair_params(m, g, h, p=p, q=q),
-        uninformative=trivial,
+    return _t_bound(
+        "cov_lp_lq_T", m, g, h, p, q, _pair_params(m, g, h, p=p, q=q)
     )
 
 
@@ -160,7 +148,7 @@ def check_cov_lp_lq(m, g, h, p) -> InequalityCertificate:
     inequality it degenerates to.
     """
     p = _check_p(p)
-    inv_is, trivial = _inv_is(m)
+    inv_is = _inv_is(m)
     lhs = abs(kernel.covariance_kernel(m, g, h))
     h0 = functions.centered(h, m)
     q = math.inf if p == 1.0 else _holder_conjugate(p)
@@ -170,13 +158,12 @@ def check_cov_lp_lq(m, g, h, p) -> InequalityCertificate:
         lhs=lhs,
         rhs=rhs,
         params=_pair_params(m, g, h, p=p, q=q),
-        uninformative=trivial,
     )
 
 
 def check_cheeger(m, g) -> InequalityCertificate:
     """Var(g) ≤ 4·Is(μ)⁻²·‖g′‖₂² (the g=h, p=2 specialization)."""
-    inv_is, trivial = _inv_is(m)
+    inv_is = _inv_is(m)
     lhs = abs(kernel.covariance_kernel(m, g, g))
     rhs = 4.0 * inv_is**2 * _deriv_norm(m, g, 2.0) ** 2
     return certify(
@@ -184,7 +171,6 @@ def check_cheeger(m, g) -> InequalityCertificate:
         lhs=lhs,
         rhs=rhs,
         params={"family": m.label, "g": g.descriptor, "p": 2.0},
-        uninformative=trivial,
     )
 
 
@@ -192,7 +178,7 @@ def check_cov_final(m, g, h, p) -> InequalityCertificate:
     """|Cov(g,h)| ≤ 2(p+q)·Is(μ)⁻²·‖g′‖_p·‖h′‖_q, q = p/(p−1)."""
     p = _check_p(p, open_left=True)
     q = _holder_conjugate(p)
-    inv_is, trivial = _inv_is(m)
+    inv_is = _inv_is(m)
     lhs = abs(kernel.covariance_kernel(m, g, h))
     rhs = 2.0 * (p + q) * inv_is**2 * _deriv_norm(m, g, p) * _deriv_norm(m, h, q)
     return certify(
@@ -200,7 +186,6 @@ def check_cov_final(m, g, h, p) -> InequalityCertificate:
         lhs=lhs,
         rhs=rhs,
         params=_pair_params(m, g, h, p=p, q=q),
-        uninformative=trivial,
     )
 
 
@@ -295,7 +280,7 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
         raise DomainError(
             f"variant must be one of {POINCARE_VARIANTS}, got {variant!r}"
         )
-    inv_is, trivial = _inv_is(m)
+    inv_is = _inv_is(m)
     side: dict[str, float] = {}
 
     if variant.startswith("centered"):
@@ -338,7 +323,6 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
         rhs=rhs,
         params={"family": m.label, "u": u.descriptor, "p": p, "variant": variant},
         side_conditions=side,
-        uninformative=trivial,
     )
 
 
@@ -661,7 +645,7 @@ def check_orlicz(m, f, N: YoungFunction, which) -> InequalityCertificate:
             f"C_N is infinite for {N.descriptor}; the Orlicz Poincaré "
             "constant is vacuous"
         )
-    inv_is, trivial = _inv_is(m)
+    inv_is = _inv_is(m)
     if which == "median_centered":
         center = float(np.asarray(f(m.median()), dtype=float))
         constant = N.cn
@@ -681,7 +665,6 @@ def check_orlicz(m, f, N: YoungFunction, which) -> InequalityCertificate:
             "which": which,
         },
         side_conditions={"C_N": N.cn, "center": center},
-        uninformative=trivial,
     )
 
 
@@ -692,7 +675,7 @@ def check_orlicz(m, f, N: YoungFunction, which) -> InequalityCertificate:
 def check_moment_growth(m, p) -> InequalityCertificate:
     """‖X − EX‖_p ≤ 2c_p with c_p = p/Is(μ)."""
     p = _check_p(p)
-    inv_is, trivial = _inv_is(m)
+    inv_is = _inv_is(m)
     c_p = p * inv_is
     lhs = m.lp_norm(functions.centered(_IDENTITY, m), p)
     return certify(
@@ -701,20 +684,18 @@ def check_moment_growth(m, p) -> InequalityCertificate:
         rhs=2.0 * c_p,
         params={"family": m.label, "p": p},
         side_conditions={"c_p": c_p},
-        uninformative=trivial,
     )
 
 
 def check_psi1_bound(m) -> InequalityCertificate:
     """‖X − EX‖_{Ψ1} ≤ 4/Is(μ)."""
-    inv_is, trivial = _inv_is(m)
+    inv_is = _inv_is(m)
     lhs = orlicz_norm(m, functions.centered(_IDENTITY, m), young_psi1())
     return certify(
         "psi1_bound",
         lhs=lhs,
         rhs=4.0 * inv_is,
         params={"family": m.label},
-        uninformative=trivial,
     )
 
 
@@ -732,26 +713,19 @@ def check_moment_comparison(m, p) -> InequalityCertificate:
     exactly, so no second profile is computed.  The comparison is empty at
     p = 1 (the constant diverges), hence the domain error.
     """
-    p = float(p)
-    if p == 1.0:
-        raise DomainError("moment comparison needs p > 1; the constant diverges at p=1")
     p = _check_p(p, open_left=True)
     norm_p = m.lp_norm(_IDENTITY, p)
     _require_centered(m, norm_p)
     lhs = m.lp_norm(_IDENTITY, p + 1.0)
     scaled_is = norm_p * isoperimetric_value(m)
-    if scaled_is == 0.0:
-        rhs, trivial = math.inf, True
-    else:
-        rhs = (p**2 / ((p - 1.0) * scaled_is)) ** (1.0 / (p + 1.0)) * norm_p
-        trivial = False
+    const = math.inf if scaled_is == 0.0 else p**2 / ((p - 1.0) * scaled_is)
+    rhs = const ** (1.0 / (p + 1.0)) * norm_p
     return certify(
         "moment_comparison",
         lhs=lhs,
         rhs=rhs,
         params={"family": m.label, "p": p},
         side_conditions={"norm_p": norm_p, "rescaled_is": scaled_is},
-        uninformative=trivial,
     )
 
 
@@ -843,9 +817,9 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
     order in δ, and the last two ratios give a Richardson-style
     extrapolation of the limit.  A ratio that is not finite, or whose
     denominator ‖g′‖₁·‖T_m h₀‖_∞ is 0 or infinite, raises
-    ``ComputationError``; only where Is(μ) = 0, so that the target 1/Is is
-    infinite and the bound vacuous, are the ratios returned, NaN where the
-    denominator is 0 or infinite.
+    ``ComputationError``, except where the target ``_inv_is`` is infinite
+    (Is(μ) = 0): the bound is then vacuous, as ``certify`` flags it, and
+    the ratios are returned, NaN where the denominator is 0 or infinite.
     """
     ds = [float(d) for d in deltas]
     if not ds or not all(0.0 < d < math.inf for d in ds):
@@ -859,7 +833,7 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
         )
     med = m.median()
     g1 = _deriv_norm(m, g, 1.0)
-    target, vacuous = _inv_is(m)
+    target = _inv_is(m)
     ratios = []
     for d in ds:
         h = functions.ramp(med, d)
@@ -867,7 +841,7 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
         t_sup = kernel.t_norm(m, functions.centered(h, m), med, math.inf)
         den = g1 * t_sup
         ratio = num / den if 0.0 < den < math.inf else math.nan
-        if not (math.isfinite(ratio) or vacuous):
+        if not (math.isfinite(ratio) or math.isinf(target)):
             raise ComputationError(
                 f"no finite ratio at delta={d:g}: |Cov| = {num:g}, "
                 f"||g'||_1 = {g1:g}, ||T h0||_inf = {t_sup:g}"

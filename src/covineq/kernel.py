@@ -145,9 +145,7 @@ def t_norm(m, h, k, p) -> float:
 def hardy_certificate(m, h, k, p) -> InequalityCertificate:
     """‖T_k h‖_p ≤ (p/(p−1))·‖h‖_p; the constant diverges at p=1."""
     p = float(p)
-    if p == 1.0:
-        raise DomainError("Hardy constant p/(p-1) diverges at p=1; need p > 1")
-    if math.isnan(p) or p < 1.0:
+    if math.isnan(p) or p <= 1.0:
         raise DomainError(f"hardy_certificate requires p > 1, got {p}")
     const = 1.0 if math.isinf(p) else p / (p - 1.0)
     lhs = t_norm(m, h, k, p)

@@ -12,14 +12,18 @@ integral of |f|.  Summed over the partition this enforces
 sum err_i <= rel_tol * int |f|, a budget with no absolute part, so no
 result depends on the units of x or of f.
 
-Two refinements make the scheme robust on the integrands this package
-produces (quantile substitutions with log- or power-type endpoint
-behaviour):
+Three refinements make the scheme robust on the integrands this package
+produces:
 
 * the seed partition carries geometric ladders 2^-1 ... 2^-50 into both
-  endpoints, and a panel touching an endpoint is split geometrically (the
-  boundary child keeps 1/8 of the width) instead of bisected, so endpoint
-  singularities grade correctly;
+  endpoints: on an infinite support's window [ppf(1e-300), isf(1e-300)]
+  they are what seed panels in the body.  Without them the one window
+  panel can pass by accident (x·f(x) on a symmetric window reads 0 in the
+  parent and both children): a gaussian Var(X) then reads 0.3% high;
+* a panel touching an endpoint is split geometrically (the boundary child
+  keeps 1/8 of the width) instead of bisected, so the endpoint
+  singularities of a bounded support (a beta density with a shape below 1,
+  a log- or power-type integrand at an end) grade correctly;
 * a panel whose mass A_i is negligible against the running global budget
   is accepted outright.  Self-similar singular stubs have a *constant*
   err/A ratio under refinement, so the relative test alone would never

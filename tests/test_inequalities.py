@@ -11,6 +11,7 @@ from scipy import optimize, stats
 from covineq import functions as fn
 from covineq import inequalities as ineq
 from covineq import kernel, measures
+from covineq.certificates import certify
 from covineq.errors import (
     DomainError,
     HypothesisViolatedError,
@@ -252,7 +253,41 @@ class TestBestConstant:
 
     def test_vacuous_ratio_with_zero_denominator_is_nan(self, lap, monkeypatch):
         # Is = 0 makes the bound vacuous; a zero ||T h0||_inf must not divide
-        monkeypatch.setattr(ineq, "_inv_is", lambda m: (math.inf, True))
+        monkeypatch.setattr(ineq, "_inv_is", lambda m: math.inf)
         monkeypatch.setattr(kernel, "t_norm", lambda *args: 0.0)
         est = ineq.estimate_best_constant(lap, x, [1e-1, 1e-2])
         assert all(math.isnan(r) for r in est.ratios)
+
+
+class TestVacuityRule:
+    """A certificate whose rhs, after the rhs scale, is not finite is
+    uninformative; every other certificate is informative."""
+
+    def test_certify_flags_exactly_the_non_finite_rhs(self):
+        assert certify("c", lhs=1.0, rhs=math.inf).uninformative
+        assert certify("c", lhs=1.0, rhs=math.nan).uninformative
+        assert not certify("c", lhs=1.0, rhs=2.0).uninformative
+        with numeric_context(NumericContext(rhs_scale=0.5)):
+            assert not certify("c", lhs=1.0, rhs=2.0).uninformative
+            assert certify("c", lhs=1.0, rhs=math.inf).uninformative
+
+    def test_rule_reads_the_scaled_rhs(self):
+        # a finite rhs that the rhs scale overflows bounds nothing
+        with numeric_context(NumericContext(rhs_scale=4.0)):
+            c = certify("c", lhs=1.0, rhs=1e308)
+        assert c.rhs == math.inf and c.uninformative
+
+    def test_infinite_rhs_with_positive_is_is_flagged(self, monkeypatch):
+        # Is(gaussian) > 0; the overflowed sup alone makes the rhs infinite
+        gau = measures.gaussian(0, 1)
+        monkeypatch.setattr(measures.Measure, "ess_sup", lambda *a, **k: math.inf)
+        c = ineq.check_brascamp_lieb(gau, x, x)
+        assert c.rhs == math.inf and c.uninformative
+
+    @pytest.mark.parametrize("is_value", [0.0, 5e-324])
+    def test_moment_comparison_without_is_is_flagged(self, is_value, monkeypatch):
+        # Is = 0, or an Is so small that the rhs constant overflows
+        lap = measures.laplace(0, 1)
+        monkeypatch.setattr(ineq, "isoperimetric_value", lambda m: is_value)
+        c = ineq.check_moment_comparison(lap, 2.0)
+        assert c.rhs == math.inf and c.uninformative and c.passed
