@@ -2,9 +2,9 @@
 
 The ratio is continuous and positive for the measures in scope, so the
 essential infimum is the infimum and pointwise minimization is sound: a
-quantile-space grid locates the low region and golden-section refinement
-polishes it.  Boundary probes guard against heavy tails, where the true
-infimum is 0 and is approached only as t → {0, 1}.
+quantile-space grid locates the low region and a batched zoom search
+(``search.golden_min``) polishes it.  Boundary probes guard against heavy
+tails, where the true infimum is 0 and is approached only as t → {0, 1}.
 
 The profile is computed once per measure instance and grid setting and kept
 in the measure's private memo; later calls return the same read-only profile.
@@ -22,7 +22,6 @@ from . import search
 from .errors import ComputationError, DomainError
 
 DEFAULT_GRID_SIZE = 1024
-REFINE_ITERS = 60  # golden-section steps per refinement bracket
 
 # boundary probe depths for the diverging-tail guard (all below t = 1e-6)
 _PROBE_LEVELS = 10.0 ** -np.arange(7.0, 14.0)
@@ -93,13 +92,16 @@ def _tail_diverges(m, interior_min) -> bool:
 
 
 def isoperimetric_constant(m, grid_size: int = DEFAULT_GRID_SIZE) -> IsoperimetricProfile:
-    """Grid minimum of the ratio profile plus golden-section refinement.
+    """Grid minimum of the ratio profile plus zoom-search refinement.
 
     The grid is t_i = i/(grid_size+1); refinement searches brackets around
-    the three lowest grid points.  Heavy-tailed measures are reported as
-    is_value = 0 with the diverging-tail flag set.  The result is memoized
-    on ``m`` per grid_size (and, as every ``Measure.memo`` entry, per
-    quadrature tolerance); its arrays are read-only.
+    the three lowest grid points, and the median level t = 1/2 is a
+    candidate too.  Where the profile is flat, argmin_t is the candidate
+    nearest 1/2, so it is exactly 0.5 on a plateau through the median.
+    Heavy-tailed measures are reported as is_value = 0 with the
+    diverging-tail flag set.  The result is memoized on ``m`` per
+    grid_size (and, as every ``Measure.memo`` entry, per quadrature
+    tolerance); its arrays are read-only.
     """
     if not grid_size >= 64:
         raise DomainError(f"grid_size must be at least 64, got {grid_size}")
@@ -128,11 +130,10 @@ def _profile(m, grid_size) -> IsoperimetricProfile:
         order = np.argsort(ratios, kind="stable")[:3]
     lo = t[np.maximum(order - 1, 0)]
     hi = t[np.minimum(order + 1, grid_size - 1)]
-    t_ref, r_ref = search.golden_min(
-        lambda tt: _ratio_at_t(m, tt), lo, hi, iters=REFINE_ITERS
-    )
-    cand_t = np.concatenate([t_ref, [t[order[0]], t[int(np.argmin(ratios))]]])
-    cand_r = np.concatenate([r_ref, [ratios[order[0]], rmin]])
+    t_ref, r_ref = search.golden_min(lambda tt: _ratio_at_t(m, tt), lo, hi)
+    # t = 1/2 is a candidate, so a plateau through the median reads exactly 0.5
+    cand_t = np.concatenate([t_ref, [t[order[0]], t[int(np.argmin(ratios))], 0.5]])
+    cand_r = np.concatenate([r_ref, [ratios[order[0]], rmin, float(_ratio_at_t(m, 0.5))]])
     is_value = float(np.min(cand_r))
     near = np.flatnonzero(cand_r <= is_value * (1.0 + 1e-12))
     argmin_t = float(cand_t[near[np.argmin(np.abs(cand_t[near] - 0.5))]])

@@ -194,7 +194,7 @@ class Measure:
         return self.memo(("probe", n), build)
 
     def ess_sup(self, g, extra_knots=()) -> float:
-        """Grid supremum of |g| with golden refinement around the top points.
+        """Grid supremum of |g|, refined by zoom search around the top points.
 
         The density is positive on the support, so the essential sup is the
         sup over the interior.  Genuinely unbounded |g| is reported as the
@@ -203,7 +203,8 @@ class Measure:
 
         ``extra_knots`` are abscissae merged into the probe grid that it
         cannot know about: kinks of g, the median, both sides of a jump.
-        Those outside the integration domain are dropped.
+        Those outside the integration domain are dropped.  g is evaluated
+        elementwise on the probe grid and on the search's (16, 3) array.
         """
         pts = self.probe_points()
         extra = np.asarray(tuple(extra_knots), dtype=float)

@@ -49,6 +49,24 @@ def test_symmetric_families_minimize_at_median():
         assert abs(prof.argmin_t - 0.5) <= 1.0 / 1025 + 1e-12
 
 
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda s: measures.laplace(0, s),
+        lambda s: measures.exponential(1.0 / s),
+        lambda s: measures.gaussian(0, s),
+        lambda s: measures.logistic(0, s),
+    ],
+    ids=["laplace", "exponential", "gaussian", "logistic"],
+)
+def test_argmin_is_the_median_level_at_every_scale(make, s):
+    # laplace's ratio profile is flat on (0, 1) and exponential's on [1/2, 1);
+    # the reported argmin is the median level there, not wherever the search
+    # stopped, so it does not move with the scale
+    assert iso.isoperimetric_constant(make(s)).argmin_t == 0.5
+
+
 @pytest.mark.parametrize("c", [0.5, 2.0, math.sqrt(2.0)])
 def test_scaling_covariance(c):
     base = iso.isoperimetric_value(measures.laplace(0, 1))

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from covineq import config as cfg
-from covineq import inequalities, isoperimetry, kernel, runner
+from covineq import inequalities, isoperimetry, kernel, runner, search
 from covineq.certificates import certify
 
 
@@ -144,6 +144,24 @@ class TestDefaultSuite:
         # centered function and W sup once: 398 quadratures, budget +10%
         runner.run(cfg.parse_config(cfg.default_config_dict()))
         assert len(quadratures) <= 440
+
+    def test_default_suite_search_budget(self, monkeypatch):
+        # every Is refinement and ess_sup bracket search goes through
+        # search.golden_min (golden_max calls it): 43 searches of 14 calls
+        # of f each, 602 in all; budget +10%
+        calls = []
+        real = search.golden_min
+
+        def spy(f, lo, hi):
+            def counted(x):
+                calls.append(x)
+                return f(x)
+
+            return real(counted, lo, hi)
+
+        monkeypatch.setattr(search, "golden_min", spy)
+        runner.run(cfg.parse_config(cfg.default_config_dict()))
+        assert len(calls) <= 660
 
 
 class TestNearExtremalProbe:
