@@ -170,7 +170,9 @@ def _parse_checks(raw, errors):
             if key == "p":
                 ok = []
                 for j, v in enumerate(vals):
-                    if not isinstance(v, (int, float)) or not v >= 1.0:
+                    if isinstance(v, bool) or not (
+                        isinstance(v, (int, float)) and v >= 1.0
+                    ):
                         errors.append(f"{loc}.p[{j}]: p must be >= 1, got {v!r}")
                         bad = True
                     else:
@@ -338,7 +340,7 @@ def read_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config file {path!r}: {exc}"])
     return _decoded(text)
 

@@ -8,7 +8,9 @@ edges there.  sign(0) = +1 throughout.
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -226,19 +228,28 @@ def derivative(g: DifferentiableFunction) -> DifferentiableFunction:
 
 # ---- expression grammar ----------------------------------------------------
 #
-#   expr    := term (('+'|'-') number)*
-#   term    := atom ('*' atom)*
-#   atom    := 'x' ['^' number] | 'sgnpow(p)' | 'abspow(p)'
+#   expr    := term | expr ('+'|'-') number
+#   term    := atom | term '*' atom
+#   atom    := 'x' | 'x' ('^'|'**') number | 'sgnpow(p)' | 'abspow(p)'
 #            | 'ramp(c,delta)' | 'center(expr)' | '(' expr ')'
+#   number  := ['-'] number | '(' number ')' | int or float literal
 #
 # x^k builds monomial(k) for positive integer k and power(k) otherwise.
-# center(...) binds to the measure at materialization time.
+# center(...) binds to the measure at materialization time.  Python's own
+# parser reads the text after four rewrites: whitespace runs become one
+# space (Python rejects indentation and line breaks), Unicode decimal digits
+# become ASCII ones (float() reads them, Python's parser does not), integer
+# literals lose their leading zeros (x^02) and '^' becomes '**'.  The tree it
+# returns is then walked against the grammar, so parentheses may wrap any
+# term or number, (x)^2 and x^(2) included, and a number is any Python int or
+# float literal.  '#' is refused: Python would read the rest as a comment.
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[()^*+,-]))"
-)
+_MAX_DEPTH = 500  # grammar nodes on one path from the root; bind recurses per node
+# Python 3.10's ast.parse overflows the C stack on a chain such as x*x*...*x
+# about 120,000 deep; each link takes at least two characters
+_MAX_LENGTH = 100_000
+
+_LEAVES = {"sgnpow": (signed_power, 1), "abspow": (abs_power, 1), "ramp": (ramp, 2)}
 
 
 @dataclass(frozen=True)
@@ -261,128 +272,68 @@ class Expression:
         return self._builder(measure)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str]] = []
-        pos = 0
-        while pos < len(text):
-            mt = _TOKEN.match(text, pos)
-            if mt is None:
-                if text[pos:].strip() == "":
-                    break
-                raise ExpressionError(
-                    f"bad character {text[pos]!r} at position {pos} in {text!r}"
-                )
-            pos = mt.end()
-            for kind in ("num", "name", "op"):
-                if mt.group(kind) is not None:
-                    self.tokens.append((kind, mt.group(kind)))
-                    break
-        self.i = 0
-        self.uses_measure = False
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in {self.text!r}, got {val!r}")
-
-    def number(self):
-        kind, val = self.take()
-        if kind == "op" and val == "-":
-            return -self.number()
-        if kind != "num":
-            raise ExpressionError(f"expected a number in {self.text!r}, got {val!r}")
-        return float(val)
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                c = self.number() * (1.0 if val == "+" else -1.0)
-                node = (lambda base, cc: lambda m: shifted(base(m), cc))(node, c)
-            else:
-                return node
-
-    def term(self):
-        node = self.atom()
-        while self.peek() == ("op", "*"):
-            self.take()
-            rhs = self.atom()
-            node = (lambda a, b: lambda m: product(a(m), b(m)))(node, rhs)
-        return node
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name" and val == "x":
-            if self.peek() == ("op", "^"):
-                self.take()
-                k = self.number()
-                if k == int(k) and k >= 1:
-                    base = monomial(int(k))
-                else:
-                    base = self._checked(power, k)
-                return lambda m, b=base: b
-            return lambda m: monomial(1)
-        if kind == "name" and val in ("sgnpow", "abspow", "ramp"):
-            self.expect_op("(")
-            args = [self.number()]
-            while self.peek() == ("op", ","):
-                self.take()
-                args.append(self.number())
-            self.expect_op(")")
-            if val == "sgnpow" and len(args) == 1:
-                fn = self._checked(signed_power, args[0])
-            elif val == "abspow" and len(args) == 1:
-                fn = self._checked(abs_power, args[0])
-            elif val == "ramp" and len(args) == 2:
-                fn = self._checked(ramp, *args)
-            else:
-                raise ExpressionError(
-                    f"wrong argument count for {val} in {self.text!r}"
-                )
-            return lambda m, b=fn: b
-        if kind == "name" and val == "center":
-            self.expect_op("(")
-            inner = self.expr()
-            self.expect_op(")")
-            self.uses_measure = True
-            return lambda m, b=inner: centered(b(m), m)
-        raise ExpressionError(
-            f"expected x, a builder call, or '(' in {self.text!r}, got {val!r}"
-        )
-
-    def _checked(self, builder, *args):
-        # argument-range problems are static properties of the text
-        try:
-            return builder(*args)
-        except DomainError as exc:
-            raise ExpressionError(f"in {self.text!r}: {exc}")
-
-
 def parse_expression(text: str) -> Expression:
     """Parse the config grammar; raises ExpressionError with the offending text."""
-    parser = _Parser(text)
-    if not parser.tokens:
-        raise ExpressionError("empty expression")
-    builder = parser.expr()
-    if parser.i != len(parser.tokens):
-        _, val = parser.peek()
-        raise ExpressionError(f"trailing input {val!r} in {text!r}")
-    return Expression(
-        text=text, requires_measure=parser.uses_measure, _builder=builder
-    )
+    source = re.sub(r"\d", lambda d: str(int(d[0])), " ".join(text.split()))
+    source = re.sub(r"(?<![\w.])0+(?=\d)", "", source).replace("^", "**")
+
+    def expected(what, node):
+        got = ast.get_source_segment(source, node)
+        return ExpressionError(f"expected {what}, got {got!r}")
+
+    def number(node):
+        sign = 1.0
+        while isinstance(getattr(node, "op", None), ast.USub):
+            node, sign = node.operand, -sign
+        if not (isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+            raise expected("a number", node)
+        return sign * float(node.value)
+
+    def build(node, depth):
+        # the builder closure m -> DifferentiableFunction of one grammar node
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(f"nested deeper than {_MAX_DEPTH} levels")
+        op = getattr(node, "op", None)
+        if isinstance(op, (ast.Add, ast.Sub)):
+            base = build(node.left, depth + 1)
+            c = number(node.right) * (1.0 if isinstance(op, ast.Add) else -1.0)
+            return lambda m: shifted(base(m), c)
+        if isinstance(op, ast.Mult):
+            a, b = build(node.left, depth + 1), build(node.right, depth + 1)
+            return lambda m: product(a(m), b(m))
+        if getattr(node, "id", None) == "x":
+            return lambda m: monomial(1)
+        if isinstance(op, ast.Pow) and getattr(node.left, "id", None) == "x":
+            k = number(node.right)
+            fn = monomial(int(k)) if k.is_integer() and k >= 1 else power(k)
+            return lambda m: fn
+        if isinstance(node, ast.Call) and not node.keywords:
+            name, args = getattr(node.func, "id", None), node.args
+            if name == "center" and len(args) == 1:
+                inner = build(args[0], depth + 1)
+                return lambda m: centered(inner(m), m)
+            if name in _LEAVES:
+                builder, arity = _LEAVES[name]
+                if len(args) != arity:
+                    raise ExpressionError(f"{name} takes {arity} argument(s)")
+                fn = builder(*map(number, args))
+                return lambda m: fn
+        raise expected("x, x^k, a builder call, or a product or shift of these", node)
+
+    try:
+        if "#" in source:
+            raise ExpressionError("bad character '#'")
+        if not source:
+            raise ExpressionError("empty expression")
+        if len(source) > _MAX_LENGTH:
+            raise ExpressionError(f"longer than {_MAX_LENGTH} characters")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SyntaxWarning becomes a SyntaxError
+            tree = ast.parse(source, mode="eval")
+        builder = build(tree.body, 1)
+    # ExpressionError and DomainError (an argument out of range) are ValueErrors
+    except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
+        reason = getattr(exc, "msg", None) or str(exc) or type(exc).__name__
+        raise ExpressionError(f"cannot parse {text!r}: {reason}") from None
+    uses_measure = any(getattr(n, "id", None) == "center" for n in ast.walk(tree))
+    return Expression(text=text, requires_measure=uses_measure, _builder=builder)

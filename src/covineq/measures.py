@@ -726,7 +726,7 @@ def load_tabulated(path) -> Measure:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read tabulated density {path!r}: {exc}")
     xs, ds = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):

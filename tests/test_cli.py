@@ -84,6 +84,21 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith(f"config error: cannot read config file {str(p)!r}: ")
 
+    def test_config_file_not_utf8_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "verify", "--config", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: cannot read config file {str(p)!r}: ")
+
+    def test_deeply_nested_function_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--measure", "laplace:0,1", "--check", "cheeger",
+            "--function", "*".join(["x"] * 2000),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("config error: functions[0]: cannot parse")
+
     def test_config_file_not_an_object(self, capsys, tmp_path):
         p = tmp_path / "run.json"
         p.write_text("[1, 2]")

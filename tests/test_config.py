@@ -154,6 +154,10 @@ class TestErrorCollection:
                 "checks[0].young[0]: expected 'psi1' or '|x|^p' with finite p",
             ),
             ({"functions": None}, "functions: must be a list"),
+            (
+                {"checks": [{"name": "cov_lp_lq", "p": [True]}]},
+                "checks[0].p[0]: p must be >= 1, got True",
+            ),
         ],
     )
     def test_single_field_errors(self, patch, fragment):
@@ -201,3 +205,9 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):
             cfg.load_config(tmp_path / "absent.json")
+
+    def test_file_not_utf8(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            cfg.read_config(p)

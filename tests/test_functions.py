@@ -174,6 +174,28 @@ class TestExpressions:
         assert F.parse_expression("ramp(0.5,0.1)").bind()(0.75) == 1.0
         assert F.parse_expression("x * ramp(0,1)").bind()(0.5) == 0.25
         assert F.parse_expression("x^2 - 0.5").bind()(1.0) == 0.5
+        assert F.parse_expression("x^02").bind()(3.0) == 9.0
+        assert F.parse_expression("x^\u0662").bind()(3.0) == 9.0  # Arabic-Indic 2
+        assert F.parse_expression("x - -0.5").bind()(1.0) == 1.5
+        assert F.parse_expression("  x^2 \n- 0.5").bind()(1.0) == 0.5
+        assert (
+            F.parse_expression("x + 1 - 2").bind().descriptor
+            == "shifted(shifted(monomial(1),1),-2)"
+        )
+
+    @pytest.mark.parametrize(
+        "text, descriptor",
+        [("x^(2)", "monomial(2)"), ("(x)^2", "monomial(2)"),
+         ("x**2", "monomial(2)"), ("x^0x10", "monomial(16)"),
+         ("x^1_0", "monomial(10)"), ("x * (x + 1)", "product(monomial(1),"
+                                     "shifted(monomial(1),1))")],
+    )
+    def test_python_literal_and_parenthesis_forms(self, text, descriptor):
+        assert F.parse_expression(text).bind().descriptor == descriptor
+
+    def test_deepest_product_binds(self):
+        f = F.parse_expression("*".join(["x"] * F._MAX_DEPTH)).bind()
+        assert f(1.0) == 1.0 and f.deriv(1.0) == F._MAX_DEPTH
 
     def test_fractional_power_clamps_negative_axis(self):
         f = F.parse_expression("x^-0.25").bind()
@@ -203,8 +225,28 @@ class TestExpressions:
     @pytest.mark.parametrize(
         "bad",
         ["", "x^", "foo(1)", "x +", "ramp(1)", "sgnpow(0.5)", "x^2 x",
-         "((x)", "x ^ 0", "2 * x"],
+         "((x)", "x ^ 0", "2 * x",
+         # Python parses these, the grammar forbids them
+         "x + x", "1 + x", "x * -1", "x^2^3", "x^y", "x^True", "x^1j",
+         "ramp(c=0, delta=1)", "center(x, x)", "x.real", "x[0]", "lambda: x",
+         "'x'", "x\0",
+         pytest.param("*".join(["x"] * 2000), id="product-of-2000")],
     )
     def test_grammar_rejections(self, bad):
+        with pytest.raises(ExpressionError):
+            F.parse_expression(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [pytest.param("x^" + "9" * 400, id="float-overflow"),
+         pytest.param("x^" + "9" * 5000, id="int-digit-limit"),
+         pytest.param("-" * 10_000 + "1", id="parser-stack"),
+         pytest.param("(" * 300 + "x" + ")" * 300, id="parentheses-300"),
+         pytest.param("*".join(["x"] * 200_000), id="product-of-200000"),
+         pytest.param("-" * 3000 + "x", id="parser-recursion"),
+         "x^1if 1 else 2", "x^2 # + 1", "x\udcff", "x^1e999"],
+    )
+    def test_only_expression_error_escapes(self, bad):
+        # overflow, digit-limit, parser-stack, length, recursion and warning paths
         with pytest.raises(ExpressionError):
             F.parse_expression(bad)

@@ -280,6 +280,12 @@ class TestTabulated:
         with pytest.raises(IngestionError, match="bad.tab:2"):
             measures.load_tabulated(str(p))
 
+    def test_load_rejects_undecodable_file(self, tmp_path):
+        p = tmp_path / "bad.tab"
+        p.write_bytes(b"\xff\xfe0 1\n1 2\n")
+        with pytest.raises(IngestionError, match="cannot read tabulated density"):
+            measures.load_tabulated(str(p))
+
 
 # ---- tabulated quantiles against a 50-digit inverse -----------------------
 
