@@ -27,12 +27,15 @@ CSV_HEADER = ["name", "family", "params", "p", "lhs", "rhs", "ratio", "slack", "
 
 @dataclass(frozen=True, eq=False)
 class InequalityCertificate:
+    """One report row.  Given only a name, params and tol, it is the
+    verdict-less row of a cell that raised: NaN values, not passed."""
+
     name: str
     params: dict
-    lhs: float
-    rhs: float
-    ratio: float
-    slack: float
+    lhs: float = math.nan
+    rhs: float = math.nan
+    ratio: float = math.nan
+    slack: float = math.nan
     side_conditions: dict = field(default_factory=dict)
     passed: bool = False
     tol: float = DEFAULT_PASS_TOL

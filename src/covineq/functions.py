@@ -249,6 +249,18 @@ _MAX_DEPTH = 500  # grammar nodes on one path from the root; bind recurses per n
 # about 120,000 deep; each link takes at least two characters
 _MAX_LENGTH = 100_000
 
+_QUOTE_HEAD, _QUOTE_TAIL = 40, 20  # characters of user text kept in a message
+
+
+def _quoted(text: str) -> str:
+    """repr(text); past head + tail characters, its head, its tail and its
+    length, so that an error message stays one short line."""
+    if len(text) <= _QUOTE_HEAD + _QUOTE_TAIL:
+        return repr(text)
+    head, tail = text[:_QUOTE_HEAD], text[-_QUOTE_TAIL:]
+    return f"{head!r}...{tail!r} ({len(text)} characters)"
+
+
 _LEAVES = {"sgnpow": (signed_power, 1), "abspow": (abs_power, 1), "ramp": (ramp, 2)}
 
 
@@ -267,7 +279,7 @@ class Expression:
     def bind(self, measure=None) -> DifferentiableFunction:
         if self.requires_measure and measure is None:
             raise ExpressionError(
-                f"expression {self.text!r} uses center(...) and needs a measure"
+                f"expression {_quoted(self.text)} uses center(...) and needs a measure"
             )
         return self._builder(measure)
 
@@ -279,7 +291,7 @@ def parse_expression(text: str) -> Expression:
 
     def expected(what, node):
         got = ast.get_source_segment(source, node)
-        return ExpressionError(f"expected {what}, got {got!r}")
+        return ExpressionError(f"expected {what}, got {_quoted(got)}")
 
     def number(node):
         sign = 1.0
@@ -334,6 +346,6 @@ def parse_expression(text: str) -> Expression:
     # ExpressionError and DomainError (an argument out of range) are ValueErrors
     except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
         reason = getattr(exc, "msg", None) or str(exc) or type(exc).__name__
-        raise ExpressionError(f"cannot parse {text!r}: {reason}") from None
+        raise ExpressionError(f"cannot parse {_quoted(text)}: {reason}") from None
     uses_measure = any(getattr(n, "id", None) == "center" for n in ast.walk(tree))
     return Expression(text=text, requires_measure=uses_measure, _builder=builder)

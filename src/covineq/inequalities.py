@@ -94,6 +94,8 @@ def _holder_conjugate(p: float) -> float:
 
 
 def _check_p(p, *, open_left=False) -> float:
+    if isinstance(p, (bool, np.bool_)):
+        raise DomainError(f"exponent must be a number, got {p!r}")
     p = float(p)
     if math.isnan(p) or p < 1.0 or (open_left and p == 1.0):
         low = "> 1" if open_left else ">= 1"
@@ -735,7 +737,7 @@ def check_logconcave_moments(m, p) -> InequalityCertificate:
     At p = 2 this cubes to the third-moment bound E|X|³ ≤ 4√3·(EX²)^{3/2};
     both cubed sides are recorded in ``side_conditions`` for that case.
     """
-    if m.log_concavity == "none":
+    if not m.log_concave:
         raise UnsupportedMeasureError(
             f"{m.label} is not flagged log-concave; the moment bound needs it"
         )

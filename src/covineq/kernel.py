@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import measures, quadrature
+from . import measures
 from .certificates import InequalityCertificate, certify
 from .errors import DomainError
 
@@ -79,11 +79,8 @@ def covariance_kernel(m, g, h) -> float:
 
     def build():
         w = tail_weight(m, h)
-        lo, hi = m.integration_domain()
-        return quadrature.integrate(
-            lambda x: np.asarray(g.deriv(x), dtype=float) * w(x),
-            lo, hi, knots=(*m.knots, *g.knots, *h.knots, m.median()),
-        )
+        return m.integral(lambda x: np.asarray(g.deriv(x), dtype=float) * w(x),
+                          (*g.knots, *h.knots, m.median()))
 
     return m.memo(("covariance", g, h), build)
 
@@ -92,10 +89,9 @@ def _tail_identity(m, h, z, side) -> tuple[float, float]:
     z = float(z)
     below, above = _w_forms(m, m.cumulative(h))
     lhs = (below if side == "left" else above)(z)
-    lo, hi = m.integration_domain()
-    rhs = quadrature.integrate(
+    rhs = m.integral(
         lambda y: kernel_eval(m, z, y) * np.asarray(h.deriv(y), dtype=float),
-        lo, hi, knots=(*m.knots, *h.knots, z),
+        (*h.knots, z),
     )
     return float(lhs), float(rhs)
 

@@ -7,12 +7,14 @@ distribution's; ``from_scipy`` wraps any frozen scipy-like distribution, and
 tabulated densities are ingested as a piecewise-linear pdf with an exact
 piecewise-quadratic cdf and its inverse.
 
-``Measure.expectation`` and ``Measure.cumulative`` are the only integrals
-against μ in the package; every other one (lp_norm, the kernel's tail
-weights, T_k, the moment and Orlicz checks) is built on them.  They run in
-x-space: g(x)·f(x) is integrated adaptively over [quantile(1e-300),
-isf(1e-300)] (exact endpoints where the support is bounded).  Upper-tail
-quantiles always go through the survival function, never through 1−t.
+Every quadrature in the package is set up by ``Measure.integral`` (∫ f dx,
+for the kernel's dx integrals), ``Measure.expectation`` or
+``Measure.cumulative`` (against μ); every other integral (lp_norm, the
+kernel's tail weights, T_k, the moment and Orlicz checks) is built on them.
+They run in x-space, adaptively over [quantile(1e-300), isf(1e-300)] (exact
+endpoints where the support is bounded), seeded at the measure's knots.
+Upper-tail quantiles always go through the survival function, never
+through 1−t.
 """
 
 from __future__ import annotations
@@ -31,16 +33,14 @@ from . import quadrature, search
 from .errors import DomainError, IngestionError, UnsupportedMeasureError
 from .numerics import active
 
-# log-concavity flags
-LOG_CONCAVITY_NONE = "none"
-LOG_CONCAVE = "log_concave"
-STRICTLY_LOG_CONCAVE = "strictly_log_concave"
-
 _TAIL_EPS = 1e-300  # quantile depth standing in for an infinite endpoint
 
 
 def lp_exponent(p) -> float:
-    """p as a float; DomainError unless p ≥ 1 (p = inf included, NaN not)."""
+    """p as a float; DomainError unless p ≥ 1 (p = inf included, NaN and
+    booleans not)."""
+    if isinstance(p, (bool, np.bool_)):
+        raise DomainError(f"lp_norm requires a number p >= 1, got {p!r}")
     if not float(p) >= 1.0:
         raise DomainError(f"lp_norm requires p >= 1, got {float(p)}")
     return float(p)
@@ -51,6 +51,7 @@ class Measure:
     """A probability measure on an interval with strictly positive density.
 
     ``dist`` is any frozen scipy-like object exposing pdf/cdf/sf/ppf/isf;
+    ``log_concave`` says the density is log-concave, and
     ``potential_second_derivative`` is φ'' for the potential φ = −log f and
     is present exactly when the measure is strictly log-concave.  ``knots``
     are density kinks strictly inside the support (panel seeds for
@@ -68,7 +69,7 @@ class Measure:
     params: dict
     dist: Any
     support: tuple[float, float]
-    log_concavity: str = LOG_CONCAVITY_NONE
+    log_concave: bool = False
     potential_second_derivative: Callable | None = None
     knots: tuple[float, ...] = ()
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -115,13 +116,18 @@ class Measure:
         hi = b if math.isfinite(b) else float(self.dist.isf(_TAIL_EPS))
         return lo, hi
 
+    def integral(self, f, knots=()) -> float:
+        """∫ f dx over ``integration_domain()``, panels seeded at the
+        measure's knots and ``knots``; f carries any density it needs."""
+        return self._quadrature("integrate", f, knots)
+
     def expectation(self, g, knots=()) -> float:
         """∫ g dμ to the active tolerances; IntegrationError on divergence.
 
         Panels are seeded at ``g.knots``, the measure's knots and the extra
         ``knots``: kinks that g cannot list itself, such as a split point.
         """
-        return self._against(quadrature.integrate, g, knots)
+        return self._against("integrate", g, knots)
 
     def cumulative(self, g, knots=()) -> quadrature.CumulativeIntegral:
         """Prefix/suffix queries x ↦ ∫_{(lo,x)} g dμ and ∫_{(x,hi)} g dμ,
@@ -130,14 +136,19 @@ class Measure:
         h with the same knots, a centered h₀ included."""
         knots = tuple(knots)
         return self.memo(("cumulative", g, knots),
-                         lambda: self._against(quadrature.cumulative, g, knots))
+                         lambda: self._against("cumulative", g, knots))
 
-    def _against(self, integrator, g, knots):
-        lo, hi = self.integration_domain()
-        return integrator(
-            lambda x: np.asarray(g(x), dtype=float) * self.pdf(x),
-            lo, hi, knots=(*getattr(g, "knots", ()), *self.knots, *knots),
+    def _against(self, engine, g, knots):
+        return self._quadrature(
+            engine, lambda x: np.asarray(g(x), dtype=float) * self.pdf(x),
+            (*getattr(g, "knots", ()), *knots),
         )
+
+    def _quadrature(self, engine, f, knots):
+        """``quadrature.<engine>`` of f over the window, looked up on the
+        module at each call, so that a wrapper set there sees every one."""
+        lo, hi = self.integration_domain()
+        return getattr(quadrature, engine)(f, lo, hi, knots=(*knots, *self.knots))
 
     def lp_norm(self, g, p, knots=()) -> float:
         """‖g‖_p = (∫|g|^p dμ)^(1/p) for real p ≥ 1; p = inf is ``ess_sup``.
@@ -454,7 +465,7 @@ def gaussian(mean=0.0, sd=1.0) -> Measure:
         params={"mean": mean, "sd": sd},
         dist=_LocScaleDist(_NORM, mean, sd),
         support=(-math.inf, math.inf),
-        log_concavity=STRICTLY_LOG_CONCAVE,
+        log_concave=True,
         potential_second_derivative=lambda x: np.full_like(
             np.asarray(x, dtype=float), inv
         ),
@@ -469,7 +480,7 @@ def laplace(loc=0.0, scale=1.0) -> Measure:
         params={"loc": loc, "scale": scale},
         dist=_LocScaleDist(_LAPLACE, loc, scale),
         support=(-math.inf, math.inf),
-        log_concavity=LOG_CONCAVE,
+        log_concave=True,
         knots=(loc,),
     )
 
@@ -481,7 +492,7 @@ def exponential(rate=1.0) -> Measure:
         params={"rate": rate},
         dist=_LocScaleDist(_EXPON, 0.0, 1.0 / rate),
         support=(0.0, math.inf),
-        log_concavity=LOG_CONCAVE,
+        log_concave=True,
     )
 
 
@@ -495,7 +506,7 @@ def uniform(lo=0.0, hi=1.0) -> Measure:
         params={"lo": lo, "hi": hi},
         dist=_LocScaleDist(_UNIFORM, lo, hi - lo),
         support=(lo, hi),
-        log_concavity=LOG_CONCAVE,
+        log_concave=True,
     )
 
 
@@ -514,7 +525,7 @@ def logistic(loc=0.0, scale=1.0) -> Measure:
         params={"loc": loc, "scale": scale},
         dist=_LocScaleDist(_LOGISTIC, loc, scale),
         support=(-math.inf, math.inf),
-        log_concavity=STRICTLY_LOG_CONCAVE,
+        log_concave=True,
         potential_second_derivative=phi2,
     )
 
@@ -524,14 +535,9 @@ def beta(alpha, beta, scale=1.0) -> Measure:
     alpha = _validated("alpha", alpha, positive=True)
     beta = _validated("beta", beta, positive=True)
     scale = _validated("scale", scale, positive=True)
-    if alpha >= 1.0 and beta >= 1.0:
-        concavity = (
-            STRICTLY_LOG_CONCAVE if max(alpha, beta) > 1.0 else LOG_CONCAVE
-        )
-    else:
-        concavity = LOG_CONCAVITY_NONE
+    log_concave = alpha >= 1.0 and beta >= 1.0
     phi2 = None
-    if concavity == STRICTLY_LOG_CONCAVE:
+    if log_concave and max(alpha, beta) > 1.0:
 
         def phi2(x):
             u = np.asarray(x, dtype=float) / scale
@@ -548,7 +554,7 @@ def beta(alpha, beta, scale=1.0) -> Measure:
         params=params,
         dist=_LocScaleDist(_beta_standard(alpha, beta), 0.0, scale),
         support=(0.0, scale),
-        log_concavity=concavity,
+        log_concave=log_concave,
         potential_second_derivative=phi2,
     )
 
@@ -596,7 +602,7 @@ def from_scipy(
     dist,
     family="custom",
     params=None,
-    log_concavity=LOG_CONCAVITY_NONE,
+    log_concave=False,
     potential_second_derivative=None,
     knots=(),
 ) -> Measure:
@@ -607,7 +613,7 @@ def from_scipy(
         params=dict(params or {}),
         dist=dist,
         support=(a, b),
-        log_concavity=log_concavity,
+        log_concave=log_concave,
         potential_second_derivative=potential_second_derivative,
         knots=tuple(knots),
     )
@@ -716,7 +722,6 @@ def ingest_tabulated(nodes, values) -> Measure:
         params={"n": len(xs)},
         dist=dist,
         support=(float(xs[0]), float(xs[-1])),
-        log_concavity=LOG_CONCAVITY_NONE,
         knots=tuple(float(x) for x in xs[1:-1]),
     )
 

@@ -15,7 +15,6 @@ anywhere in the sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,21 +81,6 @@ def _random_battery(m, rng, seed) -> list:
     return fns
 
 
-def _placeholder(name, params, tol) -> InequalityCertificate:
-    nan = math.nan
-    return InequalityCertificate(
-        name=name,
-        params=dict(params),
-        lhs=nan,
-        rhs=nan,
-        ratio=nan,
-        slack=nan,
-        side_conditions={},
-        passed=False,
-        tol=tol,
-    )
-
-
 def _grid_points(grid: dict):
     """Cartesian product of the grid, keys in sorted order, values in order."""
     keys = sorted(grid)
@@ -129,48 +113,25 @@ def run(config) -> RunResult:
             try:
                 prof = isoperimetric_constant(m)
             except CovineqError as exc:
-                entries.append(
-                    (
-                        _placeholder("isoperimetric_constant", params, pass_tol),
-                        exc.status,
-                    )
-                )
-                prof = None
-            if prof is not None:
+                cert = InequalityCertificate("isoperimetric_constant", params, tol=pass_tol)
+                entries.append((cert, exc.status))
+            else:
                 v = prof.is_value
-                entries.append(
-                    (
-                        InequalityCertificate(
-                            name="isoperimetric_constant",
-                            params=params,
-                            lhs=v,
-                            rhs=v,
-                            ratio=1.0,
-                            slack=0.0,
-                            side_conditions={"argmin_t": prof.argmin_t},
-                            passed=True,
-                            tol=pass_tol,
-                            uninformative=prof.diverging_tail,
-                        ),
-                        "info",
-                    )
+                cert = InequalityCertificate(
+                    "isoperimetric_constant", params, lhs=v, rhs=v, ratio=1.0,
+                    slack=0.0, side_conditions={"argmin_t": prof.argmin_t},
+                    passed=True, tol=pass_tol, uninformative=prof.diverging_tail,
                 )
+                entries.append((cert, "info"))
 
             battery = []
             for expr in config.functions:
                 try:
                     battery.append(expr.bind(m))
                 except CovineqError as exc:
-                    entries.append(
-                        (
-                            _placeholder(
-                                "function_battery",
-                                {"family": m.label, "g": expr.text},
-                                pass_tol,
-                            ),
-                            exc.status,
-                        )
-                    )
+                    pp = {"family": m.label, "g": expr.text}
+                    cert = InequalityCertificate("function_battery", pp, tol=pass_tol)
+                    entries.append((cert, exc.status))
             if rng is not None:
                 battery.extend(_random_battery(m, rng, config.seed))
 
@@ -186,7 +147,7 @@ def run(config) -> RunResult:
                             pp = {"family": m.label, **point}
                             if check.needs_function:
                                 pp[check.fn_key] = args[1].descriptor
-                            cert = _placeholder(spec.name, pp, pass_tol)
+                            cert = InequalityCertificate(spec.name, pp, tol=pass_tol)
                             status = exc.status
                         entries.append((cert, status))
 

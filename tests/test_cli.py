@@ -98,6 +98,8 @@ class TestVerify:
         )
         assert code == 2 and out == ""
         assert err.startswith("config error: functions[0]: cannot parse")
+        # one line, the expression cut to its head, tail and length
+        assert err.count("\n") == 1 and len(err) <= 300, err
 
     def test_config_file_not_an_object(self, capsys, tmp_path):
         p = tmp_path / "run.json"

@@ -250,3 +250,22 @@ class TestExpressions:
         # overflow, digit-limit, parser-stack, length, recursion and warning paths
         with pytest.raises(ExpressionError):
             F.parse_expression(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [pytest.param("*".join(["x"] * 2000), id="product-of-2000"),
+         pytest.param("ramp(" + ",".join(["1"] * 3001) + ")", id="ramp-3001-args"),
+         pytest.param("sgnpow(" + "x" * 500 + ")", id="long-got-fragment"),
+         pytest.param("*".join(["x"] * 200_000), id="product-of-200000")],
+    )
+    def test_long_text_is_quoted_by_head_tail_and_length(self, bad):
+        with pytest.raises(ExpressionError) as info:
+            F.parse_expression(bad)
+        msg = str(info.value)
+        assert len(msg) <= 300, msg
+        assert repr(bad[:20])[:-1] in msg and repr(bad[-10:])[1:] in msg
+        assert f"({len(bad)} characters)" in msg
+
+    def test_short_text_is_quoted_whole(self):
+        with pytest.raises(ExpressionError, match=r"cannot parse 'ramp\(1\)'"):
+            F.parse_expression("ramp(1)")

@@ -255,7 +255,7 @@ class TestHardy:
         with pytest.raises(DomainError):
             kernel.hardy_certificate(measures.laplace(0, 1), x, 0.0, 1.0)
 
-    @pytest.mark.parametrize("p", [0.5, math.nan])
+    @pytest.mark.parametrize("p", [0.5, math.nan, True])
     def test_t_norm_rejects_p_before_building(self, monkeypatch, p):
         builds = []
         real = quadrature.cumulative

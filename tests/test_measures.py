@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import covineq
-from covineq import functions, isoperimetry, kernel, measures
+from covineq import config, functions, inequalities, isoperimetry, kernel, measures
+from covineq import quadrature, runner
 from covineq.errors import IngestionError, IntegrationError, UnsupportedMeasureError
 from covineq.numerics import NumericContext, numeric_context
 
@@ -237,6 +238,62 @@ def test_from_scipy_labels():
     assert abs(m.median() - 0.0) < 1e-9
     with pytest.raises(UnsupportedMeasureError):
         m.rescale(2.0)
+
+
+@pytest.mark.parametrize(
+    "m, log_concave, strict",
+    [
+        (measures.gaussian(0, 1), True, True),
+        (measures.laplace(0, 1), True, False),
+        (measures.exponential(1), True, False),
+        (measures.uniform(0, 1), True, False),
+        (measures.logistic(0, 1), True, True),
+        (measures.beta(1, 1), True, False),
+        (measures.beta(2, 3), True, True),
+        (measures.beta(0.5, 2), False, False),
+        (measures.ingest_tabulated(np.linspace(-1, 1, 9), np.ones(9)), False, False),
+        (measures.from_scipy(scipy.stats.gumbel_r()), False, False),
+    ],
+    ids=lambda v: v.label if isinstance(v, measures.Measure) else None,
+)
+def test_log_concavity_flags(m, log_concave, strict):
+    # strict log-concavity is the presence of φ''; there is no second flag
+    assert m.log_concave is log_concave
+    assert (m.potential_second_derivative is not None) is strict
+
+
+class TestQuadratureSetup:
+    """Every quadrature of the package is set up by ``Measure``."""
+
+    @pytest.fixture()
+    def callers(self, monkeypatch):
+        # the module of each quadrature.integrate/cumulative caller
+        seen = []
+        for name in ("integrate", "cumulative"):
+            real = getattr(quadrature, name)
+
+            def spy(*args, real=real, **kwargs):
+                seen.append(sys._getframe(1).f_globals["__name__"])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(quadrature, name, spy)
+        return seen
+
+    def test_only_measures_calls_the_engine(self, callers):
+        m = measures.gaussian(0, 1)  # a fresh measure: nothing is memoized
+        kernel.covariance_kernel(m, x, functions.monomial(3))
+        kernel.tail_identity_left(m, x, 0.3)
+        kernel.tail_identity_right(m, x, 0.3)
+        kernel.t_transform(m, functions.monomial(2), 0.3)(0.5)
+        inequalities.orlicz_norm(m, x, inequalities.young_psi1())
+        runner.run(config.parse_config(config.default_config_dict()))
+        assert len(callers) > 100 and set(callers) == {"covineq.measures"}
+
+    def test_integral_is_lebesgue_over_the_window(self):
+        m = measures.uniform(0, 2)
+        assert abs(m.integral(lambda t: np.asarray(t, dtype=float) ** 2) - 8 / 3) < 1e-13
+        # a kink the integrand cannot list is a seed, as in expectation
+        assert abs(m.integral(lambda t: np.abs(t - 0.7), (0.7,)) - 1.09) < 1e-13
 
 
 def test_probe_points_sorted_interior():

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 
+from covineq import functions as fn
 from covineq import inequalities as ineq
 from covineq import measures
 from covineq.errors import (
@@ -60,6 +62,18 @@ class TestMomentComparison:
     def test_p_one_rejected(self, lap):
         with pytest.raises(DomainError):
             ineq.check_moment_comparison(lap, 1)
+
+    @pytest.mark.parametrize("p", [True, np.True_])
+    def test_boolean_p_rejected(self, lap, p):
+        # config rejects "p": [true]; the API must not read True as p = 1
+        for call in (
+            lambda: ineq.check_moment_growth(lap, p),
+            lambda: ineq.check_moment_comparison(lap, p),
+            lambda: ineq.young_power(p),
+            lambda: lap.lp_norm(fn.monomial(1), p),
+        ):
+            with pytest.raises(DomainError):
+                call()
 
     def test_uncentered_measure_rejected(self, expo):
         with pytest.raises(HypothesisViolatedError):

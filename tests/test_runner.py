@@ -3,12 +3,13 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
 from covineq import config as cfg
 from covineq import inequalities, isoperimetry, kernel, runner, search
-from covineq.certificates import certify
+from covineq.certificates import InequalityCertificate, certify
 
 
 def small_config(**overrides):
@@ -72,6 +73,11 @@ class TestRun:
         skipped = [r for r in rows_of(res.report) if r["status"].startswith("skip")]
         assert skipped and all(r["pass"] == "" for r in skipped)
         assert all(r["lhs"] == "nan" for r in skipped)
+        # the row a raising cell gets: no values and no verdict by default
+        bare = InequalityCertificate("c", {})
+        for v in (bare.lhs, bare.rhs, bare.ratio, bare.slack):
+            assert math.isnan(v)
+        assert bare.passed is False
 
     def test_integration_failure_yields_exit_3_and_partial_report(self):
         res = runner.run(small_config(measures=["beta:0.5,0.5"]))
