@@ -8,7 +8,6 @@ tightness ratios.
 """
 
 from .certificates import (
-    DEFAULT_PASS_TOL,
     InequalityCertificate,
     certify,
     to_csv,
@@ -80,7 +79,7 @@ from .measures import (
     logistic,
     uniform,
 )
-from .numerics import NumericContext, numeric_context
+from .numerics import DEFAULT_PASS_TOL, NumericContext, numeric_context
 from .runner import RunResult, run
 
 __version__ = "0.1.0"

@@ -6,6 +6,11 @@ side conditions that were verified numerically, and the tolerance itself,
 so a report line is meaningful in isolation.  ``certify`` takes the pass
 tolerance and the rhs scale from the active numerics.NumericContext.
 
+One verdict rule: a row's ``status`` is its verdict; ``passed``, the pass
+cell and the exit code are read from it.  ``certify`` sets ``ok`` or ``fail``
+(the mean-median sandwich also fails on its lower inequality), the runner's
+Is row is ``info``, and a cell that raised gets its error's ``status``.
+
 One vacuity rule: a certificate whose rhs, after the rhs scale, is not
 finite is ``uninformative`` (Is(μ) = 0 makes every 1/Is-controlled rhs
 +inf, or NaN where a norm is 0).  The runner's Is info row is not built
@@ -20,15 +25,17 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .numerics import DEFAULT_PASS_TOL, active
+from .errors import CovineqError
+from .numerics import active
 
-CSV_HEADER = ["name", "family", "params", "p", "lhs", "rhs", "ratio", "slack", "pass"]
+CSV_HEADER = ["name", "family", "params", "p", "lhs", "rhs", "ratio", "slack",
+              "pass", "status"]
 
 
 @dataclass(frozen=True, eq=False)
 class InequalityCertificate:
-    """One report row.  Given only a name, params and tol, it is the
-    verdict-less row of a cell that raised: NaN values, not passed."""
+    """One report row.  Given only a name and params, it is the row of a
+    cell that raised: NaN values, status ``error:computation``, not passed."""
 
     name: str
     params: dict
@@ -37,9 +44,13 @@ class InequalityCertificate:
     ratio: float = math.nan
     slack: float = math.nan
     side_conditions: dict = field(default_factory=dict)
-    passed: bool = False
-    tol: float = DEFAULT_PASS_TOL
+    status: str = CovineqError.status
+    tol: float = field(default_factory=lambda: float(active().pass_tol))
     uninformative: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return self.status in ("ok", "info")
 
     def describe(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -75,8 +86,7 @@ def certify(
         ratio=ratio,
         slack=rhs - lhs,
         side_conditions={k: float(v) for k, v in (side_conditions or {}).items()},
-        passed=bool(lhs <= rhs * (1.0 + ctx.pass_tol)),
-        tol=float(ctx.pass_tol),
+        status="ok" if lhs <= rhs * (1.0 + ctx.pass_tol) else "fail",
         uninformative=not math.isfinite(rhs),
     )
 
@@ -93,6 +103,11 @@ def _params_text(params: dict) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in items)
 
 
+def _pass_value(cert: InequalityCertificate):
+    """The pass cell: None for a skipped or errored row, which has no verdict."""
+    return None if cert.status.startswith(("skip", "error")) else cert.passed
+
+
 def _row(cert: InequalityCertificate) -> list[str]:
     return [
         cert.name,
@@ -103,28 +118,21 @@ def _row(cert: InequalityCertificate) -> list[str]:
         _fmt(cert.rhs),
         _fmt(cert.ratio),
         _fmt(cert.slack),
-        "true" if cert.passed else "false",
+        {True: "true", False: "false", None: ""}[_pass_value(cert)],
+        cert.status,
     ]
 
 
-def to_csv(certs, statuses=None, quad_tol=None) -> str:
-    """CSV report; pass per-certificate ``statuses`` to add a status column.
+def to_csv(certs, quad_tol=None) -> str:
+    """CSV report, one row per certificate with its status.
 
     The trailing comment lines record the tolerances in force, without which
     a pass/fail column cannot be interpreted.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = list(CSV_HEADER) + (["status"] if statuses is not None else [])
-    writer.writerow(header)
-    for i, cert in enumerate(certs):
-        row = _row(cert)
-        if statuses is not None:
-            # skipped/errored cells carry no verdict; blank out the pass cell
-            if statuses[i].startswith(("skip", "error")):
-                row[-1] = ""
-            row.append(statuses[i])
-        writer.writerow(row)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(_row(cert) for cert in certs)
     tols = sorted({c.tol for c in certs})
     buf.write(f"# pass_tol={','.join(f'{t:g}' for t in tols) or 'n/a'}\n")
     if quad_tol is not None:
@@ -139,9 +147,9 @@ def _json_num(v):
     return v
 
 
-def to_json(certs, statuses=None, quad_tol=None) -> str:
+def to_json(certs, quad_tol=None) -> str:
     out = []
-    for i, cert in enumerate(certs):
+    for cert in certs:
         obj = {
             "name": cert.name,
             "params": {k: _json_num(v) for k, v in cert.params.items()},
@@ -152,14 +160,11 @@ def to_json(certs, statuses=None, quad_tol=None) -> str:
             "side_conditions": {
                 k: _json_num(v) for k, v in cert.side_conditions.items()
             },
-            "pass": cert.passed,
+            "pass": _pass_value(cert),
             "tol": cert.tol,
             "uninformative": cert.uninformative,
+            "status": cert.status,
         }
-        if statuses is not None:
-            obj["status"] = statuses[i]
-            if statuses[i].startswith(("skip", "error")):
-                obj["pass"] = None
         if quad_tol is not None:
             obj["quadrature_rel_tol"] = quad_tol
         out.append(obj)

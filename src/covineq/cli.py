@@ -220,10 +220,9 @@ def _cmd_sharpness(args) -> int:
     ks = _float_list(args.k, "--k")
     with _numerics(args):
         certs = inequalities.sharpness_sweep(m, args.p, ks)
-    statuses = tuple("ok" if c.passed else "fail" for c in certs)
     serializer = to_csv if (args.format or "csv") == "csv" else to_json
-    _emit(serializer(certs, statuses=statuses), args.output)
-    return 0 if all(c.passed for c in certs) else runner.EXIT_CERT_FAILURE
+    _emit(serializer(certs), args.output)
+    return runner.exit_code(certs)
 
 
 def _cmd_best_constant(args) -> int:

@@ -140,7 +140,7 @@ def constant(c) -> DifferentiableFunction:
     def dv(x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    return DifferentiableFunction(ev, dv, (), f"affine({c:g})")
+    return DifferentiableFunction(ev, dv, (), f"constant({c:g})")
 
 
 def shifted(g: DifferentiableFunction, c) -> DifferentiableFunction:

@@ -406,7 +406,7 @@ def check_mean_median_sandwich(m, g) -> InequalityCertificate:
     """E|g − med(g)| ≤ E|g − Eg| ≤ 2·E|g − med(g)|.
 
     The certificate's lhs/rhs carry the upper inequality; the lower one
-    is folded into ``pass`` and recorded under ``side_conditions``.
+    sets ``status`` and is recorded under ``side_conditions``.
     Deviations below 1e-12·|E g|, quadrature noise relative to the mean,
     collapse to zero, so an (effectively) constant g certifies 0 ≤ 0.
     """
@@ -423,9 +423,8 @@ def check_mean_median_sandwich(m, g) -> InequalityCertificate:
         params={"family": m.label, "g": g.descriptor},
         side_conditions={"median_abs_dev": med_dev, "mean_abs_dev": mean_dev},
     )
-    lower_ok = med_dev <= mean_dev * (1.0 + cert.tol) + 1e-300
-    if not lower_ok:
-        cert = dataclasses.replace(cert, passed=False)
+    if not med_dev <= mean_dev * (1.0 + cert.tol) + 1e-300:
+        cert = dataclasses.replace(cert, status="fail")
     return cert
 
 

@@ -5,12 +5,7 @@ function-battery checks and (measure x check x grid-point) for measure-level
 checks.  A cell that raises a library error is recorded in the report with
 the error class's ``status`` (skip:* for inapplicable cells, error:* for
 numerical failures; see ``errors``) instead of aborting the sweep, and any
-other exception propagates; the exit code summarizes the worst outcome.
-
-Exit codes: 0 all executed certificates pass, 1 at least one certificate
-fails beyond tolerance, 2 config error (raised by the config parser before
-this module runs, or a ``config`` status in a cell), 3 numerical failure
-anywhere in the sweep.
+other exception propagates; ``exit_code`` reads the worst outcome.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from .inequalities import CHECKS
 from .isoperimetry import isoperimetric_constant
 from .numerics import numeric_context
 
-__all__ = ["RunResult", "near_extremal_increasing", "run"]
+__all__ = ["RunResult", "exit_code", "near_extremal_increasing", "run"]
 
 EXIT_PASS = 0
 EXIT_CERT_FAILURE = 1
@@ -37,12 +32,32 @@ _BATTERY_SIZE = 2
 _BATTERY_NODES = 6
 
 
+def exit_code(certs) -> int:
+    """The worst outcome among the rows' statuses: 3 for any ``error:*``, else
+    2 for a ``config`` cell (the parser raises its own before any cell runs),
+    else 1 if a certificate fails beyond tolerance, else 0."""
+    statuses = [c.status for c in certs]
+    if any(s.startswith("error") for s in statuses):
+        return EXIT_NUMERICAL
+    if "config" in statuses:
+        return EXIT_CONFIG_ERROR
+    if "fail" in statuses:
+        return EXIT_CERT_FAILURE
+    return EXIT_PASS
+
+
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    exit_code: int
     report: str
     certificates: tuple
-    statuses: tuple
+
+    @property
+    def statuses(self) -> tuple:
+        return tuple(c.status for c in self.certificates)
+
+    @property
+    def exit_code(self) -> int:
+        return exit_code(self.certificates)
 
 
 def near_extremal_increasing(m) -> functions.DifferentiableFunction:
@@ -103,9 +118,8 @@ def _sort_key(cert: InequalityCertificate):
 
 def run(config) -> RunResult:
     """Execute every cell of the config; always produce a full report."""
-    entries = []  # (certificate, status)
+    certs = []
     rng = np.random.default_rng(config.seed) if config.seed is not None else None
-    pass_tol = config.numerics.pass_tol
 
     with numeric_context(config.numerics):
         for m in config.measures:
@@ -113,16 +127,16 @@ def run(config) -> RunResult:
             try:
                 prof = isoperimetric_constant(m)
             except CovineqError as exc:
-                cert = InequalityCertificate("isoperimetric_constant", params, tol=pass_tol)
-                entries.append((cert, exc.status))
+                certs.append(InequalityCertificate(
+                    "isoperimetric_constant", params, status=exc.status
+                ))
             else:
                 v = prof.is_value
-                cert = InequalityCertificate(
+                certs.append(InequalityCertificate(
                     "isoperimetric_constant", params, lhs=v, rhs=v, ratio=1.0,
                     slack=0.0, side_conditions={"argmin_t": prof.argmin_t},
-                    passed=True, tol=pass_tol, uninformative=prof.diverging_tail,
-                )
-                entries.append((cert, "info"))
+                    status="info", uninformative=prof.diverging_tail,
+                ))
 
             battery = []
             for expr in config.functions:
@@ -130,8 +144,9 @@ def run(config) -> RunResult:
                     battery.append(expr.bind(m))
                 except CovineqError as exc:
                     pp = {"family": m.label, "g": expr.text}
-                    cert = InequalityCertificate("function_battery", pp, tol=pass_tol)
-                    entries.append((cert, exc.status))
+                    certs.append(InequalityCertificate(
+                        "function_battery", pp, status=exc.status
+                    ))
             if rng is not None:
                 battery.extend(_random_battery(m, rng, config.seed))
 
@@ -142,36 +157,17 @@ def run(config) -> RunResult:
                     for point in _grid_points(spec.grid):
                         try:
                             cert = check.call(*args, **point)
-                            status = "ok" if cert.passed else "fail"
                         except CovineqError as exc:
                             pp = {"family": m.label, **point}
                             if check.needs_function:
                                 pp[check.fn_key] = args[1].descriptor
-                            cert = InequalityCertificate(spec.name, pp, tol=pass_tol)
-                            status = exc.status
-                        entries.append((cert, status))
+                            cert = InequalityCertificate(spec.name, pp, status=exc.status)
+                        certs.append(cert)
 
-    entries.sort(key=lambda e: _sort_key(e[0]))
-    certs = tuple(c for c, _ in entries)
-    statuses = tuple(s for _, s in entries)
+    certs.sort(key=_sort_key)
     serializer = to_csv if config.output_format == "csv" else to_json
-    report = serializer(certs, statuses=statuses, quad_tol=config.numerics.rel_tol)
-
-    if any(s.startswith("error") for s in statuses):
-        code = EXIT_NUMERICAL
-    elif "config" in statuses:
-        code = EXIT_CONFIG_ERROR
-    elif "fail" in statuses:
-        code = EXIT_CERT_FAILURE
-    else:
-        code = EXIT_PASS
-
+    report = serializer(certs, quad_tol=config.numerics.rel_tol)
     if config.output_path is not None:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(report)
-    return RunResult(
-        exit_code=code,
-        report=report,
-        certificates=certs,
-        statuses=statuses,
-    )
+    return RunResult(report=report, certificates=tuple(certs))

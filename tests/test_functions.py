@@ -38,6 +38,11 @@ def test_ramp_saturates_exactly():
     assert r.knots == (0.3 - 1e-2, 0.3 + 1e-2)
 
 
+def test_constant_is_named_by_its_builder():
+    c = F.constant(3.0)
+    assert (c(5.0), c.deriv(5.0), c.descriptor) == (3.0, 0.0, "constant(3)")
+
+
 def test_centered_subtracts_mean():
     c2 = F.centered(F.monomial(2), M.uniform(0, 1))
     assert abs(c2(1.0) - (1 - 1 / 3)) < 1e-12

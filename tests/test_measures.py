@@ -1,5 +1,6 @@
 """Measure construction, moments, rescaling, and tabulated ingestion."""
 
+import bisect
 import math
 import os
 import subprocess
@@ -400,6 +401,47 @@ def test_tabulated_quantile_ends_and_nan():
         assert list(d.ppf([0.0, 1.0])) == [lo, hi]
         assert list(d.isf([1.0, 0.0])) == [lo, hi]
         assert np.isnan(d.ppf(np.nan)) and np.isnan(d.isf(np.nan))
+
+
+def _mp_masses_left(xs, ds, pts):
+    """The mass left of each point under the density ds/∫ds, piecewise linear
+    on xs: the exact piecewise-quadratic integral, in mpmath at the working
+    precision."""
+    xs = [mp.mpf(float(v)) for v in xs]
+    ds = [mp.mpf(float(v)) for v in ds]
+    cum = [mp.mpf(0)]
+    for i in range(len(xs) - 1):
+        cum.append(cum[-1] + (xs[i + 1] - xs[i]) * (ds[i] + ds[i + 1]) / 2)
+    out = []
+    for v in pts:
+        if not math.isfinite(v):
+            out.append(mp.mpf(int(v > 0)))
+            continue
+        x = mp.mpf(float(v))
+        i = min(max(bisect.bisect_right(xs, x) - 1, 0), len(xs) - 2)
+        h = xs[i + 1] - xs[i]
+        u = min(max(x - xs[i], 0), h)
+        out.append((cum[i] + u * (ds[i] + (ds[i + 1] - ds[i]) / h * u / 2)) / cum[-1])
+    return out
+
+
+def test_tabulated_cdf_and_sf_match_mpmath(tab_laplace_file):
+    d = measures.load_tabulated(tab_laplace_file).dist
+    # nodes and three interior points of each of the 200 segments, and
+    # points past both ends of the table
+    inner = d.xs[:-1, None] + np.array([0.0, 0.1, 0.5, 0.93]) * np.diff(d.xs)[:, None]
+    ends = [-math.inf, -1e3, -10.5, -10.0 - 1e-9, 10.0, 10.0 + 1e-9, 10.5, 1e3, math.inf]
+    pts = np.sort(np.concatenate([inner.ravel(), ends]))
+    with mp.workdps(50):
+        left = _mp_masses_left(d.xs, d.ds, pts)
+        want_cdf = np.array([float(m) for m in left])
+        want_sf = np.array([float(1 - m) for m in left])
+    for name, want in (("cdf", want_cdf), ("sf", want_sf)):
+        got = getattr(d, name)(pts)
+        assert np.all(got[want == 0.0] == 0.0), name
+        rel = np.abs(got - want)[want > 0] / want[want > 0]
+        assert np.max(rel) <= 1e-15, (name, float(np.max(rel)))
+    assert np.max(np.abs(d.cdf(pts) + d.sf(pts) - 1.0)) <= 2.0 ** -51
 
 
 def test_tabulated_quantiles_do_not_search(monkeypatch):

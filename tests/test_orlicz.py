@@ -85,6 +85,25 @@ class TestOrliczNorm:
         with pytest.raises(DivergentNormError):
             ineq.orlicz_norm(cauchy, x, ineq.young_power(1))
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            pytest.param(m, id=m.label, marks=pytest.mark.xfail(
+                strict=True,
+                reason="E exp(X²/λ) = ∞ for every λ, but the modular is read on "
+                "the quadrature window, so the norm comes out near its end, isf(1e-300)",
+            ))
+            for m in (measures.laplace(0, 1), measures.exponential(1))
+        ],
+    )
+    def test_psi1_of_x2_diverges_beyond_gaussian_tails(self, m):
+        with pytest.raises(DivergentNormError):
+            ineq.orlicz_norm(m, x2, ineq.young_psi1())
+
+    def test_psi1_of_x2_on_gaussian(self, gau):
+        # E exp(X²/λ) = (1 − 2/λ)^{−1/2} = 2 at λ = 8/3
+        assert abs(ineq.orlicz_norm(gau, x2, ineq.young_psi1()) - 8 / 3) < 1e-12
+
 
 class TestExactNorms:
     @pytest.fixture()

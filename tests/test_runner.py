@@ -8,8 +8,9 @@ import math
 import pytest
 
 from covineq import config as cfg
-from covineq import inequalities, isoperimetry, kernel, runner, search
-from covineq.certificates import InequalityCertificate, certify
+from covineq import functions, inequalities, isoperimetry, kernel, measures, runner, search
+from covineq.certificates import InequalityCertificate, certify, to_csv, to_json
+from covineq.errors import ComputationError
 
 
 def small_config(**overrides):
@@ -122,6 +123,90 @@ class TestRun:
         skipped = [r for r in rows if r["status"].startswith("skip")]
         assert skipped and all(r["pass"] is None for r in skipped)
         assert all(r["lhs"] is None for r in skipped)  # NaN sanitized
+
+
+class TestVerdict:
+    """A row's status is its verdict: pass cell, JSON pass and exit code follow it."""
+
+    def test_is_row_whose_profile_raised(self, monkeypatch):
+        def raising(m):
+            raise ComputationError("no profile")
+
+        monkeypatch.setattr(runner, "isoperimetric_constant", raising)
+        res = runner.run(small_config(checks=["cheeger"]))
+        iso = [c for c in res.certificates if c.name == "isoperimetric_constant"]
+        assert [c.status for c in iso] == ["error:computation"]
+        row = [r for r in rows_of(res.report) if r["name"] == "isoperimetric_constant"]
+        assert row[0]["pass"] == "" and row[0]["status"] == "error:computation"
+        assert res.exit_code == runner.EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_function_battery_row(self, output_format):
+        res = runner.run(small_config(
+            measures=["uniform:0,1"], functions=["center(x^-2)"], checks=["cheeger"],
+            output_format=output_format,
+        ))
+        if output_format == "csv":
+            rows = rows_of(res.report)
+            assert res.report.splitlines()[1].endswith(",,error:integration")
+            assert rows[0]["pass"] == ""
+        else:
+            rows = json.loads(res.report)
+            assert rows[0]["pass"] is None
+        assert rows[0]["name"] == "function_battery"
+        assert rows[0]["status"] == "error:integration"
+        assert res.exit_code == runner.EXIT_NUMERICAL
+
+    def test_sandwich_lower_inequality_fails(self, monkeypatch):
+        # a centre far off the median makes E|g − c| exceed E|g − Eg|
+        monkeypatch.setattr(inequalities, "_pushforward_median", lambda m, g: (50.0, ()))
+        c = inequalities.check_mean_median_sandwich(
+            measures.laplace(0, 1), functions.monomial(1)
+        )
+        assert c.lhs <= c.rhs  # the upper inequality alone would pass
+        assert c.status == "fail" and not c.passed
+
+    def test_serializers_write_each_rows_status(self):
+        certs = [
+            certify("a", lhs=1.0, rhs=2.0),
+            certify("b", lhs=2.0, rhs=1.0),
+            InequalityCertificate("c", {}, status="skip:domain"),
+            InequalityCertificate("d", {}),
+            InequalityCertificate("e", {}, lhs=1.0, rhs=1.0, status="info"),
+        ]
+        want = [
+            ("ok", "true"), ("fail", "false"), ("skip:domain", ""),
+            ("error:computation", ""), ("info", "true"),
+        ]
+        rows = rows_of(to_csv(certs))
+        assert [(r["status"], r["pass"]) for r in rows] == want
+        objs = json.loads(to_json(certs))
+        json_pass = {"true": True, "false": False, "": None}
+        assert [(o["status"], o["pass"]) for o in objs] == [
+            (s, json_pass[p]) for s, p in want
+        ]
+
+    @pytest.mark.parametrize(
+        "statuses, want",
+        [
+            ([], runner.EXIT_PASS),
+            (["ok", "info", "skip:hypothesis"], runner.EXIT_PASS),
+            (["ok", "fail", "skip:domain"], runner.EXIT_CERT_FAILURE),
+            (["fail", "config"], runner.EXIT_CONFIG_ERROR),
+            (["fail", "config", "error:integration", "ok"], runner.EXIT_NUMERICAL),
+            (["skip:unsupported-measure", "error:computation"], runner.EXIT_NUMERICAL),
+        ],
+    )
+    def test_exit_code_is_the_worst_status(self, statuses, want):
+        certs = [InequalityCertificate("c", {}, status=s) for s in statuses]
+        assert runner.exit_code(certs) == want
+
+    def test_describe_prints_the_verdict(self):
+        assert certify("a", lhs=1.0, rhs=2.0).describe().endswith(" PASS")
+        assert certify("b", lhs=2.0, rhs=1.0).describe().endswith(" FAIL")
+        vacuous = certify("c", lhs=1.0, rhs=math.inf).describe()
+        assert vacuous.endswith(" PASS (uninformative)")
+        assert InequalityCertificate("d", {}).describe().endswith(" FAIL")
 
 
 class TestDefaultSuite:
