@@ -144,13 +144,13 @@ def _run_suite(cfg_dict, args) -> int:
     result = runner.run(cfg)
     if cfg.output_path is None:
         sys.stdout.write(result.report)
-    n = len(result.statuses)
-    fails = sum(s == "fail" for s in result.statuses)
-    skips = sum(s.startswith("skip") for s in result.statuses)
-    errs = sum(s.startswith(("error", "config")) for s in result.statuses)
+    def count(*kinds):
+        return sum(s.startswith(kinds) for s in result.statuses)
+
     print(
-        f"{n} rows: {n - fails - skips - errs} ok, {fails} fail, "
-        f"{skips} skipped, {errs} errors",
+        f"{len(result.statuses)} rows: {count('ok')} ok, {count('info')} info, "
+        f"{count('fail')} fail, {count('skip')} skipped, "
+        f"{count('error', 'config')} errors",
         file=sys.stderr,
     )
     return result.exit_code

@@ -10,10 +10,16 @@ the tail identities.
 
 T_k conditionally averages h over the tail cut at the moving point:
 T_k h(x) = (∫_{−∞}^x h dF)/F(x) for x ≤ k and (∫_{(x,∞)} h dF)/(1−F(x))
-above.  Both numerator and denominator are prefix integrals from the same
-engine over the same panel layout, so the ratio stays stable deep in the
-tails and T_k 1 ≡ 1 holds exactly.  Both splits, W at the median and T_k
-at k, query each side only on the points of that side (``_split``).
+above.  Numerator and denominator are prefix (suffix) reads of two
+cumulatives, of h dF and of dF.  They share the engine, the window and
+the seed edges (the measure's knots and h's), but each partition is
+adapted on its own; on every pair of the default suite the two come out
+the same.  T reads both in one pass (``_tail_mean``): where a point's
+sub-panels agree, its 15 nodes and their density values serve both, so
+the density is evaluated once per node.  Each read accumulates from its
+own end, so the ratio stays stable deep in the tails, and T_k 1 ≡ 1
+holds exactly.  Both splits, W at the median and T_k at k, query each
+side only on the points of that side (``_split``).
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import measures
+from . import measures, quadrature
 from .certificates import InequalityCertificate, certify
 from .errors import DomainError
+from .numerics import active
 
 
 def kernel_eval(m, x, y):
@@ -107,27 +114,94 @@ def tail_identity_right(m, h, z) -> tuple[float, float]:
 
 
 def t_transform(m, h, k) -> Callable:
-    """T_k h over two cumulatives built here, of h dF and of dF (seeded
-    with h's knots); prefixes are queried at x ≤ k, suffixes above."""
+    """T_k h over two cumulatives of ``m``, of h dF and of dF (seeded with
+    h's knots): prefixes at x ≤ k, suffixes above, the numerator and the
+    mass of each point read in one pass (``_tail_mean``)."""
     k = float(k)
     integral = m.cumulative(h)
     mass = m.cumulative(np.ones_like, h.knots)  # 1.0·pdf is pdf exactly
+    same = np.array_equal(integral.partition.edges, mass.partition.edges)
     lo, hi = m.integration_domain()
 
     def T(x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         xc = np.clip(x_arr, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        num = _split(xc, k, integral.left, integral.right)
-        den = _split(xc, k, mass.left, mass.right)
-        # where a tail mass underflows to 0 (beta(2,3) below x ≈ 1e-162),
-        # T h is h(x), the limit of the conditional mean
-        empty = ~(den > 0.0)
-        out = np.divide(num, den, out=np.empty_like(xc), where=~empty)
-        if np.any(empty):
-            out[empty] = np.asarray(h(xc[empty]), dtype=float)
+        out = _split(xc, k,
+                     lambda t: _tail_mean(m, h, integral, mass, same, t, "left"),
+                     lambda t: _tail_mean(m, h, integral, mass, same, t, "right"))
         return float(out[0]) if np.ndim(x) == 0 else out
 
     return T
+
+
+def _tail_mean(m, h, integral, mass, same, t, side):
+    """∫ h dF / ∫ dF over the tail on ``side`` of each point of t.
+
+    Both reads are those of ``integral`` and ``mass``, bit for bit, made in
+    one pass: pdf and h are called once on the nodes of h's sub-panel, and
+    the mass sums those pdf values wherever its sub-panel is the same one
+    (everywhere when the two partitions are the ``same``); only the points
+    where it is not are read from ``mass`` itself.  Where either read
+    underflows, both are read again divided by one power of two
+    (``_rescaled_tails``); where the mass is 0 even so (beyond the window,
+    or a density that underflows itself), T h is h(t), the limit of the
+    conditional mean.
+    """
+    i, a, b = integral.split(t, side)
+    half, pts = quadrature.rule_nodes(a, b)
+    nodes = pts.reshape(-1)
+    pdf = np.asarray(m.pdf(nodes), dtype=float)
+    num = integral.whole(i, side) + quadrature.rule_sums(
+        half, m.weighted(h, nodes, pdf).reshape(pts.shape))
+    m_i, ma, mb = (i, a, b) if same else mass.split(t, side)
+    den = mass.whole(m_i, side) + quadrature.rule_sums(half, pdf.reshape(pts.shape))
+    own = (ma != a) | (mb != b)
+    if own.any():
+        den[own] = (mass.left if side == "left" else mass.right)(t[own])
+    # a read has underflowed where its subnormal spacing is coarser than
+    # the quadrature tolerance
+    floor = _SUBNORMAL / active().rel_tol
+    low = ~(den >= floor) | (np.abs(num) < floor)
+    if not low.any():
+        return num / den
+    # but not an exact 0 of h dF below a zero of h, where h(t) is 0 too
+    redo = low & (~(den >= floor) | (np.asarray(h(t), dtype=float) != 0.0))
+    if redo.any():
+        num[redo], den[redo] = _rescaled_tails(m, h, integral, t[redo], side)
+    empty = ~(den > 0.0)
+    out = np.divide(num, den, out=np.empty_like(t), where=~empty)
+    out[empty] = np.asarray(h(t[empty]), dtype=float)
+    return out
+
+
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
+def _rescaled_tails(m, h, integral, t, side):
+    """(∫ h dF, ∫ dF) over the tail on ``side`` of each point of t, both
+    divided by one power of two near pdf(t)·|t − end|, so neither
+    underflows where the density at t does not.  Each read is summed again
+    from the nodes of the panels of h's partition between the end and t,
+    the last one cut at t."""
+    edges = integral.partition.edges
+    if side == "left":
+        end = integral.partition.lo
+        cuts = [np.append(edges[edges < u], u) for u in t]
+    else:
+        end = integral.partition.hi
+        cuts = [np.append(u, edges[edges > u]) for u in t]
+    count = np.array([len(c) - 1 for c in cuts])
+    half, pts = quadrature.rule_nodes(np.concatenate([c[:-1] for c in cuts]),
+                                      np.concatenate([c[1:] for c in cuts]))
+    scale = np.frexp(m.pdf(t))[1] + np.frexp(np.abs(t - end))[1]
+    nodes = pts.reshape(-1)
+    rows = np.repeat(scale, count)[half != 0.0]  # rule_nodes drops zero widths
+    dens = np.ldexp(m.pdf(nodes), -np.repeat(rows, pts.shape[1]))
+    starts = np.cumsum(count) - count
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = quadrature.rule_sums(half, m.weighted(h, nodes, dens).reshape(pts.shape))
+        den = quadrature.rule_sums(half, dens.reshape(pts.shape))
+        return np.add.reduceat(num, starts), np.add.reduceat(den, starts)
 
 
 def t_norm(m, h, k, p) -> float:

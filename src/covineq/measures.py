@@ -131,18 +131,22 @@ class Measure:
 
     def cumulative(self, g, knots=()) -> quadrature.CumulativeIntegral:
         """Prefix/suffix queries x ↦ ∫_{(lo,x)} g dμ and ∫_{(x,hi)} g dμ,
-        seeded as in ``expectation``.  Built once per (g, knots) and kept in
-        the memo: the mass cumulative of ``kernel.t_transform`` serves every
-        h with the same knots, a centered h₀ included."""
+        seeded as in ``expectation``, over the integrand ``weighted``.
+        Built once per (g, knots) and kept in the memo: the mass cumulative
+        of ``kernel.t_transform`` serves every h with the same knots, a
+        centered h₀ included, and T reads it in one pass with h's own."""
         knots = tuple(knots)
         return self.memo(("cumulative", g, knots),
                          lambda: self._against("cumulative", g, knots))
 
     def _against(self, engine, g, knots):
-        return self._quadrature(
-            engine, lambda x: np.asarray(g(x), dtype=float) * self.pdf(x),
-            (*getattr(g, "knots", ()), *knots),
-        )
+        return self._quadrature(engine, lambda x: self.weighted(g, x),
+                                (*getattr(g, "knots", ()), *knots))
+
+    def weighted(self, g, x, density=None):
+        """g(x)·pdf(x), the integrand of ∫ g dμ, as floats; ``density`` is
+        pdf(x) (or a fixed multiple of it) where the caller has it."""
+        return np.asarray(g(x), dtype=float) * (self.pdf(x) if density is None else density)
 
     def _quadrature(self, engine, f, knots):
         """``quadrature.<engine>`` of f over the window, looked up on the
@@ -344,11 +348,26 @@ _LOGISTIC = _Standard(
 
 def _beta_standard(a, b) -> _Standard:
     """Beta(a, b) on [0, 1]; the pdf and ppf are the private ufuncs that
-    scipy's ``beta_gen`` calls, pinned by the tests against ``stats.beta``."""
+    scipy's ``beta_gen`` calls, pinned by the tests against ``stats.beta``.
+
+    ``_beta_pdf`` raises OverflowError at subnormal y when a < 1 (and so
+    does ``stats.beta``); there the pdf is y^(a−1)(1−y)^(b−1)/B(a, b),
+    taken in logs, entry by entry for the entries that raised.
+    """
+    log_beta = special.betaln(a, b)
+
+    def entry(v):
+        try:
+            return _ufuncs._beta_pdf(v, a, b)
+        except OverflowError:
+            return np.exp(special.xlogy(a - 1.0, v) + special.xlog1py(b - 1.0, -v) - log_beta)
 
     def pdf(y):
         with np.errstate(over="ignore"):
-            return _ufuncs._beta_pdf(y, a, b)
+            try:
+                return _ufuncs._beta_pdf(y, a, b)
+            except OverflowError:
+                return np.vectorize(entry, otypes=[float])(y)
 
     return _Standard(
         0.0, 1.0,

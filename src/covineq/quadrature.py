@@ -225,23 +225,39 @@ def integrate(
     return _adapt(f, lo, hi, knots, active().rel_tol).total
 
 
-def _partial_panels(f, a, b):
-    """Vectorized 15-point rule on sub-panels [a_i, b_i] (may be zero-width).
+def rule_nodes(a, b):
+    """The node half of the 15-point rule on sub-panels [a_i, b_i]: the
+    half widths, and the (n, 15) nodes of the rows of nonzero width (a
+    zero-width row reads 0 and is never evaluated)."""
+    half = 0.5 * (b - a)
+    nz = half != 0.0
+    hh = half[nz]
+    pts = hh[:, None] * _NODES
+    pts += (a[nz] + hh)[:, None]
+    return half, pts
+
+
+def rule_sums(half, vals):
+    """The sum half: half_i · Σ_j w_j vals_ij over the nonzero-width rows
+    of ``half``, whose (n, 15) values ``vals`` holds, and 0 on the others.
 
     Each row is summed on its own in a fixed order, so a query's value does
     not depend on the other points queried with it (a matrix product
     rounds differently with the number of rows).
     """
-    half = 0.5 * (b - a)
     out = np.zeros_like(half)
     nz = half != 0.0
-    if np.any(nz):
-        ah = a[nz]
-        hh = half[nz]
-        pts = (ah + hh)[:, None] + hh[:, None] * _NODES
-        vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
-        out[nz] = hh * np.einsum("ij,j->i", vals, _WEIGHTS)
+    out[nz] = half[nz] * np.einsum("ij,j->i", vals, _WEIGHTS)
     return out
+
+
+def _partial_panels(f, a, b):
+    """Vectorized 15-point rule of f on sub-panels [a_i, b_i] (may be
+    zero-width); f is not called when every width is 0."""
+    half, pts = rule_nodes(a, b)
+    if not len(pts):
+        return np.zeros_like(half)
+    return rule_sums(half, np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape))
 
 
 @dataclass(eq=False)
@@ -252,6 +268,8 @@ class CumulativeIntegral:
     two accumulate independently from their own end so neither suffers
     cancellation near its tail.  Queries are vectorized: a query lands in
     one accepted panel and costs one partial 15-point evaluation.
+    ``split`` and ``whole`` give a read's two parts to a caller that
+    evaluates the rule itself (``kernel.t_transform``).
     """
 
     f: Callable
@@ -270,22 +288,31 @@ class CumulativeIntegral:
     def error_bound(self) -> float:
         return self.partition.error_bound
 
-    def left(self, t):
+    def split(self, t, side):
+        """Queries t (a float array) on ``side``, "left" or "right", as
+        (i, a, b): the read is ``whole(i, side)``, the sum of the panels it
+        covers whole, plus the rule of f on the sub-panel [a, b]."""
         edges = self.partition.edges
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        tc = np.clip(t_arr, self.partition.lo, self.partition.hi)
-        idx = np.searchsorted(edges, tc, side="right") - 1
-        idx = np.clip(idx, 0, len(edges) - 2)
-        out = self._prefix[idx] + _partial_panels(self.f, edges[idx], tc)
-        return float(out[0]) if np.ndim(t) == 0 else out
+        tc = np.clip(t, self.partition.lo, self.partition.hi)
+        if side == "left":
+            i = np.searchsorted(edges, tc, side="right") - 1
+            i = np.maximum(np.minimum(i, len(edges) - 2), 0)
+            return i, edges[i], tc
+        i = np.minimum(np.searchsorted(edges, tc, side="left"), len(edges) - 1)
+        return i, tc, edges[i]
+
+    def whole(self, i, side):
+        return (self._prefix if side == "left" else self._suffix)[i]
+
+    def left(self, t):
+        return self._read(t, "left")
 
     def right(self, t):
-        edges = self.partition.edges
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        tc = np.clip(t_arr, self.partition.lo, self.partition.hi)
-        idx = np.searchsorted(edges, tc, side="left")
-        idx = np.clip(idx, 0, len(edges) - 1)
-        out = _partial_panels(self.f, tc, edges[idx]) + self._suffix[idx]
+        return self._read(t, "right")
+
+    def _read(self, t, side):
+        i, a, b = self.split(np.atleast_1d(np.asarray(t, dtype=float)), side)
+        out = self.whole(i, side) + _partial_panels(self.f, a, b)
         return float(out[0]) if np.ndim(t) == 0 else out
 
 

@@ -143,6 +143,26 @@ class TestVerify:
         assert code == 3
         assert "error:integration" in out  # partial report still emitted
 
+    def test_summary_counts_info_rows_apart(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify",
+            "--measure", "uniform:0,1", "--function", "center(x^-2)", "--check", "cheeger",
+        )
+        assert code == 3 and ",info" in out
+        assert err.strip() == "2 rows: 0 ok, 1 info, 0 fail, 0 skipped, 1 errors"
+
+    @pytest.mark.parametrize("check", ["hardy", "cov_l1_linf", "cov_lp_lq_T"])
+    def test_beta_subnormal_density_ends_in_a_row(self, capsys, check):
+        # the mass cumulative of beta(0.5, 2) splits its stub at 0 down to
+        # subnormal widths, where scipy's beta pdf raises OverflowError
+        code, out, _ = run_cli(
+            capsys, "verify",
+            "--measure", "beta:0.5,2", "--function", "x", "--check", check,
+        )
+        rows = [r for r in out.splitlines() if r.startswith(check + ",")]
+        assert rows and code in (0, 3)
+        assert all(r.endswith((",ok", ",error:integration")) for r in rows)
+
     def test_output_file_and_json(self, capsys, tmp_path):
         p = tmp_path / "report.json"
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st_h
 
 from covineq import functions as fn
-from covineq import kernel, measures, quadrature
+from covineq import config, kernel, measures, quadrature
 from covineq.errors import DomainError
 from covineq.numerics import NumericContext, numeric_context
 
@@ -105,7 +106,7 @@ class TestTailWeights:
         assert np.allclose(w(t), want, rtol=0, atol=1e-12)
 
     def test_each_side_queried_only_on_its_points(self, monkeypatch):
-        queried, integrand = [], []
+        queried, integrand, density = [], [], []
         for name in ("left", "right"):
             query = getattr(quadrature.CumulativeIntegral, name)
 
@@ -128,12 +129,93 @@ class TestTailWeights:
         # W at each integrand point comes from one cumulative side, not both
         kernel.covariance_kernel(m, x, x2)
         assert sum(integrand) > 0 and sum(queried) == sum(integrand)
-        # T_k h: one side of the numerator and one of the mass per point
+        # T_k h: each point's side evaluates the density on the 15 nodes of
+        # that point only, once for the numerator and the mass together
         T = kernel.t_transform(m, x, 0.3)
-        queried.clear()
-        xs = np.linspace(-3.0, 3.0, 101)
+        pdf = measures.Measure.pdf
+        monkeypatch.setattr(measures.Measure, "pdf",
+                            lambda self, t: density.append(np.size(t)) or pdf(self, t))
+        xs = np.linspace(-3.0, 3.0, 101) + 1e-3  # none on a panel edge
         T(xs)
-        assert sum(queried) == 2 * len(xs)
+        assert sum(density) == 15 * len(xs) and len(density) == 2
+
+
+def _two_query_t(m, h, k):
+    """T_k h read as two queries and a division: ∫ h dF and ∫ dF, each
+    from its own cumulative's left/right, and h(x) where the mass is 0."""
+    integral, mass = m.cumulative(h), m.cumulative(np.ones_like, h.knots)
+    lo, hi = m.integration_domain()
+
+    def T(xs):
+        xc = np.clip(xs, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        num = kernel._split(xc, k, integral.left, integral.right)
+        den = kernel._split(xc, k, mass.left, mass.right)
+        out = np.divide(num, den, out=np.empty_like(xc), where=den > 0.0)
+        out[~(den > 0.0)] = h(xc[~(den > 0.0)])
+        return out
+
+    return T
+
+
+def _t_probes(m, k):
+    """The probe grid, 3,000 quantiles, ladders into both window ends, the
+    window ends themselves and both sides of k."""
+    lo, hi = m.integration_domain()
+    ladder = (hi - lo) * 2.0 ** -np.arange(1, 53)
+    levels = np.random.default_rng(11).uniform(size=3000)
+    return np.concatenate([m.probe_points(), m.quantile(levels), lo + ladder,
+                           hi - ladder, [lo, hi, k, np.nextafter(k, hi)]])
+
+
+def _default_pairs():
+    cfg = config.parse_config(config.default_config_dict())
+    for m in cfg.measures:
+        for expr in cfg.functions:
+            h = expr.bind(m)
+            yield m, h
+            yield m, fn.centered(h, m)
+
+
+def _extremal_pairs():
+    for m in (measures.gaussian(0, 1), measures.laplace(0, 1), measures.exponential(1),
+              measures.uniform(0, 1), measures.logistic(0, 1)):
+        for d in (1e-1, 1e-2, 1e-3, 1e-4):
+            yield m, fn.centered(fn.ramp(m.median(), d), m)
+
+
+class TestOnePassRead:
+    """T reads its numerator and its mass in one pass, bit for bit the two
+    reads of ``_two_query_t``."""
+
+    def _assert_same_bits(self, m, h, k):
+        probes = _t_probes(m, k)
+        new = kernel.t_transform(m, h, k)(probes)
+        old = _two_query_t(m, h, k)(probes)
+        assert new.tobytes() == old.tobytes(), (m.label, h.descriptor, k)
+
+    def test_default_pairs(self):
+        pairs = list(_default_pairs())
+        assert len(pairs) == 24
+        for m, h in pairs:
+            self._assert_same_bits(m, h, m.median())
+
+    def test_extremal_ramps(self):
+        for m, h in _extremal_pairs():
+            self._assert_same_bits(m, h, m.median())
+
+    @pytest.mark.parametrize("h", [fn.power(0.5), fn.abs_power(1.5)],
+                             ids=lambda h: h.descriptor)
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 2.0])
+    def test_pair_with_partitions_that_differ(self, h, k):
+        m = measures.laplace(0, 1)
+        integral, mass = m.cumulative(h), m.cumulative(np.ones_like, h.knots)
+        probes = np.clip(_t_probes(m, k), *m.integration_domain())
+        for side, t in (("left", probes[probes <= k]), ("right", probes[probes > k])):
+            _, a, b = integral.split(t, side)
+            _, ma, mb = mass.split(t, side)
+            own = (ma != a) | (mb != b)
+            assert 0 < own.sum() < len(t)  # the mass reads both ways on each side
+        self._assert_same_bits(m, h, k)
 
 
 class TestTailIdentities:
@@ -187,13 +269,28 @@ class TestTransform:
             assert abs(Tm(pt) - want) < 1e-9
 
     def test_underflowed_tail_mass_gives_h(self):
-        # on beta(2,3), F(x) and ∫_0^x t dF(t) both underflow below ~1e-162
+        # on beta(2,3), F(x) and ∫_0^x t dF(t) both underflow below ~1e-162;
+        # read divided by one power of two, T(x) is E[X | X ≤ x] ≈ 2x/3
         b = measures.beta(2, 3)
         T = kernel.t_transform(b, x, b.median())
         lo, hi = b.integration_domain()
         vals = T(np.array([lo, 1e-170, hi]))
         assert np.all(np.isfinite(vals))
-        assert vals[1] == 1e-170 and vals[2] == np.nextafter(hi, lo)
+        assert vals[1] == pytest.approx(2e-170 / 3, rel=1e-12)
+        assert vals[2] == np.nextafter(hi, lo)
+
+    def test_underflowing_tail_reads_match_mpmath(self):
+        # ∫_0^x t dF and F(x) of beta(2,3) leave the normal range from x ≈
+        # 1e-103 and 1e-154 on; E[X | X ≤ x] in closed form, in mpmath
+        b = measures.beta(2, 3)
+        T = kernel.t_transform(b, x, b.median())
+        for e in range(100, 301, 5):
+            with mpmath.workdps(50):
+                z = mpmath.mpf(10.0**-e)
+                num = z**3 / 3 - z**4 / 2 + z**5 / 5  # ∫_0^z t·t(1−t)² dt
+                den = z**2 / 2 - 2 * z**3 / 3 + z**4 / 4
+                want = float(num / den)
+            assert T(10.0**-e) == pytest.approx(want, rel=1e-12), e
 
     def test_mass_cumulative_shared_with_centered_h(self, quadratures):
         m = measures.laplace(0, 1)

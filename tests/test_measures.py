@@ -528,6 +528,19 @@ def test_closed_form_support_matches_scipy():
         assert m.dist.support() == tuple(float(v) for v in d.support())
 
 
+@pytest.mark.parametrize("y", [1e-310, 5e-324])
+def test_beta_pdf_at_subnormal_y(y):
+    # scipy's _beta_pdf raises OverflowError at these y when a < 1; only the
+    # entries that raised take the closed form, the others keep scipy's bits
+    m = measures.beta(0.5, 2)
+    got = m.pdf(np.array([y, 0.25, 1e-300]))
+    with mp.workdps(40):
+        want = float(mp.mpf(y) ** -0.5 * (1 - mp.mpf(y)) / mp.beta(0.5, 2))
+    assert got[0] == pytest.approx(want, rel=1e-12)
+    assert m.pdf(y) == got[0]
+    np.testing.assert_array_equal(got[1:], scipy.stats.beta(0.5, 2).pdf([0.25, 1e-300]))
+
+
 def test_from_scipy_fallback_gives_same_is():
     from covineq.isoperimetry import isoperimetric_constant
 
