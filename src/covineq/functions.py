@@ -9,6 +9,7 @@ edges there.  sign(0) = +1 throughout.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import warnings
 from dataclasses import dataclass
@@ -37,6 +38,19 @@ class DifferentiableFunction:
 
     def __repr__(self):
         return f"DifferentiableFunction({self.descriptor})"
+
+    @functools.cached_property
+    def prime(self) -> "DifferentiableFunction":
+        """g′ as a function object, built on first use and kept on g (see
+        ``derivative``)."""
+        descriptor = self.descriptor  # so that g′ holds no reference back to g
+
+        def _no_second(x):
+            raise ComputationError(f"second derivative of {descriptor} is not tracked")
+
+        return DifferentiableFunction(
+            self.deriv, _no_second, self.knots, f"derivative({descriptor})"
+        )
 
 
 def monomial(k) -> DifferentiableFunction:
@@ -214,16 +228,13 @@ def piecewise_linear(xs, ys, descriptor=None) -> DifferentiableFunction:
 
 
 def derivative(g: DifferentiableFunction) -> DifferentiableFunction:
-    """g′ packaged as a function object (for norms of derivatives)."""
+    """g′ packaged as a function object (for norms of derivatives).
 
-    def _no_second(x):
-        raise ComputationError(
-            f"second derivative of {g.descriptor} is not tracked"
-        )
-
-    return DifferentiableFunction(
-        g.deriv, _no_second, g.knots, f"derivative({g.descriptor})"
-    )
+    One g′ per function object: every call returns the same ``g.prime``,
+    so the memo entries a measure keeps on g′ (its L_p norms) are hit by
+    each check that asks for ‖g′‖_p.  It is freed with g.
+    """
+    return g.prime
 
 
 # ---- expression grammar ----------------------------------------------------

@@ -83,10 +83,6 @@ def _inv_is(m) -> float:
     return math.inf if val == 0.0 else 1.0 / val
 
 
-def _deriv_norm(m, g, p) -> float:
-    return m.lp_norm(functions.derivative(g), p)
-
-
 def _holder_conjugate(p: float) -> float:
     if not 1.0 < p < math.inf:
         raise DomainError(f"Hölder conjugate needs p in (1, inf), got {p}")
@@ -122,7 +118,8 @@ def _t_bound(name, m, g, h, p, q, params) -> InequalityCertificate:
     inv_is = _inv_is(m)
     lhs = abs(kernel.covariance_kernel(m, g, h))
     h0 = functions.centered(h, m)
-    rhs = inv_is * _deriv_norm(m, g, p) * kernel.t_norm(m, h0, m.median(), q)
+    g_norm = m.lp_norm(functions.derivative(g), p)
+    rhs = inv_is * g_norm * kernel.t_norm(m, h0, m.median(), q)
     return certify(name, lhs=lhs, rhs=rhs, params=params)
 
 
@@ -154,7 +151,8 @@ def check_cov_lp_lq(m, g, h, p) -> InequalityCertificate:
     lhs = abs(kernel.covariance_kernel(m, g, h))
     h0 = functions.centered(h, m)
     q = math.inf if p == 1.0 else _holder_conjugate(p)
-    rhs = (1.0 if p == 1.0 else p) * inv_is * _deriv_norm(m, g, p) * m.lp_norm(h0, q)
+    g_norm = m.lp_norm(functions.derivative(g), p)
+    rhs = (1.0 if p == 1.0 else p) * inv_is * g_norm * m.lp_norm(h0, q)
     return certify(
         "cov_lp_lq",
         lhs=lhs,
@@ -167,7 +165,7 @@ def check_cheeger(m, g) -> InequalityCertificate:
     """Var(g) ≤ 4·Is(μ)⁻²·‖g′‖₂² (the g=h, p=2 specialization)."""
     inv_is = _inv_is(m)
     lhs = abs(kernel.covariance_kernel(m, g, g))
-    rhs = 4.0 * inv_is**2 * _deriv_norm(m, g, 2.0) ** 2
+    rhs = 4.0 * inv_is**2 * m.lp_norm(functions.derivative(g), 2.0) ** 2
     return certify(
         "cheeger",
         lhs=lhs,
@@ -182,7 +180,8 @@ def check_cov_final(m, g, h, p) -> InequalityCertificate:
     q = _holder_conjugate(p)
     inv_is = _inv_is(m)
     lhs = abs(kernel.covariance_kernel(m, g, h))
-    rhs = 2.0 * (p + q) * inv_is**2 * _deriv_norm(m, g, p) * _deriv_norm(m, h, q)
+    g_norm = m.lp_norm(functions.derivative(g), p)
+    rhs = 2.0 * (p + q) * inv_is**2 * g_norm * m.lp_norm(functions.derivative(h), q)
     return certify(
         "cov_final",
         lhs=lhs,
@@ -205,7 +204,7 @@ def check_brascamp_lieb(m, g, h) -> InequalityCertificate:
         x = np.asarray(x, dtype=float)
         return np.asarray(h.deriv(x), dtype=float) / np.asarray(phi2(x), dtype=float)
 
-    rhs = _deriv_norm(m, g, 1.0) * m.ess_sup(weighted, h.knots)
+    rhs = m.lp_norm(functions.derivative(g), 1.0) * m.ess_sup(weighted, h.knots)
     return certify(
         "brascamp_lieb", lhs=lhs, rhs=rhs, params=_pair_params(m, g, h)
     )
@@ -229,7 +228,7 @@ def check_cov_variant(m, g, h, side) -> InequalityCertificate:
         w = kernel.tail_weight(m, h)
         return m.ess_sup(lambda x: np.abs(w(x)) / m.pdf(x), (*h.knots, m.median()))
 
-    rhs = m.memo(("cov_variant_sup", h), sup) * _deriv_norm(m, g, 1.0)
+    rhs = m.memo(("cov_variant_sup", h), sup) * m.lp_norm(functions.derivative(g), 1.0)
     return certify(
         "cov_variant", lhs=lhs, rhs=rhs, params=_pair_params(m, g, h, side=side)
     )
@@ -318,7 +317,7 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
                 raise HypothesisViolatedError("E[sign(u^p)] = 0", sign_raw)
             constant = p
 
-    rhs = constant * inv_is * _deriv_norm(m, u, p)
+    rhs = constant * inv_is * m.lp_norm(functions.derivative(u), p)
     return certify(
         "lp_poincare",
         lhs=lhs,
@@ -833,7 +832,7 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
             f"{g.descriptor} is not strictly increasing on the probe grid"
         )
     med = m.median()
-    g1 = _deriv_norm(m, g, 1.0)
+    g1 = m.lp_norm(functions.derivative(g), 1.0)
     target = _inv_is(m)
     ratios = []
     for d in ds:

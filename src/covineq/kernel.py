@@ -213,13 +213,19 @@ def t_norm(m, h, k, p) -> float:
 
 
 def hardy_certificate(m, h, k, p) -> InequalityCertificate:
-    """‖T_k h‖_p ≤ (p/(p−1))·‖h‖_p; the constant diverges at p=1."""
+    """‖T_k h‖_p ≤ (p/(p−1))·‖h‖_p; the constant diverges at p=1.
+
+    T_k h averages h over tails out to the ends of the integration window,
+    past the deepest probe of ``Measure.probe_points``; so at p = inf the
+    sup of |h| reads those ends too, and is taken over the window that
+    T_k h averages over."""
     p = float(p)
     if math.isnan(p) or p <= 1.0:
         raise DomainError(f"hardy_certificate requires p > 1, got {p}")
     const = 1.0 if math.isinf(p) else p / (p - 1.0)
     lhs = t_norm(m, h, k, p)
-    rhs = const * m.lp_norm(h, p)
+    ends = m.integration_domain() if math.isinf(p) else ()
+    rhs = const * m.lp_norm(h, p, ends)
     return certify(
         "hardy",
         lhs=lhs,

@@ -57,12 +57,16 @@ class Measure:
     are density kinks strictly inside the support (panel seeds for
     quadrature).  Instances are immutable and all methods are pure; each
     also carries a private memo (``memo``) of results derived from it: the
-    median, probe grids, the ``Is(μ)`` profile, each ``cumulative``, each
-    |Cov(g,h)| of ``kernel.covariance_kernel``, each centered function of
+    median, probe grids, the ``Is(μ)`` profile, each ``expectation``, each
+    ``lp_norm`` (p = inf included), each ``cumulative``, each |Cov(g,h)| of
+    ``kernel.covariance_kernel``, each centered function of
     ``functions.centered`` and the W sup of ``check_cov_variant``.  It
     takes no part in comparison or repr.  Keys hold their function
-    objects, so on a long-lived measure the memo grows with every distinct
-    function used on it; it is freed with the measure.
+    objects, compared by identity, so on a long-lived measure the memo
+    grows with every distinct function used on it; a key on a lambda made
+    afresh for each call is never hit again.  Every entry is freed with
+    the measure.  The first caller to touch a key pays for its build, and
+    every later caller reads it free.
     """
 
     family: str
@@ -126,8 +130,11 @@ class Measure:
 
         Panels are seeded at ``g.knots``, the measure's knots and the extra
         ``knots``: kinks that g cannot list itself, such as a split point.
+        Kept in the memo per (g, knots).
         """
-        return self._against("integrate", g, knots)
+        knots = tuple(knots)
+        return self.memo(("expectation", g, knots),
+                         lambda: self._against("integrate", g, knots))
 
     def cumulative(self, g, knots=()) -> quadrature.CumulativeIntegral:
         """Prefix/suffix queries x ↦ ∫_{(lo,x)} g dμ and ∫_{(x,hi)} g dμ,
@@ -160,15 +167,19 @@ class Measure:
         The moment is taken of g/unit, unit = ``probe_unit(g)``, so it
         neither overflows nor underflows and the scaling back is exact.
         ``knots`` are kinks of g that it cannot list itself, as in
-        ``expectation``.
+        ``expectation``.  Kept in the memo per (g, p, knots).
         """
-        p = lp_exponent(p)
+        p, knots = lp_exponent(p), tuple(knots)
+        return self.memo(("lp", g, p, knots), lambda: self._lp_norm(g, p, knots))
+
+    def _lp_norm(self, g, p, knots):
         knots = (*getattr(g, "knots", ()), *knots)
         if math.isinf(p):
             return self.ess_sup(g, knots)
         unit = self.probe_unit(g)
-        total = self.expectation(
-            lambda x: np.abs(np.asarray(g(x), dtype=float) / unit) ** p, knots
+        # past ``expectation``: a memo entry keyed on this lambda is never hit
+        total = self._against(
+            "integrate", lambda x: np.abs(np.asarray(g(x), dtype=float) / unit) ** p, knots
         )
         return unit * total ** (1.0 / p)
 

@@ -348,6 +348,21 @@ class TestHardy:
         c = kernel.hardy_certificate(b, x, b.median(), 2.0)
         assert c.passed and abs(c.ratio - 0.5613) < 1e-4
 
+    @pytest.mark.parametrize(
+        "m",
+        [measures.laplace(0, 1), measures.gaussian(0, 1), measures.exponential(1),
+         measures.uniform(0, 1)],
+        ids=lambda m: m.label,
+    )
+    def test_sup_norm_reads_both_sides_over_one_window(self, m):
+        # T_k h averages h out to the window's ends, past the deepest probe;
+        # an rhs probed only to isf(1e-13) read below the lhs for unbounded h
+        lo, hi = m.integration_domain()
+        for h in (x, fn.centered(x, m), x2):
+            c = kernel.hardy_certificate(m, h, m.median(), math.inf)
+            assert c.status == "ok", c.describe()
+            assert c.rhs == max(abs(h(lo)), abs(h(hi)))
+
     def test_p_one_rejected(self):
         with pytest.raises(DomainError):
             kernel.hardy_certificate(measures.laplace(0, 1), x, 0.0, 1.0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -118,6 +119,71 @@ class TestMemo:
         # cumulative and covariance's W reach the quadrature on both calls,
         # centered's E[x] too
         assert quadratures == ["cumulative"] * 2 + ["integrate"] * 2 + ["cumulative"] * 2
+
+    def test_warm_moments_are_the_cold_bits_without_quadrature(self, quadratures):
+        m = measures.laplace(0, 1)
+
+        def moments():
+            return [m.expectation(x2), m.expectation(x, (0.5,)), m.lp_norm(x, 3),
+                    m.lp_norm(x, 1.0, (0.5,))]
+
+        cold = moments()
+        assert quadratures == ["integrate"] * 4
+        assert [v.hex() for v in moments()] == [v.hex() for v in cold]
+        assert m.expectation(x, [0.5]) == cold[1] and m.lp_norm(x, 3.0) == cold[2]
+        assert len(quadratures) == 4
+
+    def test_warm_sup_norm_reads_no_point(self):
+        m, reads = measures.gaussian(0, 1), []
+
+        def g(v):
+            reads.append(np.size(v))
+            return np.asarray(v, dtype=float)
+
+        cold = m.lp_norm(g, math.inf)
+        n = len(reads)
+        assert n > 0 and m.lp_norm(g, math.inf) == cold and len(reads) == n
+        m.lp_norm(g, math.inf, (0.5,))  # other knots: another sup
+        assert len(reads) > n
+
+    def test_moments_under_another_tolerance_are_recomputed(self, quadratures):
+        m = measures.laplace(0, 1)
+        cold = [m.expectation(x2), m.lp_norm(x, 3)]
+        with numeric_context(NumericContext(rel_tol=1e-8)):
+            m.expectation(x2), m.lp_norm(x, 3)
+        assert quadratures == ["integrate"] * 4
+        assert [m.expectation(x2), m.lp_norm(x, 3)] == cold
+        assert len(quadratures) == 4
+
+    def test_a_moment_that_raises_keeps_nothing(self, quadratures):
+        m = measures.from_scipy(scipy.stats.cauchy())  # E X² = ∞
+        for _ in range(2):
+            with pytest.raises(IntegrationError):
+                m.lp_norm(x, 2)
+            with pytest.raises(IntegrationError):
+                m.expectation(x2)
+        assert quadratures == ["integrate"] * 4
+        assert all(key[0] not in ("lp", "expectation") for key in m._memo)
+
+    def test_one_derivative_per_function(self):
+        g = functions.monomial(3)
+        d = functions.derivative(g)
+        assert functions.derivative(g) is d and d.descriptor == "derivative(monomial(3))"
+        assert functions.derivative(functions.monomial(3)) is not d
+        # g′ keeps no reference to g: both go when g does, with no collection
+        g_ref, d_ref = weakref.ref(g), weakref.ref(d)
+        del g, d
+        assert g_ref() is None and d_ref() is None
+
+    def test_orlicz_reads_the_derivative_norm_of_cheeger(self, quadratures):
+        m, g, young = measures.laplace(0, 1), functions.monomial(3), inequalities.young_power(2)
+        inequalities.check_orlicz(measures.laplace(0, 1), g, young, "median_centered")
+        # on a fresh measure: Is needs none, ‖g − g(med)‖₂ one and ‖g′‖₂ one
+        assert quadratures == ["integrate"] * 2
+        inequalities.check_cheeger(m, g)
+        quadratures.clear()
+        inequalities.check_orlicz(m, g, young, "median_centered")
+        assert quadratures == ["integrate"]  # ‖g − g(med)‖₂ only
 
 
 def test_import_leaves_scipy_stats_out():

@@ -118,9 +118,10 @@ class TestExactNorms:
         monkeypatch.setattr(measures.Measure, "expectation", spy)
         return calls
 
-    def test_power_norm_is_one_quadrature(self, lap, expectations):
-        n = ineq.orlicz_norm(lap, x, ineq.young_power(2))
-        assert len(expectations) == 1
+    def test_power_norm_is_one_quadrature(self, quadratures):
+        # a fresh measure: the memo of a shared one may hold ‖x‖₂ already
+        n = ineq.orlicz_norm(measures.laplace(0, 1), x, ineq.young_power(2))
+        assert quadratures == ["integrate"]
         assert abs(n - math.sqrt(2)) < 1e-13
 
     def test_power_function_is_marked(self):
@@ -149,10 +150,10 @@ class TestExactNorms:
             return v
 
         want = lap.lp_norm(g, 2.0)
-        in_lp_norm = sum(points)
         points.clear()
         assert ineq.orlicz_norm(lap, g, ineq.young_power(2)) == want
-        assert sum(points) <= in_lp_norm + lap.probe_points(64).size
+        # the norm itself is the memo's entry
+        assert sum(points) == lap.probe_points(64).size
 
     def test_power_norm_of_g_not_finite_on_probe_grid(self, lap):
         with pytest.raises(DivergentNormError, match="not finite"):

@@ -232,9 +232,10 @@ class TestDefaultSuite:
 
     def test_default_suite_quadrature_budget(self, quadratures):
         # the per-measure memo builds each shared covariance, cumulative,
-        # centered function and W sup once: 398 quadratures, budget +10%
+        # centered function, W sup, expectation and L_p norm once (one g′ per
+        # function, so each ‖g′‖_p is one entry): 249 quadratures, budget +10%
         runner.run(cfg.parse_config(cfg.default_config_dict()))
-        assert len(quadratures) <= 440
+        assert len(quadratures) <= 274
 
     def test_default_suite_search_budget(self, monkeypatch):
         # every Is refinement and ess_sup bracket search goes through
