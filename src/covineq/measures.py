@@ -31,6 +31,7 @@ from scipy.special import _ufuncs
 
 from . import quadrature, search
 from .errors import DomainError, IngestionError, UnsupportedMeasureError
+from .functions import DifferentiableFunction
 from .numerics import active
 
 _TAIL_EPS = 1e-300  # quantile depth standing in for an infinite endpoint
@@ -57,16 +58,18 @@ class Measure:
     are density kinks strictly inside the support (panel seeds for
     quadrature).  Instances are immutable and all methods are pure; each
     also carries a private memo (``memo``) of results derived from it: the
-    median, probe grids, the ``Is(μ)`` profile, each ``expectation``, each
-    ``lp_norm`` (p = inf included), each ``cumulative``, each |Cov(g,h)| of
-    ``kernel.covariance_kernel``, each centered function of
-    ``functions.centered`` and the W sup of ``check_cov_variant``.  It
-    takes no part in comparison or repr.  Keys hold their function
-    objects, compared by identity, so on a long-lived measure the memo
-    grows with every distinct function used on it; a key on a lambda made
-    afresh for each call is never hit again.  Every entry is freed with
-    the measure.  The first caller to touch a key pays for its build, and
-    every later caller reads it free.
+    median, probe grids, the ``Is(μ)`` profile, each ``expectation`` of a
+    ``DifferentiableFunction``, each ``lp_norm`` (p = inf included), each
+    ``cumulative``, each |Cov(g,h)| of ``kernel.covariance_kernel``, each
+    centered function of ``functions.centered`` and the W sup of
+    ``check_cov_variant``.  It takes no part in comparison or repr.  Keys
+    hold their function objects, compared by identity, so on a long-lived
+    measure the memo grows with every distinct function used on it; a key
+    on a lambda made afresh for each call is never hit again, which is why
+    ``expectation`` keeps no other callable.  ``lp_norm`` keeps every one,
+    so ``kernel.t_norm``'s L_p norm of a T_k closure takes one entry per
+    call.  Every entry is freed with the measure.  The first caller to
+    touch a key pays for its build, and every later caller reads it free.
     """
 
     family: str
@@ -130,9 +133,13 @@ class Measure:
 
         Panels are seeded at ``g.knots``, the measure's knots and the extra
         ``knots``: kinks that g cannot list itself, such as a split point.
-        Kept in the memo per (g, knots).
+        Kept in the memo per (g, knots) when g is a ``DifferentiableFunction``;
+        any other callable, such as a lambda made per call, is integrated
+        afresh.
         """
         knots = tuple(knots)
+        if not isinstance(g, DifferentiableFunction):
+            return self._against("integrate", g, knots)
         return self.memo(("expectation", g, knots),
                          lambda: self._against("integrate", g, knots))
 
@@ -177,9 +184,8 @@ class Measure:
         if math.isinf(p):
             return self.ess_sup(g, knots)
         unit = self.probe_unit(g)
-        # past ``expectation``: a memo entry keyed on this lambda is never hit
-        total = self._against(
-            "integrate", lambda x: np.abs(np.asarray(g(x), dtype=float) / unit) ** p, knots
+        total = self.expectation(
+            lambda x: np.abs(np.asarray(g(x), dtype=float) / unit) ** p, knots
         )
         return unit * total ** (1.0 / p)
 

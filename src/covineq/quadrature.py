@@ -30,9 +30,14 @@ produces:
   terminate on them; the mass rule is what stops the descent once the
   remaining stub cannot affect the result.
 
-Non-finite values poison a panel (err = inf), which keeps it splitting; a
-genuinely divergent integrand therefore exhausts the round budget and
-raises IntegrationError instead of returning garbage.
+A panel that does not pass is split until it is stuck: its split point no
+longer falls strictly inside it (width underflow), or the round or panel
+budget is spent.  A stuck panel that did not pass is given up on: it is
+kept as it is, and its error counts against the global budget, so the
+quadrature raises IntegrationError unless sum err_i <= rel_tol * int |f|
+still holds.  Non-finite values poison a panel (err = inf), so a genuinely
+divergent integrand ends given up on with an infinite error bound and
+raises instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -112,21 +117,22 @@ class _Partition:
 
 
 def _adapt(f, lo, hi, knots, rel_tol, deep_boundaries=False) -> _Partition:
-    lo = float(lo)
-    hi = float(hi)
+    """Refine the seed partition of (lo, hi): each round keeps the panels
+    that pass or are stuck and splits the rest.  One give-up rule: a kept
+    panel that did not pass, or a spent budget, sets ``gave_up``, and then
+    the summed error, kept panels' included, must meet the global budget."""
+    lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise IntegrationError(f"empty integration interval ({lo}, {hi})", 0.0, 0.0)
     edges = _seed_edges(lo, hi, knots)
     act_a, act_b = edges[:-1], edges[1:]
 
     acc_a: list[np.ndarray] = []
-    acc_b: list[np.ndarray] = []
     acc_val: list[np.ndarray] = []
     acc_err_sum = 0.0
     acc_mass_sum = 0.0
     n_accepted = 0
-    n_frozen = 0
-    all_ok = False
+    gave_up = False
 
     for round_no in range(_MAX_ROUNDS + 1):
         val, err, mass = _panel_batch(f, act_a, act_b)
@@ -142,60 +148,32 @@ def _adapt(f, lo, hi, knots, rel_tol, deep_boundaries=False) -> _Partition:
             ok = (err <= rel_tol * mass) | exempt_ok
         # a panel with non-finite error must keep splitting (inf <= inf is true)
         ok &= np.isfinite(err)
-        exhausted = (
-            round_no == _MAX_ROUNDS
-            or n_accepted + 2 * int(np.sum(~ok)) > _MAX_PANELS
-        )
-        if exhausted:
-            # keep everything still active, with its current error, and stop
-            ok = np.ones_like(ok)
-        bad = ~ok
-        if np.any(ok):
-            acc_a.append(act_a[ok])
-            acc_b.append(act_b[ok])
-            acc_val.append(val[ok])
-            acc_err_sum += float(np.sum(err[ok]))
-            acc_mass_sum += float(np.sum(mass[ok][np.isfinite(mass[ok])]))
-            n_accepted += int(np.sum(ok))
-        if not np.any(bad):
-            all_ok = not exhausted
-            break
-        ba, bb = act_a[bad], act_b[bad]
-        bval, berr, bmass = val[bad], err[bad], mass[bad]
-        at_lo = ba == lo
-        at_hi = bb == hi
+        width = act_b - act_a
         split = np.where(
-            at_lo, ba + (bb - ba) / 8.0,
-            np.where(at_hi, bb - (bb - ba) / 8.0, ba + 0.5 * (bb - ba)),
+            act_a == lo, act_a + width / 8.0,
+            np.where(act_b == hi, act_b - width / 8.0, act_a + 0.5 * width),
         )
-        splittable = (split > ba) & (split < bb)
-        if np.any(~splittable):
-            # width underflow: freeze these panels, keeping their error
-            fr = ~splittable
-            acc_a.append(ba[fr])
-            acc_b.append(bb[fr])
-            acc_val.append(bval[fr])
-            acc_err_sum += float(np.sum(berr[fr]))
-            fm = bmass[fr]
-            acc_mass_sum += float(np.sum(fm[np.isfinite(fm)]))
-            n_accepted += int(np.sum(fr))
-            n_frozen += int(np.sum(fr))
-            ba, bb, split = ba[splittable], bb[splittable], split[splittable]
-            if len(ba) == 0:
-                all_ok = False
-                break
-        act_a = np.concatenate([ba, split])
-        act_b = np.concatenate([split, bb])
+        spent = round_no == _MAX_ROUNDS or n_accepted + 2 * int(np.sum(~ok)) > _MAX_PANELS
+        # a spent budget, or width underflow, leaves a panel stuck
+        stuck = spent | ~((split > act_a) & (split < act_b))
+        gave_up |= spent or bool(np.any(stuck & ~ok))
+        keep = ok | stuck
+        acc_a.append(act_a[keep])
+        acc_val.append(val[keep])
+        acc_err_sum += float(np.sum(err[keep]))
+        acc_mass_sum += float(np.sum(mass[keep & np.isfinite(mass)]))
+        n_accepted += int(np.sum(keep))
+        if keep.all():
+            break
+        go = ~keep
+        act_a, act_b = (np.concatenate([act_a[go], split[go]]),
+                        np.concatenate([split[go], act_b[go]]))
 
     a_all = np.concatenate(acc_a)
-    b_all = np.concatenate(acc_b)
-    v_all = np.concatenate(acc_val)
     order = np.argsort(a_all, kind="stable")
-    a_all, b_all, v_all = a_all[order], b_all[order], v_all[order]
+    a_all, v_all = a_all[order], np.concatenate(acc_val)[order]
     total = float(np.sum(v_all))
-    # frozen panels never passed a local test, so all_ok alone proves nothing
-    if not ((all_ok and n_frozen == 0)
-            or acc_err_sum <= rel_tol * acc_mass_sum):
+    if gave_up and not acc_err_sum <= rel_tol * acc_mass_sum:
         raise IntegrationError(
             f"quadrature did not converge on ({lo}, {hi}): "
             f"error bound {acc_err_sum:.3e} exceeds budget "
@@ -203,8 +181,8 @@ def _adapt(f, lo, hi, knots, rel_tol, deep_boundaries=False) -> _Partition:
             estimate=total,
             error_bound=acc_err_sum,
         )
-    edges_out = np.append(a_all, b_all[-1])
-    return _Partition(lo, hi, edges_out, v_all, total, acc_err_sum, acc_mass_sum)
+    # the kept panels tile [lo, hi]
+    return _Partition(lo, hi, np.append(a_all, hi), v_all, total, acc_err_sum, acc_mass_sum)
 
 
 def integrate(

@@ -133,6 +133,12 @@ class TestMemo:
         assert m.expectation(x, [0.5]) == cold[1] and m.lp_norm(x, 3.0) == cold[2]
         assert len(quadratures) == 4
 
+    def test_expectation_of_a_plain_callable_keeps_nothing(self, quadratures):
+        m = measures.laplace(0, 1)
+        f = lambda v: np.abs(v)  # noqa: E731
+        assert m.expectation(f) == m.expectation(f)
+        assert quadratures == ["integrate"] * 2 and m._memo == {}
+
     def test_warm_sup_norm_reads_no_point(self):
         m, reads = measures.gaussian(0, 1), []
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covineq import measures, numerics, quadrature, runner
+from covineq import functions, measures, numerics, quadrature, runner
 from covineq.config import parse_config
 from covineq.errors import IntegrationError
 from covineq.numerics import NumericContext, numeric_context
@@ -44,6 +44,79 @@ def test_nonfinite_integrand_raises():
         quadrature.integrate(
             lambda t: np.full_like(np.asarray(t, float), np.nan), 0.0, 1.0
         )
+
+
+def sin2(x):
+    return np.sin(40.0 * np.asarray(x, float)) ** 2
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2])
+def test_spent_round_budget_raises(monkeypatch, rounds):
+    # ∫_0^10 sin²(40x) dx ≈ 4.994 needs more than two rounds past the seed
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", rounds)
+    with pytest.raises(IntegrationError) as info:
+        quadrature.integrate(sin2, 0.0, 10.0)
+    exc = info.value
+    assert math.isfinite(exc.estimate) and abs(exc.estimate - 5.0) < 0.2
+    assert exc.error_bound > numerics.active().rel_tol * exc.estimate
+
+
+def test_spent_round_budget_on_passing_panels_returns(monkeypatch):
+    # every seed panel passes in round 0: the spent budget still goes to the
+    # global error test, which the kept panels meet
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", 0)
+    c = np.array([3.0, -2.0, 1.0])
+    v = quadrature.integrate(lambda x: np.polyval(c, np.asarray(x, float)), -1.0, 2.0)
+    anti = np.polyint(c)
+    assert abs(v - (np.polyval(anti, 2.0) - np.polyval(anti, -1.0))) < 1e-13
+
+
+@pytest.mark.parametrize("panels", [50, 120])
+def test_spent_panel_budget_raises(monkeypatch, panels):
+    # the seed partition of (0, 10) has 100 panels
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", panels)
+    with pytest.raises(IntegrationError) as info:
+        quadrature.integrate(sin2, 0.0, 10.0)
+    assert info.value.error_bound > numerics.active().rel_tol * info.value.estimate
+
+
+def test_width_underflow_within_budget_returns():
+    # ∫_0^1 x^(-1/4) dx = 4/3: the boundary stub at 0 splits until its split
+    # point no longer falls strictly inside it, and is kept without passing;
+    # its error counts against the budget, which it meets
+    cum = measures.uniform(0, 1).cumulative(functions.power(-0.25))
+    a, b = cum.partition.edges[:2]
+    assert a == 0.0 and not a + (b - a) / 8.0 > a
+    assert abs(cum.total - 4.0 / 3.0) < 1e-15
+    assert cum.error_bound <= numerics.active().rel_tol * cum.total
+
+
+def test_width_underflow_with_infinite_error_raises():
+    # a cumulative drives the stub at 0 of t^(-1/2) to width underflow, where
+    # its nodes land on the pole: the stub is kept with err = inf and raises
+    with pytest.raises(IntegrationError) as info:
+        quadrature.cumulative(lambda t: np.asarray(t, float) ** -0.5, 0.0, 1.0)
+    assert info.value.error_bound == math.inf
+    assert abs(info.value.estimate - 2.0) < 1e-12
+
+
+def test_beta_half_two_first_moment_cumulative_builds():
+    # the counterpart of the strict xfail below, not a give-up case: h = x
+    # damps the pole at 0, so the stub at 0 passes (at width 1.5e-213) and
+    # the same window builds; width underflow is the x^(-1/4) test above
+    cum = measures.beta(0.5, 2).cumulative(functions.monomial(1))
+    assert abs(cum.total - 0.2) < 1e-15
+    assert cum.error_bound <= numerics.active().rel_tol * cum.total
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the boundary stub at 0 is split until its nodes land on 0, where "
+    "the beta(0.5, 2) density is +inf, so it keeps err = inf",
+)
+def test_beta_half_two_mass_cumulative_builds():
+    cum = measures.beta(0.5, 2).cumulative(np.ones_like)
+    assert abs(cum.total - 1.0) < 1e-12
 
 
 @given(

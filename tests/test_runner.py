@@ -237,6 +237,18 @@ class TestDefaultSuite:
         runner.run(cfg.parse_config(cfg.default_config_dict()))
         assert len(quadratures) <= 274
 
+    def test_default_suite_memo_holds_no_per_call_integrand(self):
+        # expectation keeps only DifferentiableFunction keys, so a moment of
+        # an integrand made afresh per call takes no entry: 258 entries on
+        # the 4 measures, 48 of them L_p norms of T_k closures
+        config = cfg.parse_config(cfg.default_config_dict())
+        runner.run(config)
+        keys = [key for m in config.measures for key in m._memo]
+        expectations = [key[1] for key in keys if key[0] == "expectation"]
+        assert expectations
+        assert all(isinstance(g, functions.DifferentiableFunction) for g in expectations)
+        assert len(keys) <= 258
+
     def test_default_suite_search_budget(self, monkeypatch):
         # every Is refinement and ess_sup bracket search goes through
         # search.golden_min (golden_max calls it): 43 searches of 14 calls
