@@ -3,9 +3,11 @@
 Every ``check_*`` operation evaluates both sides of one inequality on a
 concrete (measure, function, exponent) instance and returns an
 :class:`~covineq.certificates.InequalityCertificate` with the tightness
-ratio.  Conditional inequalities compute their side conditions numerically
-and refuse (``HypothesisViolatedError``) to certify when a hypothesis
-fails; the computed values are recorded in ``side_conditions`` either way.
+ratio.  The six covariance bounds |Cov(g,h)| ≤ C·‖g′‖_p·N(h) go through one
+``_cov_bound``; ``check_cheeger`` keeps its own, as its rhs squares one norm
+and its row has no h.  Conditional inequalities compute their side conditions
+numerically and refuse (``HypothesisViolatedError``) to certify when a
+hypothesis fails; the values are recorded in ``side_conditions`` either way.
 
 The module also houses the Orlicz norms (``orlicz_norm`` under the two
 closed-form Young functions ``young_power`` and ``young_psi1``), the
@@ -84,9 +86,7 @@ def _inv_is(m) -> float:
 
 
 def _holder_conjugate(p: float) -> float:
-    if not 1.0 < p < math.inf:
-        raise DomainError(f"Hölder conjugate needs p in (1, inf), got {p}")
-    return p / (p - 1.0)
+    return math.inf if p == 1.0 else p / (p - 1.0)
 
 
 def _check_p(p, *, open_left=False) -> float:
@@ -101,63 +101,47 @@ def _check_p(p, *, open_left=False) -> float:
     return p
 
 
-def _pair_params(m, g, h, **extra) -> dict:
-    params = {"family": m.label, "g": g.descriptor, "h": h.descriptor}
-    params.update(extra)
-    return params
-
-
 # ---------------------------------------------------------------------------
 # covariance inequalities
 
 
-def _t_bound(name, m, g, h, p, q, params) -> InequalityCertificate:
+def _cov_bound(name, m, g, h, scale, p, h_side, extra) -> InequalityCertificate:
+    """|Cov(g,h)| ≤ scale·‖g′‖_p·h_side(), the rhs multiplied left to right."""
+    lhs = abs(kernel.covariance_kernel(m, g, h))
+    rhs = scale * m.lp_norm(functions.derivative(g), p) * h_side()
+    params = {"family": m.label, "g": g.descriptor, "h": h.descriptor, **extra}
+    return certify(name, lhs=lhs, rhs=rhs, params=params)
+
+
+def _t_bound(name, m, g, h, p, q, extra) -> InequalityCertificate:
     """|Cov(g,h)| ≤ Is(μ)⁻¹·‖g′‖_p·‖T_m h₀‖_q, h₀ = h − E[h], T cut at the
     median; p and q come checked (q = ∞ at p = 1).  At q = ∞ the probed sup
     under-reports the rhs for unbounded h, which only makes it harder to pass."""
-    inv_is = _inv_is(m)
-    lhs = abs(kernel.covariance_kernel(m, g, h))
-    h0 = functions.centered(h, m)
-    g_norm = m.lp_norm(functions.derivative(g), p)
-    rhs = inv_is * g_norm * kernel.t_norm(m, h0, m.median(), q)
-    return certify(name, lhs=lhs, rhs=rhs, params=params)
+    return _cov_bound(
+        name, m, g, h, _inv_is(m), p,
+        lambda: kernel.t_norm(m, functions.centered(h, m), m.median(), q), extra,
+    )
 
 
 def check_cov_l1_linf(m, g, h) -> InequalityCertificate:
     """|Cov(g,h)| ≤ Is(μ)⁻¹·‖g′‖₁·‖T_m h₀‖_∞: ``_t_bound`` at p = 1."""
-    return _t_bound(
-        "cov_l1_linf", m, g, h, 1.0, math.inf, _pair_params(m, g, h, p=1.0)
-    )
+    return _t_bound("cov_l1_linf", m, g, h, 1.0, math.inf, {"p": 1.0})
 
 
 def check_cov_lp_lq_T(m, g, h, p) -> InequalityCertificate:
     """|Cov(g,h)| ≤ Is(μ)⁻¹·‖g′‖_p·‖T_m h₀‖_q, q = p/(p−1), p ∈ (1,∞)."""
     p = _check_p(p, open_left=True)
     q = _holder_conjugate(p)
-    return _t_bound(
-        "cov_lp_lq_T", m, g, h, p, q, _pair_params(m, g, h, p=p, q=q)
-    )
+    return _t_bound("cov_lp_lq_T", m, g, h, p, q, {"p": p, "q": q})
 
 
 def check_cov_lp_lq(m, g, h, p) -> InequalityCertificate:
-    """|Cov(g,h)| ≤ p·Is(μ)⁻¹·‖g′‖_p·‖h₀‖_q (p > 1); p=1 uses ‖h₀‖_∞.
-
-    The p=1 form drops the leading factor (constant 1) and takes the
-    essential sup of the centered h, matching the bounded-h covariance
-    inequality it degenerates to.
-    """
+    """|Cov(g,h)| ≤ p·Is(μ)⁻¹·‖g′‖_p·‖h₀‖_q, q = p/(p−1) (∞ at p = 1)."""
     p = _check_p(p)
-    inv_is = _inv_is(m)
-    lhs = abs(kernel.covariance_kernel(m, g, h))
-    h0 = functions.centered(h, m)
-    q = math.inf if p == 1.0 else _holder_conjugate(p)
-    g_norm = m.lp_norm(functions.derivative(g), p)
-    rhs = (1.0 if p == 1.0 else p) * inv_is * g_norm * m.lp_norm(h0, q)
-    return certify(
-        "cov_lp_lq",
-        lhs=lhs,
-        rhs=rhs,
-        params=_pair_params(m, g, h, p=p, q=q),
+    q = _holder_conjugate(p)
+    return _cov_bound(
+        "cov_lp_lq", m, g, h, p * _inv_is(m), p,
+        lambda: m.lp_norm(functions.centered(h, m), q), {"p": p, "q": q},
     )
 
 
@@ -178,15 +162,9 @@ def check_cov_final(m, g, h, p) -> InequalityCertificate:
     """|Cov(g,h)| ≤ 2(p+q)·Is(μ)⁻²·‖g′‖_p·‖h′‖_q, q = p/(p−1)."""
     p = _check_p(p, open_left=True)
     q = _holder_conjugate(p)
-    inv_is = _inv_is(m)
-    lhs = abs(kernel.covariance_kernel(m, g, h))
-    g_norm = m.lp_norm(functions.derivative(g), p)
-    rhs = 2.0 * (p + q) * inv_is**2 * g_norm * m.lp_norm(functions.derivative(h), q)
-    return certify(
-        "cov_final",
-        lhs=lhs,
-        rhs=rhs,
-        params=_pair_params(m, g, h, p=p, q=q),
+    return _cov_bound(
+        "cov_final", m, g, h, 2.0 * (p + q) * _inv_is(m) ** 2, p,
+        lambda: m.lp_norm(functions.derivative(h), q), {"p": p, "q": q},
     )
 
 
@@ -198,15 +176,13 @@ def check_brascamp_lieb(m, g, h) -> InequalityCertificate:
             f"{m.label} does not track a strictly positive potential second "
             "derivative; the asymmetric covariance bound needs one"
         )
-    lhs = abs(kernel.covariance_kernel(m, g, h))
 
     def weighted(x):
         x = np.asarray(x, dtype=float)
         return np.asarray(h.deriv(x), dtype=float) / np.asarray(phi2(x), dtype=float)
 
-    rhs = m.lp_norm(functions.derivative(g), 1.0) * m.ess_sup(weighted, h.knots)
-    return certify(
-        "brascamp_lieb", lhs=lhs, rhs=rhs, params=_pair_params(m, g, h)
+    return _cov_bound(
+        "brascamp_lieb", m, g, h, 1.0, 1.0, lambda: m.ess_sup(weighted, h.knots), {}
     )
 
 
@@ -222,15 +198,14 @@ def check_cov_variant(m, g, h, side) -> InequalityCertificate:
     """
     if side not in COV_VARIANT_SIDES:
         raise DomainError(f"side must be one of {COV_VARIANT_SIDES}, got {side!r}")
-    lhs = abs(kernel.covariance_kernel(m, g, h))
 
     def sup():
         w = kernel.tail_weight(m, h)
         return m.ess_sup(lambda x: np.abs(w(x)) / m.pdf(x), (*h.knots, m.median()))
 
-    rhs = m.memo(("cov_variant_sup", h), sup) * m.lp_norm(functions.derivative(g), 1.0)
-    return certify(
-        "cov_variant", lhs=lhs, rhs=rhs, params=_pair_params(m, g, h, side=side)
+    return _cov_bound(
+        "cov_variant", m, g, h, 1.0, 1.0,
+        lambda: m.memo(("cov_variant_sup", h), sup), {"side": side},
     )
 
 

@@ -275,6 +275,10 @@ class TestSweepCommands:
         assert code == 0 and "0 fail" in err
         assert out.count('hardy,"uniform(0,1)"') == 2
 
+    def test_hardy_empty_p_list_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "hardy", "--p", ",")
+        assert code == 2 and err.startswith("config error: --p: empty list")
+
     def test_moments_suite(self, capsys):
         code, _, err = run_cli(
             capsys, "moments", "--measure", "laplace:0,1", "--p", "2",

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from covineq import config as cfg
+from covineq import runner
 from covineq.errors import ConfigError, DomainError
 
 
@@ -95,6 +96,19 @@ class TestParseConfig:
         )
         assert rc.checks[0].grid["p"] == (2.5,)
 
+    def test_psi1_young_parses_and_its_orlicz_row_skips(self):
+        rc = cfg.parse_config(
+            {
+                "measures": ["laplace:0,1"],
+                "functions": ["x"],
+                "checks": [{"name": "orlicz", "young": ["psi1"]}],
+            }
+        )
+        assert rc.checks[0].grid["young"] == ("psi1",)
+        # C_N is infinite under psi1: the Orlicz Poincaré bound is vacuous
+        orlicz = [c for c in runner.run(rc).certificates if c.name == "orlicz"]
+        assert [c.status for c in orlicz] == ["skip:domain"]
+
     def test_seed_substitutes_for_functions(self):
         rc = cfg.parse_config(
             {"measures": ["laplace:0,1"], "checks": ["cheeger"], "seed": 7}
@@ -158,6 +172,8 @@ class TestErrorCollection:
                 {"checks": [{"name": "cov_lp_lq", "p": [True]}]},
                 "checks[0].p[0]: p must be >= 1, got True",
             ),
+            ({"checks": [{"name": "cov_lp_lq", "p": []}]}, "checks[0].p: empty grid"),
+            ({"pass_tol": "1e-6"}, "pass_tol: must be a number"),
         ],
     )
     def test_single_field_errors(self, patch, fragment):

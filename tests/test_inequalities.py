@@ -45,9 +45,15 @@ class TestCovarianceChecks:
         assert abs(c.rhs - 2.0 * math.sqrt(2.0)) < 1e-6
         assert abs(c.ratio - math.sqrt(0.5)) < 1e-6
 
-    def test_lp_lq_p_one_uses_sup_form(self, lap):
+    def test_lp_lq_p_one_uses_sup_form(self, lap, uni):
         c = ineq.check_cov_lp_lq(lap, x, x, 1)
         assert c.passed and c.params["q"] == math.inf
+        # constant 1: Is(uniform(0,1)) = 2 and sup|x − 1/2| = 1/2
+        c = ineq.check_cov_lp_lq(uni, x, x, 1)
+        assert c.params["q"] == math.inf
+        assert abs(c.lhs - 1.0 / 12.0) < 1e-9
+        assert abs(c.rhs - 0.25) < 1e-12
+        assert abs(c.ratio - 1.0 / 3.0) < 1e-12
 
     @given(p=st.floats(min_value=1.1, max_value=6.0))
     def test_transform_bound_dominates_holder_bound(self, p):

@@ -79,6 +79,15 @@ class TestOrliczNorm:
         got = ineq.orlicz_norm(measures.laplace(0, 1e9), x, ineq.young_psi1())
         assert abs(got - 2e9) < 1e-7 * 2e9
 
+    def test_psi1_bracket_slides_past_the_probe_grid(self):
+        # g is 0 on every probe point (the deepest is isf(1e-13) ≈ 7.35), so
+        # the bracket starts empty and slides; the norm solves
+        # ∫₈⁹ expm1(1e6(x−8)/λ)φ(x)dx + expm1(1e6/λ)·Φ(−9) = 1 (mpmath, 40 digits)
+        g = fn.piecewise_linear([8.0, 9.0], [0.0, 1e6])
+        got = ineq.orlicz_norm(measures.gaussian(0, 1), g, ineq.young_psi1())
+        want = 23044.987083571404872
+        assert abs(got - want) < 1e-12 * want
+
     def test_modular_lost_by_quadrature_diverges(self):
         # E|x| is infinite under Cauchy, but the quadrature reads 0 at λ = 1e-8
         cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
