@@ -7,9 +7,11 @@ the CLI from flags).  Keys:
                     "tabulated:<path>"
     functions       list of expression strings (see functions.parse_expression)
     checks          list of check names (the keys of inequalities.CHECKS,
-                    which also declares each check's grid keys, defaults and
-                    choices), or objects {"name": ..., "<key>": [grid
-                    values]} for checks with parameter grids
+                    which also declares each check's grid keys and
+                    defaults), or objects {"name": ..., "<key>": [grid
+                    values]} for checks with parameter grids; each value is
+                    parsed by inequalities.GRID_KEYS, the rule the check
+                    applies itself
     pass_tol        relative pass tolerance for certificates (default 1e-6)
     quad_rel_tol    quadrature tolerance relative to ∫|f| (default 1e-9)
     debug_rhs_scale scales every certificate rhs (negative-control runs)
@@ -40,7 +42,7 @@ from .errors import (
     ExpressionError,
     IngestionError,
 )
-from .inequalities import CHECKS, young_spec
+from .inequalities import CHECKS, GRID_KEYS
 from .numerics import NumericContext
 
 __all__ = [
@@ -148,16 +150,15 @@ def _parse_checks(raw, errors):
         if not isinstance(entry, dict) or "name" not in entry:
             errors.append(f"{loc}: must be a check name or an object with 'name'")
             continue
-        name = entry["name"]
+        raw_grid = dict(entry)
+        name = raw_grid.pop("name")
         if name not in CHECKS:
             errors.append(f"{loc}.name: unknown check {name!r}{_suggest_check(name)}")
             continue
         info = CHECKS[name]
         grid = {k: tuple(v) for k, v in info.defaults.items()}
         bad = False
-        for key, raw_vals in entry.items():
-            if key == "name":
-                continue
+        for key, raw_vals in raw_grid.items():
             if key not in info.defaults:
                 errors.append(f"{loc}.{key}: check {name!r} takes no {key!r} grid")
                 bad = True
@@ -167,34 +168,14 @@ def _parse_checks(raw, errors):
                 errors.append(f"{loc}.{key}: empty grid")
                 bad = True
                 continue
-            if key == "p":
-                ok = []
-                for j, v in enumerate(vals):
-                    if isinstance(v, bool) or not (
-                        isinstance(v, (int, float)) and v >= 1.0
-                    ):
-                        errors.append(f"{loc}.p[{j}]: p must be >= 1, got {v!r}")
-                        bad = True
-                    else:
-                        ok.append(float(v))
-                vals = tuple(ok)
-            elif key == "young":
-                for j, v in enumerate(vals):
-                    try:
-                        young_spec(v)
-                    except DomainError as exc:
-                        errors.append(f"{loc}.young[{j}]: {exc}")
-                        bad = True
-            else:
-                choices = info.choices.get(key, ())
-                for j, v in enumerate(vals):
-                    if v not in choices:
-                        errors.append(
-                            f"{loc}.{key}[{j}]: must be one of "
-                            f"{', '.join(choices)}; got {v!r}"
-                        )
-                        bad = True
-            grid[key] = vals
+            parsed = []
+            for j, v in enumerate(vals):
+                try:
+                    parsed.append(GRID_KEYS[key](v))
+                except DomainError as exc:
+                    errors.append(f"{loc}.{key}[{j}]: {exc}")
+                    bad = True
+            grid[key] = tuple(parsed)
         if not bad:
             specs.append(CheckSpec(name=name, grid=grid))
     return specs

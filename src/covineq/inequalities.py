@@ -19,6 +19,7 @@ the covariance and Poincaré bounds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ from .errors import (
     UnsupportedMeasureError,
 )
 from .isoperimetry import isoperimetric_value
+from .measures import lp_exponent
 
 __all__ = [
     "YoungFunction",
@@ -64,6 +66,7 @@ __all__ = [
     "sharpness_sweep",
     "CheckEntry",
     "CHECKS",
+    "GRID_KEYS",
 ]
 
 POINCARE_VARIANTS = ("centered_2p", "centered_p", "raw_2p", "raw_p")
@@ -90,15 +93,19 @@ def _holder_conjugate(p: float) -> float:
 
 
 def _check_p(p, *, open_left=False) -> float:
-    if isinstance(p, (bool, np.bool_)):
-        raise DomainError(f"exponent must be a number, got {p!r}")
-    p = float(p)
-    if math.isnan(p) or p < 1.0 or (open_left and p == 1.0):
+    """p by ``lp_exponent``, finite, and p > 1 when ``open_left``."""
+    p = lp_exponent(p)
+    if math.isinf(p) or (open_left and p == 1.0):
         low = "> 1" if open_left else ">= 1"
-        raise DomainError(f"exponent must be {low}, got {p}")
-    if math.isinf(p):
-        raise DomainError("exponent must be finite")
+        raise DomainError(f"p must be {low} and finite, got {p!r}")
     return p
+
+
+def _one_of(choices, v):
+    """v, if it is one of ``choices``: the rule of every enumerated key."""
+    if v not in choices:
+        raise DomainError(f"must be one of {', '.join(choices)}; got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +203,7 @@ def check_cov_variant(m, g, h, side) -> InequalityCertificate:
     tolerance, so they give the same certificate.  It stays because the
     default suite's row count is pinned by the benchmark's status table.
     """
-    if side not in COV_VARIANT_SIDES:
-        raise DomainError(f"side must be one of {COV_VARIANT_SIDES}, got {side!r}")
+    _one_of(COV_VARIANT_SIDES, side)
 
     def sup():
         w = kernel.tail_weight(m, h)
@@ -252,10 +258,7 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
     ``HypothesisViolatedError`` rather than producing a certificate.
     """
     p = _check_p(p)
-    if variant not in POINCARE_VARIANTS:
-        raise DomainError(
-            f"variant must be one of {POINCARE_VARIANTS}, got {variant!r}"
-        )
+    _one_of(POINCARE_VARIANTS, variant)
     inv_is = _inv_is(m)
     side: dict[str, float] = {}
 
@@ -454,11 +457,9 @@ def young_spec(spec) -> YoungFunction:
         return young_psi1()
     if s.startswith("|x|^"):
         try:
-            p = float(s[4:])
-        except ValueError:
-            p = math.nan
-        if 1.0 <= p < math.inf:
-            return young_power(p)
+            return young_power(float(s[4:]))
+        except ValueError:  # not a number, or a DomainError of young_power
+            pass
     raise DomainError(f"expected 'psi1' or '|x|^p' with finite p >= 1, got {spec!r}")
 
 
@@ -613,8 +614,7 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
 def check_orlicz(m, f, N: YoungFunction, which) -> InequalityCertificate:
     """Orlicz Poincaré: ‖f−f(med)‖_N ≤ C_N·Is⁻¹‖f′‖_N (median_centered)
     or ‖f−Ef‖_N ≤ 2C_N·Is⁻¹‖f′‖_N (mean_centered)."""
-    if which not in ORLICZ_VARIANTS:
-        raise DomainError(f"which must be one of {ORLICZ_VARIANTS}, got {which!r}")
+    _one_of(ORLICZ_VARIANTS, which)
     if not math.isfinite(N.cn):
         raise DomainError(
             f"C_N is infinite for {N.descriptor}; the Orlicz Poincaré "
@@ -623,11 +623,11 @@ def check_orlicz(m, f, N: YoungFunction, which) -> InequalityCertificate:
     inv_is = _inv_is(m)
     if which == "median_centered":
         center = float(np.asarray(f(m.median()), dtype=float))
-        constant = N.cn
+        f0, constant = functions.shifted(f, -center), N.cn
     else:
-        center = m.expectation(f)
-        constant = 2.0 * N.cn
-    lhs = orlicz_norm(m, functions.shifted(f, -center), N)
+        center = m.expectation(f)  # the memoized shift of functions.centered
+        f0, constant = functions.centered(f, m), 2.0 * N.cn
+    lhs = orlicz_norm(m, f0, N)
     rhs = constant * inv_is * orlicz_norm(m, functions.derivative(f), N)
     return certify(
         "orlicz",
@@ -714,9 +714,9 @@ def check_logconcave_moments(m, p) -> InequalityCertificate:
         raise UnsupportedMeasureError(
             f"{m.label} is not flagged log-concave; the moment bound needs it"
         )
-    p = float(p)
-    if math.isnan(p) or not 2.0 <= p < math.inf:
-        raise DomainError(f"log-concave moment bound needs p >= 2, got {p}")
+    p = lp_exponent(p)
+    if not 2.0 <= p < math.inf:
+        raise DomainError(f"p must be >= 2 and finite, got {p!r}")
     norm_p = m.lp_norm(_IDENTITY, p)
     _require_centered(m, norm_p)
     lhs = m.lp_norm(_IDENTITY, p + 1.0)
@@ -737,12 +737,11 @@ def check_logconcave_moments(m, p) -> InequalityCertificate:
 def cp_sequence(p_values) -> list[float]:
     """C_p = (p/(p+1))·(√3·p²/(p−1))^{1/(p+1)}: decreasing toward 1.
 
-    Strict decrease over increasing inputs is asserted; a violation would
-    mean the evaluation itself is broken, so it raises rather than flags.
+    Each p must be finite and > 1 (``_check_p``).  Strict decrease over
+    increasing inputs is asserted; a violation would mean the evaluation
+    itself is broken, so it raises rather than flags.
     """
-    ps = [float(p) for p in p_values]
-    if any(math.isnan(p) or p <= 1.0 for p in ps):
-        raise DomainError("C_p is defined for p > 1 only")
+    ps = [_check_p(p, open_left=True) for p in p_values]
     out = [
         (p / (p + 1.0)) * (math.sqrt(3.0) * p**2 / (p - 1.0)) ** (1.0 / (p + 1.0))
         for p in ps
@@ -879,14 +878,13 @@ class CheckEntry:
     check, runs one grid point.  Each call looks its ``check_*`` up by name
     when it runs, so a function replaced on this module (or on ``kernel``,
     for hardy) is the one called.  ``defaults`` maps every grid key the
-    check takes to its default values; ``choices`` lists the allowed
-    values of the enumerated keys.  ``fn_key`` is the report parameter
-    naming the battery function, None for a measure-level check.
+    check takes to its default values; ``GRID_KEYS`` parses each value of
+    a key.  ``fn_key`` is the report parameter naming the battery function,
+    None for a measure-level check.
     """
 
     call: Callable
     defaults: dict = field(default_factory=dict)
-    choices: dict = field(default_factory=dict)
     fn_key: str | None = "g"
 
     @property
@@ -910,12 +908,10 @@ CHECKS: dict[str, CheckEntry] = {
     "cov_variant": CheckEntry(
         lambda m, fn, side: check_cov_variant(m, fn, fn, side),
         {"side": COV_VARIANT_SIDES},
-        {"side": COV_VARIANT_SIDES},
     ),
     "lp_poincare": CheckEntry(
         lambda m, fn, p, variant: check_lp_poincare(m, fn, p, variant),
         {"p": (2.0,), "variant": ("centered_2p",)},
-        {"variant": POINCARE_VARIANTS},
         fn_key="u",
     ),
     "mean_median_sandwich": CheckEntry(
@@ -924,7 +920,6 @@ CHECKS: dict[str, CheckEntry] = {
     "orlicz": CheckEntry(
         lambda m, fn, young, which: check_orlicz(m, fn, young_spec(young), which),
         {"young": ("|x|^2",), "which": ("median_centered",)},
-        {"which": ORLICZ_VARIANTS},
         fn_key="f",
     ),
     "hardy": CheckEntry(
@@ -942,4 +937,21 @@ CHECKS: dict[str, CheckEntry] = {
     "logconcave_moments": CheckEntry(
         lambda m, p: check_logconcave_moments(m, p), {"p": (2.0,)}, fn_key=None
     ),
+}
+
+
+def _young_key(spec):
+    """spec as it is, once ``young_spec`` takes it: rows print the spec, as
+    a ``YoungFunction`` has no stable text."""
+    young_spec(spec)
+    return spec
+
+
+# each grid key's rule, the one its checks apply: config keeps what it returns
+GRID_KEYS: dict[str, Callable] = {
+    "p": lp_exponent,
+    "variant": functools.partial(_one_of, POINCARE_VARIANTS),
+    "which": functools.partial(_one_of, ORLICZ_VARIANTS),
+    "side": functools.partial(_one_of, COV_VARIANT_SIDES),
+    "young": _young_key,
 }

@@ -219,9 +219,9 @@ def hardy_certificate(m, h, k, p) -> InequalityCertificate:
     past the deepest probe of ``Measure.probe_points``; so at p = inf the
     sup of |h| reads those ends too, and is taken over the window that
     T_k h averages over."""
-    p = float(p)
-    if math.isnan(p) or p <= 1.0:
-        raise DomainError(f"hardy_certificate requires p > 1, got {p}")
+    p = measures.lp_exponent(p)
+    if p == 1.0:
+        raise DomainError(f"p must be > 1, got {p!r}")
     const = 1.0 if math.isinf(p) else p / (p - 1.0)
     lhs = t_norm(m, h, k, p)
     ends = m.integration_domain() if math.isinf(p) else ()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from operator import mul, truediv
 from typing import Any, Callable
@@ -38,12 +39,10 @@ _TAIL_EPS = 1e-300  # quantile depth standing in for an infinite endpoint
 
 
 def lp_exponent(p) -> float:
-    """p as a float; DomainError unless p ≥ 1 (p = inf included, NaN and
-    booleans not)."""
-    if isinstance(p, (bool, np.bool_)):
-        raise DomainError(f"lp_norm requires a number p >= 1, got {p!r}")
-    if not float(p) >= 1.0:
-        raise DomainError(f"lp_norm requires p >= 1, got {float(p)}")
+    """p as a float: the one exponent rule, a real p ≥ 1 (inf included; NaN,
+    booleans and strings not), on which every stricter domain builds."""
+    if isinstance(p, (bool, np.bool_)) or not (isinstance(p, numbers.Real) and p >= 1.0):
+        raise DomainError(f"p must be >= 1, got {p!r}")
     return float(p)
 
 
@@ -66,10 +65,9 @@ class Measure:
     hold their function objects, compared by identity, so on a long-lived
     measure the memo grows with every distinct function used on it; a key
     on a lambda made afresh for each call is never hit again, which is why
-    ``expectation`` keeps no other callable.  ``lp_norm`` keeps every one,
-    so ``kernel.t_norm``'s L_p norm of a T_k closure takes one entry per
-    call.  Every entry is freed with the measure.  The first caller to
-    touch a key pays for its build, and every later caller reads it free.
+    ``expectation`` and ``lp_norm`` keep no other callable.  Every entry is
+    freed with the measure.  The first caller to touch a key pays for its
+    build, and every later caller reads it free.
     """
 
     family: str
@@ -174,9 +172,12 @@ class Measure:
         The moment is taken of g/unit, unit = ``probe_unit(g)``, so it
         neither overflows nor underflows and the scaling back is exact.
         ``knots`` are kinks of g that it cannot list itself, as in
-        ``expectation``.  Kept in the memo per (g, p, knots).
+        ``expectation``.  Kept in the memo per (g, p, knots) when g is a
+        ``DifferentiableFunction``, as ``expectation`` keeps its moments.
         """
         p, knots = lp_exponent(p), tuple(knots)
+        if not isinstance(g, DifferentiableFunction):
+            return self._lp_norm(g, p, knots)
         return self.memo(("lp", g, p, knots), lambda: self._lp_norm(g, p, knots))
 
     def _lp_norm(self, g, p, knots):

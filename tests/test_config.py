@@ -7,6 +7,8 @@ import pytest
 from covineq import config as cfg
 from covineq import runner
 from covineq.errors import ConfigError, DomainError
+from covineq.functions import monomial
+from covineq.inequalities import GRID_KEYS
 
 
 def errors_of(bad) -> list[str]:
@@ -227,3 +229,34 @@ class TestLoadConfig:
         p.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ConfigError, match="cannot read config file"):
             cfg.read_config(p)
+
+
+class TestGridKeys:
+    """Config parses each grid value with ``inequalities.GRID_KEYS``, the
+    rule the check applies when it is called directly."""
+
+    def test_every_default_parses_to_itself(self):
+        for name, entry in cfg.CHECKS.items():
+            for key, values in entry.defaults.items():
+                assert key in GRID_KEYS, (name, key)
+                assert tuple(GRID_KEYS[key](v) for v in values) == tuple(values)
+
+    @pytest.mark.parametrize(
+        "name, key, bad",
+        [
+            ("hardy", "p", 0.5),
+            ("lp_poincare", "variant", "centered"),
+            ("orlicz", "which", "mean"),
+            ("cov_variant", "side", "up"),
+            ("orlicz", "young", "|x|^0.5"),
+        ],
+    )
+    def test_config_error_is_the_checks_own(self, lap, name, key, bad):
+        entry = cfg.CHECKS[name]
+        point = {k: v[0] for k, v in entry.defaults.items()}
+        point[key] = bad
+        with pytest.raises(DomainError) as info:
+            entry.call(lap, monomial(1), **point)
+        errs = errors_of({"measures": ["laplace:0,1"], "functions": ["x"],
+                          "checks": [{"name": name, key: [bad]}]})
+        assert errs == [f"checks[0].{key}[0]: {info.value}"]

@@ -297,3 +297,31 @@ class TestVacuityRule:
         monkeypatch.setattr(ineq, "isoperimetric_value", lambda m: is_value)
         c = ineq.check_moment_comparison(lap, 2.0)
         assert c.rhs == math.inf and c.uninformative and c.passed
+
+
+class TestOneArgumentRule:
+    """Every exponent goes through ``measures.lp_exponent`` and every
+    enumerated key through ``_one_of``, whoever calls the check."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lap, gau: lap.lp_norm(x, "2"),
+            lambda lap, gau: ineq.check_moment_growth(lap, "2"),
+            lambda lap, gau: kernel.hardy_certificate(lap, x, 0.0, "2"),
+            lambda lap, gau: ineq.check_logconcave_moments(gau, "3"),
+        ],
+        ids=["lp_norm", "moment_growth", "hardy", "logconcave_moments"],
+    )
+    def test_a_string_exponent_is_refused(self, lap, gau, call):
+        with pytest.raises(DomainError, match="^p must be >= 1, got '"):
+            call(lap, gau)
+
+    def test_a_boolean_exponent_is_reported_as_given(self, lap):
+        with pytest.raises(DomainError, match="^p must be >= 1, got True$"):
+            kernel.hardy_certificate(lap, x, 0.0, True)
+
+    @pytest.mark.parametrize("ps", [[math.inf], [2, math.inf]])
+    def test_cp_sequence_refuses_an_infinite_p(self, ps):
+        with pytest.raises(DomainError, match="finite"):
+            ineq.cp_sequence(ps)

@@ -374,6 +374,6 @@ class TestHardy:
         monkeypatch.setattr(
             quadrature, "cumulative", lambda *a, **kw: builds.append(1) or real(*a, **kw)
         )
-        with pytest.raises(DomainError, match="p >= 1"):
+        with pytest.raises(DomainError, match="p must be >= 1"):
             kernel.t_norm(measures.laplace(0, 1), x, 0.0, p)
         assert builds == []

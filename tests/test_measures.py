@@ -139,13 +139,21 @@ class TestMemo:
         assert m.expectation(f) == m.expectation(f)
         assert quadratures == ["integrate"] * 2 and m._memo == {}
 
+    def test_lp_norm_of_a_plain_callable_keeps_nothing(self, quadratures):
+        m = measures.laplace(0, 1)
+        f = lambda v: np.abs(v)  # noqa: E731
+        assert m.lp_norm(f, 3.0) == m.lp_norm(f, 3.0)
+        assert quadratures == ["integrate"] * 2
+        assert all(key[0] != "lp" for key in m._memo)
+
     def test_warm_sup_norm_reads_no_point(self):
         m, reads = measures.gaussian(0, 1), []
 
-        def g(v):
+        def ev(v):
             reads.append(np.size(v))
             return np.asarray(v, dtype=float)
 
+        g = functions.DifferentiableFunction(ev, np.ones_like, (), "counted")
         cold = m.lp_norm(g, math.inf)
         n = len(reads)
         assert n > 0 and m.lp_norm(g, math.inf) == cold and len(reads) == n
@@ -190,6 +198,16 @@ class TestMemo:
         quadratures.clear()
         inequalities.check_orlicz(m, g, young, "median_centered")
         assert quadratures == ["integrate"]  # ‖g − g(med)‖₂ only
+
+    def test_mean_centered_orlicz_reads_the_poincare_norm(self, quadratures):
+        # both centre g on the one memoized h₀ of functions.centered
+        m, g = measures.laplace(0, 1), functions.monomial(3)
+        poincare = inequalities.check_lp_poincare(m, g, 2.0, "centered_2p")
+        quadratures.clear()
+        young = inequalities.young_power(2)
+        orlicz = inequalities.check_orlicz(m, g, young, "mean_centered")
+        assert quadratures == []
+        assert orlicz.lhs.hex() == poincare.lhs.hex() == (26.832815729997478).hex()
 
 
 def test_import_leaves_scipy_stats_out():

@@ -153,11 +153,12 @@ class TestExactNorms:
         # lp_norm probes for its unit, not on the 2,048-point grid
         points = []
 
-        def g(v):
+        def ev(v):
             v = np.asarray(v, dtype=float)
             points.append(v.size)
             return v
 
+        g = fn.DifferentiableFunction(ev, np.ones_like, (), "counted")
         want = lap.lp_norm(g, 2.0)
         points.clear()
         assert ineq.orlicz_norm(lap, g, ineq.young_power(2)) == want
