@@ -164,8 +164,12 @@ def _tail_mean(m, h, integral, mass, same, t, side):
     low = ~(den >= floor) | (np.abs(num) < floor)
     if not low.any():
         return num / den
-    # but not an exact 0 of h dF below a zero of h, where h(t) is 0 too
-    redo = low & (~(den >= floor) | (np.asarray(h(t), dtype=float) != 0.0))
+    # but a small ∫ h dF has underflowed only where its own scale, |h(t)|
+    # times the mass, is below the floor too: below a zero of h (h(t) = 0),
+    # or where it cancels to 0 over a mass of 1/2 (h = x² − 2 on laplace
+    # at the median), the read stands
+    ht = np.abs(np.asarray(h(t), dtype=float))
+    redo = low & (~(den >= floor) | ((ht != 0.0) & ~(ht * den >= floor)))
     if redo.any():
         num[redo], den[redo] = _rescaled_tails(m, h, integral, t[redo], side)
     empty = ~(den > 0.0)

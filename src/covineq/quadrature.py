@@ -1,16 +1,18 @@
-"""Adaptive Gauss-Legendre quadrature with prefix/suffix (cumulative) queries.
+"""Adaptive Gauss-Kronrod quadrature with prefix/suffix (cumulative) queries.
 
 The engine integrates vectorized callables f : ndarray -> ndarray over an
 open finite interval (lo, hi).  Error control is panel-local: each panel is
-scored by the disagreement between the 15-point rule on the panel and the
-same rule on its two halves,
+scored by QUADPACK's embedded pair (R. Piessens et al., QUADPACK, 1983),
+the 21-point Kronrod rule and the 10-point Gauss rule on 10 of its nodes,
 
-    err_i = | GL15(a_i, b_i) - GL15(a_i, m_i) - GL15(m_i, b_i) | ,
+    value_i = K21(a_i, b_i),   err_i = | K21(a_i, b_i) - G10(a_i, b_i) | ,
 
-and accepted when err_i <= rel_tol * A_i, where A_i is the children's
-integral of |f|.  Summed over the partition this enforces
+and accepted when err_i <= rel_tol * A_i, where A_i is the K21 integral of
+|f| on the panel.  Summed over the partition this enforces
 sum err_i <= rel_tol * int |f|, a budget with no absolute part, so no
-result depends on the units of x or of f.
+result depends on the units of x or of f.  Cumulative reads cut a panel
+at the query point and apply the 15-point Gauss-Legendre rule to the
+sub-panel (``rule_nodes``, ``rule_sums``).
 
 Three refinements make the scheme robust on the integrands this package
 produces:
@@ -18,8 +20,8 @@ produces:
 * the seed partition carries geometric ladders 2^-1 ... 2^-50 into both
   endpoints: on an infinite support's window [ppf(1e-300), isf(1e-300)]
   they are what seed panels in the body.  Without them the one window
-  panel can pass by accident (x·f(x) on a symmetric window reads 0 in the
-  parent and both children): a gaussian Var(X) then reads 0.3% high;
+  panel can pass by accident (x·f(x) on a symmetric window reads 0 under
+  both rules of the pair): a gaussian Var(X) then reads 0.3% high;
 * a panel touching an endpoint is split geometrically (the boundary child
   keeps 1/8 of the width) instead of bisected, so the endpoint
   singularities of a bounded support (a beta density with a shape below 1,
@@ -50,7 +52,32 @@ import numpy as np
 from .errors import IntegrationError
 from .numerics import active
 
+# the 15-point Gauss-Legendre rule of the cumulative reads
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+# QUADPACK's qk21 table: the nonnegative Kronrod nodes, descending, their
+# K21 weights, and the G10 weights of the Gauss nodes among them (the odd
+# ones); the rule is symmetric about 0
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# the 21 nodes ascending, and the (21, 2) weights of K21 and of G10 on them
+_GK_NODES = np.concatenate([-np.array(_XGK[:-1]), _XGK[::-1]])
+_GK_WEIGHTS = np.zeros((21, 2))
+_GK_WEIGHTS[:, 0] = _WGK[:-1] + _WGK[::-1]
+_GK_WEIGHTS[1::2, 1] = _WG + _WG[::-1]
 
 _MAX_ROUNDS = 500
 _MAX_PANELS = 30_000
@@ -59,29 +86,26 @@ _MASS_FRACTION = 0.01
 
 
 def _panel_batch(f, a, b):
-    """Score panels (a_i, b_i): refined value, parent/child disagreement, |f| mass.
+    """Score panels (a_i, b_i): K21 value, |K21 - G10| error, K21 |f| mass.
 
-    One vectorized call evaluates the parent rule and both children (45
-    points per panel).  Panels containing non-finite evaluations get
-    err = mass = inf and value 0 so they never pass any acceptance test
-    but do not poison running totals.
+    One vectorized call evaluates the 21 Kronrod nodes of every panel; the
+    Gauss rule reuses 10 of their values.  Panels containing non-finite
+    evaluations get err = mass = inf and value 0 so they never pass any
+    acceptance test but do not poison running totals.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    mid = a + 0.5 * (b - a)
-    seg_lo = np.stack([a, a, mid], axis=1)  # parent, left child, right child
-    seg_hi = np.stack([b, mid, b], axis=1)
-    half = 0.5 * (seg_hi - seg_lo)
-    pts = (seg_lo + half)[:, :, None] + half[:, :, None] * _NODES  # (n, 3, 15)
+    half = 0.5 * (b - a)
+    pts = (a + half)[:, None] + half[:, None] * _GK_NODES  # (n, 21)
     with np.errstate(all="ignore"):
         vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
     with np.errstate(invalid="ignore", over="ignore"):
-        seg_int = half * (vals @ _WEIGHTS)
-        seg_abs = half * (np.abs(vals) @ _WEIGHTS)
-        value = seg_int[:, 1] + seg_int[:, 2]
-        err = np.abs(seg_int[:, 0] - value)
-        mass = seg_abs[:, 1] + seg_abs[:, 2]
-    broken = ~np.isfinite(vals.reshape(len(a), -1)).all(axis=1)
+        kg = half[:, None] * (vals @ _GK_WEIGHTS)
+        value = kg[:, 0]
+        err = np.abs(value - kg[:, 1])
+        # summed as the value is, so a nonnegative f's mass is its value
+        mass = half * (np.abs(vals) @ _GK_WEIGHTS)[:, 0]
+    broken = ~np.isfinite(vals).all(axis=1)
     if np.any(broken):
         value = np.where(broken, 0.0, value)
         err = np.where(broken, np.inf, err)

@@ -39,6 +39,22 @@ class TestCovarianceChecks:
         c = ineq.check_cov_lp_lq_T(uni, x, x, 2)
         assert abs(c.lhs - 1.0 / 12.0) < 1e-9 and c.passed
 
+    @pytest.mark.parametrize("centre", [False, True], ids=["x", "centered(x)"])
+    def test_laplace_t_norm_closed_form(self, lap, centre):
+        # T_0 x = x − 1 below 0 and x + 1 above on laplace(0,1), so
+        # ‖T_0 x‖₂² = E(|X| + 1)² = 5, the hardy lhs and (Is = ‖g′‖₂ = 1) the
+        # cov_lp_lq_T rhs; h = x is centred already
+        h = fn.centered(x, lap) if centre else x
+        assert kernel.hardy_certificate(lap, h, 0.0, 2.0).lhs == pytest.approx(
+            math.sqrt(5.0), rel=1e-12, abs=0.0)
+        assert ineq.check_cov_lp_lq_T(lap, h, h, 2).rhs == pytest.approx(
+            math.sqrt(5.0), rel=1e-12, abs=0.0)
+
+    def test_laplace_cheeger_variance_of_square(self, lap):
+        # Var(X²) = E X⁴ − (E X²)² = 24 − 4 on laplace(0,1)
+        c = ineq.check_cheeger(lap, fn.monomial(2))
+        assert c.lhs == pytest.approx(20.0, rel=1e-12, abs=0.0)
+
     def test_lp_lq_laplace_rhs(self, lap):
         c = ineq.check_cov_lp_lq(lap, x, x, 2)
         assert abs(c.lhs - 2.0) < 1e-6

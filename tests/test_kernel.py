@@ -292,6 +292,24 @@ class TestTransform:
                 want = float(num / den)
             assert T(10.0**-e) == pytest.approx(want, rel=1e-12), e
 
+    def test_exact_zero_over_half_the_mass_is_not_an_underflow(self, monkeypatch):
+        # h = 1 on [0, ∞) and 0 below: at the median every node of the prefix
+        # ∫ h dF has h = 0, so the read is exactly 0.0 over a mass of 1/2
+        # while h(0) = 1.  That 0 is the true value, read in place, and no
+        # rescaled reread is made
+        lap = measures.laplace(0, 1)
+        step = fn.DifferentiableFunction(
+            lambda t: (np.asarray(t, dtype=float) >= 0.0).astype(float),
+            lambda t: np.zeros_like(np.asarray(t, dtype=float)), (0.0,), "step(0)")
+        num = lap.cumulative(step).left(0.0)
+        den = lap.cumulative(np.ones_like, step.knots).left(0.0)
+        assert num == 0.0 and den == pytest.approx(0.5, rel=1e-12) and step(0.0) == 1.0
+        calls, reread = [], kernel._rescaled_tails
+        monkeypatch.setattr(kernel, "_rescaled_tails",
+                            lambda *args: calls.append(args) or reread(*args))
+        assert kernel.t_transform(lap, step, 0.0)(0.0) == num / den
+        assert calls == []
+
     def test_mass_cumulative_shared_with_centered_h(self, quadratures):
         m = measures.laplace(0, 1)
         h = fn.ramp(0.3, 0.2)

@@ -199,6 +199,15 @@ class TestMemo:
         inequalities.check_orlicz(m, g, young, "median_centered")
         assert quadratures == ["integrate"]  # ‖g − g(med)‖₂ only
 
+    def test_median_centered_orlicz_runs_once_per_measure(self, quadratures):
+        # g − g(med) is memoized on the measure, so its norm is read again
+        m, g, young = measures.laplace(0, 1), functions.monomial(3), inequalities.young_power(2)
+        first = inequalities.check_orlicz(m, g, young, "median_centered")
+        quadratures.clear()
+        again = inequalities.check_orlicz(m, g, young, "median_centered")
+        assert quadratures == []
+        assert again.lhs == first.lhs and again.rhs == first.rhs
+
     def test_mean_centered_orlicz_reads_the_poincare_norm(self, quadratures):
         # both centre g on the one memoized h₀ of functions.centered
         m, g = measures.laplace(0, 1), functions.monomial(3)
