@@ -103,12 +103,21 @@ def _params_text(params: dict) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in items)
 
 
+def _printed_slack(cert: InequalityCertificate, quad_tol) -> float:
+    """The slack, or 0 where its magnitude is at most the quadrature
+    tolerance times a finite |rhs|: both sides then agree to the accuracy
+    of the integrals, and the digits left record only rounding and the path
+    of a sup search.  ``quad_tol`` None is the active tolerance."""
+    tol = active().rel_tol if quad_tol is None else quad_tol
+    return 0.0 if abs(cert.slack) <= tol * abs(cert.rhs) < math.inf else cert.slack
+
+
 def _pass_value(cert: InequalityCertificate):
     """The pass cell: None for a skipped or errored row, which has no verdict."""
     return None if cert.status.startswith(("skip", "error")) else cert.passed
 
 
-def _row(cert: InequalityCertificate) -> list[str]:
+def _row(cert: InequalityCertificate, quad_tol) -> list[str]:
     return [
         cert.name,
         str(cert.params.get("family", "")),
@@ -117,7 +126,7 @@ def _row(cert: InequalityCertificate) -> list[str]:
         _fmt(cert.lhs),
         _fmt(cert.rhs),
         _fmt(cert.ratio),
-        _fmt(cert.slack),
+        _fmt(_printed_slack(cert, quad_tol)),
         {True: "true", False: "false", None: ""}[_pass_value(cert)],
         cert.status,
     ]
@@ -127,12 +136,13 @@ def to_csv(certs, quad_tol=None) -> str:
     """CSV report, one row per certificate with its status.
 
     The trailing comment lines record the tolerances in force, without which
-    a pass/fail column cannot be interpreted.
+    a pass/fail column cannot be interpreted.  A slack within the quadrature
+    tolerance of the rhs prints as 0, here and in ``to_json``.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(_row(cert) for cert in certs)
+    writer.writerows(_row(cert, quad_tol) for cert in certs)
     tols = sorted({c.tol for c in certs})
     buf.write(f"# pass_tol={','.join(f'{t:g}' for t in tols) or 'n/a'}\n")
     if quad_tol is not None:
@@ -156,7 +166,7 @@ def to_json(certs, quad_tol=None) -> str:
             "lhs": _json_num(cert.lhs),
             "rhs": _json_num(cert.rhs),
             "ratio": _json_num(cert.ratio),
-            "slack": _json_num(cert.slack),
+            "slack": _json_num(_printed_slack(cert, quad_tol)),
             "side_conditions": {
                 k: _json_num(v) for k, v in cert.side_conditions.items()
             },

@@ -144,7 +144,8 @@ def _tail_mean(m, h, integral, mass, same, t, side):
     where it is not are read from ``mass`` itself.  Where either read
     underflows, both are read again divided by one power of two
     (``_rescaled_tails``); where the mass is 0 even so (beyond the window,
-    or a density that underflows itself), T h is h(t), the limit of the
+    or a density that underflows itself), or not finite (a node on a pole
+    of the density at a subnormal t), T h is h(t), the limit of the
     conditional mean.
     """
     i, a, b = integral.split(t, side)
@@ -159,9 +160,9 @@ def _tail_mean(m, h, integral, mass, same, t, side):
     if own.any():
         den[own] = (mass.left if side == "left" else mass.right)(t[own])
     # a read has underflowed where its subnormal spacing is coarser than
-    # the quadrature tolerance
+    # the quadrature tolerance; a mass that is not finite goes to the limit
     floor = _SUBNORMAL / active().rel_tol
-    low = ~(den >= floor) | (np.abs(num) < floor)
+    low = ~((den >= floor) & (den < math.inf)) | (np.abs(num) < floor)
     if not low.any():
         return num / den
     # but a small ∫ h dF has underflowed only where its own scale, |h(t)|
@@ -172,7 +173,7 @@ def _tail_mean(m, h, integral, mass, same, t, side):
     redo = low & (~(den >= floor) | ((ht != 0.0) & ~(ht * den >= floor)))
     if redo.any():
         num[redo], den[redo] = _rescaled_tails(m, h, integral, t[redo], side)
-    empty = ~(den > 0.0)
+    empty = ~((den > 0.0) & (den < math.inf))
     out = np.divide(num, den, out=np.empty_like(t), where=~empty)
     out[empty] = np.asarray(h(t[empty]), dtype=float)
     return out
@@ -197,9 +198,11 @@ def _rescaled_tails(m, h, integral, t, side):
     count = np.array([len(c) - 1 for c in cuts])
     half, pts = quadrature.rule_nodes(np.concatenate([c[:-1] for c in cuts]),
                                       np.concatenate([c[1:] for c in cuts]))
-    scale = np.frexp(m.pdf(t))[1] + np.frexp(np.abs(t - end))[1]
+    # the density and the widths are scaled apart: at a subnormal t their
+    # product is past the float range, and so would be the density over it
+    half = np.ldexp(half, -np.repeat(np.frexp(np.abs(t - end))[1], count))
     nodes = pts.reshape(-1)
-    rows = np.repeat(scale, count)[half != 0.0]  # rule_nodes drops zero widths
+    rows = np.repeat(np.frexp(m.pdf(t))[1], count)[half != 0.0]  # rule_nodes drops zero widths
     dens = np.ldexp(m.pdf(nodes), -np.repeat(rows, pts.shape[1]))
     starts = np.cumsum(count) - count
     with np.errstate(over="ignore", invalid="ignore"):

@@ -12,7 +12,11 @@ for the kernel's dx integrals), ``Measure.expectation`` or
 ``Measure.cumulative`` (against μ); every other integral (lp_norm, the
 kernel's tail weights, T_k, the moment and Orlicz checks) is built on them.
 They run in x-space, adaptively over [quantile(1e-300), isf(1e-300)] (exact
-endpoints where the support is bounded), seeded at the measure's knots.
+endpoints where the support is bounded), seeded at the measure's knots and
+at its own quantiles ``seed_levels``: ppf and isf at 2^-j for j in
+``_SEED_DEPTHS``, so the seed panels carry the mass, not the window.  An
+infinite side's window end is the outermost of its seeds, and its seed
+panels are the shells whose growth ``quadrature`` reads as divergence.
 Upper-tail quantiles always go through the survival function, never
 through 1−t.
 """
@@ -36,6 +40,9 @@ from .functions import DifferentiableFunction
 from .numerics import active
 
 _TAIL_EPS = 1e-300  # quantile depth standing in for an infinite endpoint
+# the seed levels 2^-j of every quadrature, from the median to 2^-513: each
+# gap doubles, so the seeds reach the window's depth in 10 levels per side
+_SEED_DEPTHS = (1, 3, 5, 9, 17, 33, 65, 129, 257, 513)
 
 
 def lp_exponent(p) -> float:
@@ -121,16 +128,30 @@ class Measure:
         hi = b if math.isfinite(b) else float(self.dist.isf(_TAIL_EPS))
         return lo, hi
 
+    def seed_levels(self) -> tuple[float, ...]:
+        """The quantile seeds of every quadrature: ppf and isf at 2^-j for
+        j in ``_SEED_DEPTHS``, and the window's ends (on a bounded side, the
+        support's end, which seeds nothing); memoized on the measure."""
+
+        def build():
+            t = 2.0 ** -np.asarray(_SEED_DEPTHS, dtype=float)
+            ends = self.integration_domain()
+            return tuple(np.concatenate([self.dist.ppf(t), self.dist.isf(t), ends]))
+
+        return self.memo(("seeds",), build)
+
     def integral(self, f, knots=()) -> float:
         """∫ f dx over ``integration_domain()``, panels seeded at the
-        measure's knots and ``knots``; f carries any density it needs."""
+        measure's knots, its ``seed_levels`` and ``knots``; f carries any
+        density it needs."""
         return self._quadrature("integrate", f, knots)
 
     def expectation(self, g, knots=()) -> float:
         """∫ g dμ to the active tolerances; IntegrationError on divergence.
 
-        Panels are seeded at ``g.knots``, the measure's knots and the extra
-        ``knots``: kinks that g cannot list itself, such as a split point.
+        Panels are seeded at ``g.knots``, the measure's knots and
+        ``seed_levels``, and the extra ``knots``: kinks that g cannot list
+        itself, such as a split point.
         Kept in the memo per (g, knots) when g is a ``DifferentiableFunction``;
         any other callable, such as a lambda made per call, is integrated
         afresh.
@@ -161,10 +182,13 @@ class Measure:
         return np.asarray(g(x), dtype=float) * (self.pdf(x) if density is None else density)
 
     def _quadrature(self, engine, f, knots):
-        """``quadrature.<engine>`` of f over the window, looked up on the
-        module at each call, so that a wrapper set there sees every one."""
-        lo, hi = self.integration_domain()
-        return getattr(quadrature, engine)(f, lo, hi, knots=(*knots, *self.knots))
+        """``quadrature.<engine>`` of f over the support, seeded at the
+        measure's knots and ``seed_levels``, whose outermost seeds cut an
+        infinite side at the window's end; looked up on the module at each
+        call, so that a wrapper set there sees every one."""
+        lo, hi = self.support
+        return getattr(quadrature, engine)(
+            f, lo, hi, knots=(*knots, *self.knots, *self.seed_levels()))
 
     def lp_norm(self, g, p, knots=()) -> float:
         """‖g‖_p = (∫|g|^p dμ)^(1/p) for real p ≥ 1; p = inf is ``ess_sup``.

@@ -1,9 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature with prefix/suffix (cumulative) queries.
 
 The engine integrates vectorized callables f : ndarray -> ndarray over an
-open finite interval (lo, hi).  Error control is panel-local: each panel is
-scored by QUADPACK's embedded pair (R. Piessens et al., QUADPACK, 1983),
-the 21-point Kronrod rule and the 10-point Gauss rule on 10 of its nodes,
+open interval (lo, hi), an infinite end cut at the outermost knot toward
+it.  Error control is panel-local: each panel is scored by QUADPACK's
+embedded pair (R. Piessens et al., QUADPACK, 1983), the 21-point Kronrod
+rule and the 10-point Gauss rule on 10 of its nodes,
 
     value_i = K21(a_i, b_i),   err_i = | K21(a_i, b_i) - G10(a_i, b_i) | ,
 
@@ -17,20 +18,34 @@ sub-panel (``rule_nodes``, ``rule_sums``).
 Three refinements make the scheme robust on the integrands this package
 produces:
 
-* the seed partition carries geometric ladders 2^-1 ... 2^-50 into both
-  endpoints: on an infinite support's window [ppf(1e-300), isf(1e-300)]
-  they are what seed panels in the body.  Without them the one window
-  panel can pass by accident (x·f(x) on a symmetric window reads 0 under
-  both rules of the pair): a gaussian Var(X) then reads 0.3% high;
+* an infinite end is cut at the outermost knot toward it, and the seed
+  panels toward it are its shells: ``Measure`` seeds every quadrature at
+  the measure's quantiles 2^-1, 2^-3, 2^-5, 2^-9, ... on each side and the
+  window's ends [ppf(1e-300), isf(1e-300)], so each shell carries a fixed
+  share of the mass.  The outermost shell with |f| mass (the outermost, or
+  the one inward of it where f underflows past the deepest level) must
+  carry at most half the mass of the shell inward of it, as the terms of a
+  convergent series shrink.  A divergent integral (|x| under a Cauchy law
+  gains (1/π)·ln 2 per halving of the tail, so its shells double) raises
+  IntegrationError instead of reading its truncation; so does a
+  convergent one whose shells shrink more slowly, as its mass past the
+  window's depth 1e-300 is then over 1e-3 of the total;
 * a panel touching an endpoint is split geometrically (the boundary child
   keeps 1/8 of the width) instead of bisected, so the endpoint
   singularities of a bounded support (a beta density with a shape below 1,
   a log- or power-type integrand at an end) grade correctly;
-* a panel whose mass A_i is negligible against the running global budget
-  is accepted outright.  Self-similar singular stubs have a *constant*
-  err/A ratio under refinement, so the relative test alone would never
-  terminate on them; the mass rule is what stops the descent once the
-  remaining stub cannot affect the result.
+* a panel whose mass A_i is negligible is accepted outright.  Self-similar
+  singular stubs have a *constant* err/A ratio under refinement, so the
+  relative test alone would never terminate on them; the mass rule is what
+  stops the descent once the remaining stub cannot affect the result.
+  ``integrate`` measures A_i against the running global mass.  A prefix or
+  suffix read of ``cumulative`` inherits each exempt panel's error as an
+  absolute offset, so there A_i is measured against the panel's lighter
+  side, the smaller |f| mass at or left of it and at or right of it, floored
+  at 2^-57 of the global mass: a stub at an end has only its own mass on
+  its lighter side, and is refined until its mass is below 2^-57 · rel_tol
+  / 100 of the total.  Without the floor a stub on a pole (the beta(0.5, 2)
+  density at 0) would never be exempt, and would be split onto the pole.
 
 A panel that does not pass is split until it is stuck: its split point no
 longer falls strictly inside it (width underflow), or the round or panel
@@ -44,6 +59,7 @@ raises instead of returning garbage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -81,8 +97,9 @@ _GK_WEIGHTS[1::2, 1] = _WG + _WG[::-1]
 
 _MAX_ROUNDS = 500
 _MAX_PANELS = 30_000
-_LADDER_DEPTH = 50
 _MASS_FRACTION = 0.01
+# the least lighter-side mass, against the global mass, of a cumulative build
+_LIGHT_FLOOR = 2.0 ** -57
 
 
 def _panel_batch(f, a, b):
@@ -114,17 +131,45 @@ def _panel_batch(f, a, b):
 
 
 def _seed_edges(lo, hi, knots):
-    w = hi - lo
-    ladder = w * 2.0 ** -np.arange(1, _LADDER_DEPTH + 1)
-    pieces = [np.array([lo, hi]), lo + ladder, hi - ladder]
-    if len(knots):
-        ks = np.asarray(list(knots), dtype=float)
-        ks = ks[np.isfinite(ks)]
-        ks = ks[(ks > lo) & (ks < hi)]
-        pieces.append(ks)
-    edges = np.unique(np.concatenate(pieces))
-    # float fuzz can push ladder points outside [lo, hi]; clamp defensively
-    return edges[(edges >= lo) & (edges <= hi)]
+    """lo, hi and the finite knots between them, sorted and unique; an
+    infinite end is cut at the outermost finite knot toward it."""
+    ks = np.asarray(list(knots), dtype=float)
+    ks = ks[np.isfinite(ks)]
+    if ks.size:
+        lo = ks.min() if lo == -np.inf else lo
+        hi = ks.max() if hi == np.inf else hi
+    lo, hi = float(lo), float(hi)
+    if not (hi > lo and math.isfinite(lo) and math.isfinite(hi)):
+        raise IntegrationError(f"empty integration interval ({lo}, {hi})", 0.0, 0.0)
+    return np.unique(np.concatenate([[lo, hi], ks[(ks > lo) & (ks < hi)]]))
+
+
+def _lighter_side(a, mass, kept_a, kept_mass):
+    """The smaller |f| mass at or left of each panel (a, mass) and at or
+    right of it, over those panels and the kept ones (lists of arrays),
+    which together tile the range."""
+    order = np.argsort(np.concatenate([*kept_a, a]), kind="stable")
+    run = np.cumsum(np.concatenate([*kept_mass, mass])[order])
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    left = run[at[len(order) - len(a):]]
+    return np.minimum(left, run[-1] - left + mass)
+
+
+def _growing_shell(edges, a_all, mass_all, lo_inf, hi_inf):
+    """The first infinite end whose outermost seed panel with |f| mass (the
+    outermost, or the one inward of it where the outermost reads 0) carries
+    more than half the mass of the one inward of it, as (end, outer mass,
+    inner mass), or None; the kept panels (a_all, mass_all), sorted, tile
+    the seed panels."""
+    if len(edges) < 7:
+        return None
+    shells = np.add.reduceat(mass_all, np.searchsorted(a_all, edges[:-1]))
+    for end, inf, out in (("-inf", lo_inf, shells[:3]), ("+inf", hi_inf, shells[:-4:-1])):
+        k = 0 if out[0] > 0.0 else 1
+        if inf and not out[k] <= 0.5 * out[k + 1]:
+            return end, out[k], out[k + 1]
+    return None
 
 
 @dataclass(eq=False)
@@ -140,19 +185,21 @@ class _Partition:
     mass: float
 
 
-def _adapt(f, lo, hi, knots, rel_tol, deep_boundaries=False) -> _Partition:
+def _adapt(f, lo, hi, knots, rel_tol, lighter_side=False) -> _Partition:
     """Refine the seed partition of (lo, hi): each round keeps the panels
     that pass or are stuck and splits the rest.  One give-up rule: a kept
     panel that did not pass, or a spent budget, sets ``gave_up``, and then
-    the summed error, kept panels' included, must meet the global budget."""
-    lo, hi = float(lo), float(hi)
-    if not hi > lo:
-        raise IntegrationError(f"empty integration interval ({lo}, {hi})", 0.0, 0.0)
+    the summed error, kept panels' included, must meet the global budget.
+    ``lighter_side`` measures the mass exemption against each panel's
+    lighter side, for the prefix and suffix reads of a cumulative."""
     edges = _seed_edges(lo, hi, knots)
+    lo_inf, hi_inf = lo == -np.inf, hi == np.inf
+    lo, hi = float(edges[0]), float(edges[-1])
     act_a, act_b = edges[:-1], edges[1:]
 
     acc_a: list[np.ndarray] = []
     acc_val: list[np.ndarray] = []
+    acc_mass: list[np.ndarray] = []
     acc_err_sum = 0.0
     acc_mass_sum = 0.0
     n_accepted = 0
@@ -160,14 +207,13 @@ def _adapt(f, lo, hi, knots, rel_tol, deep_boundaries=False) -> _Partition:
 
     for round_no in range(_MAX_ROUNDS + 1):
         val, err, mass = _panel_batch(f, act_a, act_b)
-        finite_mass = mass[np.isfinite(mass)]
+        finite_mass = np.where(np.isfinite(mass), mass, 0.0)
         mass_est = acc_mass_sum + float(np.sum(finite_mass))
-        exempt_ok = mass <= _MASS_FRACTION * rel_tol * mass_est
-        if deep_boundaries:
-            # prefix/suffix queries inherit a boundary stub's value error as
-            # an *absolute* offset, which is a relative blow-up near the
-            # endpoint; drive boundary stubs to width underflow instead
-            exempt_ok &= (act_a != lo) & (act_b != hi)
+        scale = mass_est
+        if lighter_side:
+            light = _lighter_side(act_a, finite_mass, acc_a, acc_mass)
+            scale = np.maximum(light, _LIGHT_FLOOR * mass_est)
+        exempt_ok = mass <= _MASS_FRACTION * rel_tol * scale
         with np.errstate(invalid="ignore"):
             ok = (err <= rel_tol * mass) | exempt_ok
         # a panel with non-finite error must keep splitting (inf <= inf is true)
@@ -184,8 +230,9 @@ def _adapt(f, lo, hi, knots, rel_tol, deep_boundaries=False) -> _Partition:
         keep = ok | stuck
         acc_a.append(act_a[keep])
         acc_val.append(val[keep])
+        acc_mass.append(finite_mass[keep])
         acc_err_sum += float(np.sum(err[keep]))
-        acc_mass_sum += float(np.sum(mass[keep & np.isfinite(mass)]))
+        acc_mass_sum += float(np.sum(finite_mass[keep]))
         n_accepted += int(np.sum(keep))
         if keep.all():
             break
@@ -205,6 +252,14 @@ def _adapt(f, lo, hi, knots, rel_tol, deep_boundaries=False) -> _Partition:
             estimate=total,
             error_bound=acc_err_sum,
         )
+    grown = _growing_shell(edges, a_all, np.concatenate(acc_mass)[order], lo_inf, hi_inf)
+    if grown is not None:
+        raise IntegrationError(
+            "integral diverges toward {}: a seed shell carries |f| mass {:.3e} "
+            "against {:.3e} inward of it".format(*grown),
+            estimate=total,
+            error_bound=math.inf,
+        )
     # the kept panels tile [lo, hi]
     return _Partition(lo, hi, np.append(a_all, hi), v_all, total, acc_err_sum, acc_mass_sum)
 
@@ -221,8 +276,10 @@ def integrate(
     ``knots`` are abscissae where f (or a derivative) is discontinuous;
     they become seed panel edges so kinks never straddle a panel.  Raises
     IntegrationError when the tolerance cannot be met (divergent or broken
-    integrands end up here).  The relative tolerance is that of the active
-    numerics.NumericContext.
+    integrands end up here).  An infinite end is cut at the outermost knot
+    toward it, and raises IntegrationError when the seed panels toward it
+    grow (see the module docstring).  The relative tolerance is that of the
+    active numerics.NumericContext.
     """
     return _adapt(f, lo, hi, knots, active().rel_tol).total
 
@@ -325,6 +382,7 @@ def cumulative(
     *,
     knots: Sequence[float] = (),
 ) -> CumulativeIntegral:
-    """Adaptively integrate f once, returning prefix/suffix query access."""
-    part = _adapt(f, lo, hi, knots, active().rel_tol, deep_boundaries=True)
+    """Adaptively integrate f once, returning prefix/suffix query access;
+    ends and knots as in ``integrate``."""
+    part = _adapt(f, lo, hi, knots, active().rel_tol, lighter_side=True)
     return CumulativeIntegral(f, part)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from covineq import numerics, quadrature
 from covineq.cli import main
 
 
@@ -215,11 +216,21 @@ class TestSweepCommands:
         code, _, err = run_cli(capsys, "--pass-tol", "-1", "sharpness")
         assert code == 2 and "pass_tol: must be a positive finite number" in err
 
-    def test_best_constant_honours_quad_tol(self, capsys):
+    def test_best_constant_honours_quad_tol(self, capsys, monkeypatch):
+        # every quadrature the command runs reads the CLI's tolerance
+        seen = []
+        for name in ("integrate", "cumulative"):
+            def spy(*args, real=getattr(quadrature, name), **kwargs):
+                seen.append(numerics.active().rel_tol)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(quadrature, name, spy)
         argv = ["best-constant", "--measure", "laplace:0,1", "--deltas", "1e-3"]
-        _, default, _ = run_cli(capsys, *argv)
-        _, loose, _ = run_cli(capsys, "--quad-rel-tol", "1e-4", *argv)
-        assert loose != default
+        run_cli(capsys, *argv)
+        default, seen[:] = list(seen), []
+        run_cli(capsys, "--quad-rel-tol", "1e-4", *argv)
+        assert default and set(default) == {1e-9}
+        assert seen and set(seen) == {1e-4}
 
     def test_best_constant_limit_lines(self, capsys):
         code, out, _ = run_cli(

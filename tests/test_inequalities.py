@@ -15,6 +15,7 @@ from covineq.certificates import certify
 from covineq.errors import (
     DomainError,
     HypothesisViolatedError,
+    IntegrationError,
     UnsupportedMeasureError,
 )
 from covineq.numerics import NumericContext, numeric_context
@@ -266,12 +267,21 @@ class TestSandwich:
 
 
 class TestBestConstant:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_isoperimetric_constant_gives_infinite_target(self):
-        # Is(cauchy) = 0; the target 1/Is follows the certificates' convention
-        cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
-        with np.errstate(invalid="ignore"):
-            est = ineq.estimate_best_constant(cauchy, x, [1e-1, 1e-2])
+        # Is(lognorm(1)) = 0; the target 1/Is follows the certificates'
+        # convention, and the ratios stay finite
+        lognorm = measures.from_scipy(stats.lognorm(1), "lognorm")
+        est = ineq.estimate_best_constant(lognorm, x, [1e-1, 1e-2])
         assert est.target == math.inf
+        assert np.allclose(est.ratios, (1.12188, 1.12553), rtol=1e-5, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_integrable_g_raises(self):
+        # E|X| = ∞ under Cauchy: Cov(x, h) diverges, and no ratio is returned
+        cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
+        with pytest.raises(IntegrationError):
+            ineq.estimate_best_constant(cauchy, x, [1e-1, 1e-2])
 
     def test_vacuous_ratio_with_zero_denominator_is_nan(self, lap, monkeypatch):
         # Is = 0 makes the bound vacuous; a zero ||T h0||_inf must not divide

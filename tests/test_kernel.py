@@ -207,7 +207,8 @@ class TestOnePassRead:
                              ids=lambda h: h.descriptor)
     @pytest.mark.parametrize("k", [-1.0, 0.0, 2.0])
     def test_pair_with_partitions_that_differ(self, h, k):
-        m = measures.laplace(0, 1)
+        # on laplace(0, 4) the two partitions differ on both sides of each k
+        m = measures.laplace(0, 4)
         integral, mass = m.cumulative(h), m.cumulative(np.ones_like, h.knots)
         probes = np.clip(_t_probes(m, k), *m.integration_domain())
         for side, t in (("left", probes[probes <= k]), ("right", probes[probes > k])):

@@ -94,7 +94,7 @@ class TestMemo:
         assert m.cumulative(x) is first and len(quadratures) == 5
 
     def test_a_build_that_raises_keeps_nothing(self, quadratures):
-        m = measures.from_scipy(scipy.stats.t(3))  # empty window: every integral raises
+        m = measures.from_scipy(scipy.stats.cauchy())  # E|X| = ∞: every build below raises
         tries = []
 
         def failing():
@@ -115,7 +115,7 @@ class TestMemo:
             for _ in range(2):
                 with pytest.raises(IntegrationError):
                     build()
-        assert m._memo == {}
+        assert not {"cumulative", "centered", "covariance"} & {key[0] for key in m._memo}
         # cumulative and covariance's W reach the quadrature on both calls,
         # centered's E[x] too
         assert quadratures == ["cumulative"] * 2 + ["integrate"] * 2 + ["cumulative"] * 2
@@ -137,7 +137,8 @@ class TestMemo:
         m = measures.laplace(0, 1)
         f = lambda v: np.abs(v)  # noqa: E731
         assert m.expectation(f) == m.expectation(f)
-        assert quadratures == ["integrate"] * 2 and m._memo == {}
+        assert quadratures == ["integrate"] * 2
+        assert all(key[0] != "expectation" for key in m._memo)
 
     def test_lp_norm_of_a_plain_callable_keeps_nothing(self, quadratures):
         m = measures.laplace(0, 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from covineq import functions, measures, numerics, quadrature, runner
 from covineq.config import parse_config
@@ -104,50 +105,116 @@ def test_spent_round_budget_on_passing_panels_returns(monkeypatch):
 
 @pytest.mark.parametrize("panels", [50, 120])
 def test_spent_panel_budget_raises(monkeypatch, panels):
-    # the seed partition of (0, 10) has 100 panels
+    # ∫_0^20 sin²(40x) dx converges on 166 panels, past either budget
     monkeypatch.setattr(quadrature, "_MAX_PANELS", panels)
     with pytest.raises(IntegrationError) as info:
-        quadrature.integrate(sin2, 0.0, 10.0)
+        quadrature.integrate(sin2, 0.0, 20.0)
     assert info.value.error_bound > numerics.active().rel_tol * info.value.estimate
 
 
 def test_width_underflow_within_budget_returns():
-    # ∫_0^1 x^(-1/4) dx = 4/3: the boundary stub at 0 splits until its split
-    # point no longer falls strictly inside it, and is kept without passing;
-    # its error counts against the budget, which it meets
-    cum = measures.uniform(0, 1).cumulative(functions.power(-0.25))
+    # ∫_1^2 (x−1)^(1/4) dx = 4/5: the boundary stub at 1 splits until its
+    # split point no longer falls strictly inside it (the float spacing at
+    # 1), while its mass is still far above the 2^-57 floor of a cumulative's
+    # lighter side; it is kept without passing, and its error counts against
+    # the budget, which it meets
+    cum = quadrature.cumulative(lambda x: np.abs(np.asarray(x, float) - 1.0) ** 0.25, 1.0, 2.0)
     a, b = cum.partition.edges[:2]
-    assert a == 0.0 and not a + (b - a) / 8.0 > a
-    assert abs(cum.total - 4.0 / 3.0) < 1e-15
+    assert a == 1.0 and not a + (b - a) / 8.0 > a
+    assert abs(cum.total - 0.8) < 1e-15
     assert cum.error_bound <= numerics.active().rel_tol * cum.total
 
 
 def test_width_underflow_with_infinite_error_raises():
-    # a cumulative drives the stub at 0 of t^(-1/2) to width underflow, where
-    # its nodes land on the pole: the stub is kept with err = inf and raises
+    # the stub at 0 of t^(-19/20) keeps a mass 20·w^(1/20) above the floor at
+    # every float width w, so a cumulative drives it to width underflow,
+    # where its nodes land on the pole: the stub is kept with err = inf and
+    # raises
     with pytest.raises(IntegrationError) as info:
-        quadrature.cumulative(lambda t: np.asarray(t, float) ** -0.5, 0.0, 1.0)
+        quadrature.cumulative(lambda t: np.asarray(t, float) ** -0.95, 0.0, 1.0)
     assert info.value.error_bound == math.inf
-    assert abs(info.value.estimate - 2.0) < 1e-12
+    assert abs(info.value.estimate - 20.0) < 1e-12
 
 
 def test_beta_half_two_first_moment_cumulative_builds():
-    # the counterpart of the strict xfail below, not a give-up case: h = x
-    # damps the pole at 0, so the stub at 0 passes (at width 1.5e-213) and
-    # the same window builds; width underflow is the x^(-1/4) test above
+    # h = x damps the pole of the density at 0
     cum = measures.beta(0.5, 2).cumulative(functions.monomial(1))
     assert abs(cum.total - 0.2) < 1e-15
     assert cum.error_bound <= numerics.active().rel_tol * cum.total
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the boundary stub at 0 is split until its nodes land on 0, where "
-    "the beta(0.5, 2) density is +inf, so it keeps err = inf",
-)
 def test_beta_half_two_mass_cumulative_builds():
+    # the stub at 0, on the pole, has only its own mass on its lighter side;
+    # it is exempt once that is below the floor, before its nodes reach 0
     cum = measures.beta(0.5, 2).cumulative(np.ones_like)
     assert abs(cum.total - 1.0) < 1e-12
+    assert cum.error_bound <= numerics.active().rel_tol * cum.total
+
+
+def test_infinite_end_is_cut_at_the_outermost_knot():
+    v = quadrature.integrate(gauss_pdf, -math.inf, math.inf, knots=(-40.0, 0.0, 40.0))
+    assert abs(v - 1.0) < 1e-12
+    with pytest.raises(IntegrationError):
+        quadrature.integrate(gauss_pdf, -math.inf, 1.0)
+
+
+class TestQuantileSeeds:
+    """Every quadrature of a measure is seeded at its own quantiles."""
+
+    def test_laplace_absolute_moments(self):
+        # E|X|^k = k!; a level schedule that stops short of the window's
+        # depth (2^-1 ... 2^-57) reads E|X|^5 3e-13 low
+        m = measures.laplace(0, 1)
+        for k in range(1, 19):
+            v = m.expectation(lambda t: np.abs(t) ** k)
+            assert abs(v / math.factorial(k) - 1.0) <= 4.4e-16, k
+
+    def test_levels_and_moments_scale_with_the_measure(self):
+        unit = np.array(measures.laplace(0, 1).seed_levels())
+        for c in (1e-70, 1.0, 1e70, 1e290):
+            m = measures.laplace(0, c)
+            assert np.array_equal(np.array(m.seed_levels()), c * unit)
+            assert abs(m.expectation(lambda t: (t / c) ** 2) - 2.0) <= 4.4e-16
+
+    def test_gaussian_variance_scores_its_seed_panels_only(self, monkeypatch):
+        # 20 seed panels, all passing in the first round
+        scored, real = [], quadrature._panel_batch
+        monkeypatch.setattr(quadrature, "_panel_batch",
+                            lambda f, a, b: scored.append(len(a)) or real(f, a, b))
+        v = measures.gaussian(0, 1).expectation(functions.monomial(2))
+        assert abs(v - 1.0) <= 4.4e-16 and sum(scored) <= 20
+
+    def test_levels_are_built_at_the_first_quadrature(self):
+        m = measures.gaussian(0, 1)
+        assert not any(key[0] == "seeds" for key in m._memo)
+        m.expectation(functions.monomial(2))
+        assert any(key[0] == "seeds" for key in m._memo)
+
+
+class TestHeavyTails:
+    """The seed shells toward an infinite end must shrink."""
+
+    cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
+
+    def test_cauchy_mass(self):
+        v = self.cauchy.expectation(np.ones_like)
+        assert abs(v - 1.0) <= numerics.active().rel_tol
+
+    @pytest.mark.parametrize("g", [np.abs, np.square], ids=["abs", "square"])
+    def test_cauchy_moments_raise(self, g):
+        with pytest.raises(IntegrationError, match="diverges|did not converge"):
+            self.cauchy.expectation(g)
+
+    def test_pareto_second_moment(self):
+        v = measures.from_scipy(stats.pareto(3)).expectation(np.square)
+        assert abs(v - 3.0) <= 1e-12 * 3.0
+
+    @pytest.mark.parametrize("k", [2, 19])
+    def test_lognormal_moments(self, k):
+        # E X^19 = e^180.5 peaks near level 2^-270, in the shell inward of the
+        # window piece; that piece still carries mass, so the shells shrink
+        m = measures.from_scipy(stats.lognorm(1))
+        assert abs(m.expectation(lambda t: t**k) / math.exp(k * k / 2) - 1.0) <= 1e-12
 
 
 @given(

@@ -186,6 +186,24 @@ class TestVerdict:
             (s, json_pass[p]) for s, p in want
         ]
 
+    def test_slack_within_the_quadrature_tolerance_prints_as_zero(self):
+        # a slack of at most rel_tol·|rhs| is rounding noise; larger slacks,
+        # and the inf slack of an infinite rhs, print as they are
+        certs = [
+            certify("a", lhs=1.0 - 5e-14, rhs=1.0),
+            certify("b", lhs=1.0 + 5e-14, rhs=1.0),
+            certify("c", lhs=1.0, rhs=1.0 + 2.0**-26),
+            certify("d", lhs=1.0, rhs=math.inf),
+        ]
+        want = ["0", "0", f"{2.0**-26:.10g}", "inf"]
+        rows = rows_of(to_csv(certs, quad_tol=1e-9))
+        assert [r["slack"] for r in rows] == want
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        objs = json.loads(to_json(certs, quad_tol=1e-9))
+        assert [o["slack"] for o in objs] == [0.0, 0.0, 2.0**-26, "inf"]
+        # the active tolerance stands in for a serializer given none
+        assert rows_of(to_csv(certs[:1]))[0]["slack"] == "0"
+
     @pytest.mark.parametrize(
         "statuses, want",
         [
