@@ -537,11 +537,12 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
     slides up to [hi, 1e8·hi]; past the top of the float range
     ``DivergentNormError`` is raised.
 
-    ‖g‖₁ = ∞ makes every Orlicz norm infinite.  An L_p norm, ‖g‖₁ or root
-    modular that reads 0 while g is not 0 on the probe grid is mass the
-    quadrature lost (Cauchy under |x|^1 reads 0 over its ±3e299 window),
-    not a norm, and also raises ``DivergentNormError``: near a true root
-    the modular is near one, never 0.
+    ‖g‖₁ = ∞ makes every Orlicz norm infinite.  A quadrature that raises
+    IntegrationError (Cauchy under |x|^1, whose seed shells grow toward
+    each infinite end) raises ``DivergentNormError``.  So does an L_p norm,
+    ‖g‖₁ or root modular that reads 0 while g is not 0 on the probe grid:
+    that is mass the quadrature lost, not a norm, as near a true root the
+    modular is near one, never 0.
     """
     knots = getattr(g, "knots", ())
     with np.errstate(all="ignore"):

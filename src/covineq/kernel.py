@@ -120,7 +120,7 @@ def t_transform(m, h, k) -> Callable:
     k = float(k)
     integral = m.cumulative(h)
     mass = m.cumulative(np.ones_like, h.knots)  # 1.0·pdf is pdf exactly
-    same = np.array_equal(integral.partition.edges, mass.partition.edges)
+    same = np.array_equal(integral.edges, mass.edges)
     lo, hi = m.integration_domain()
 
     def T(x):
@@ -188,12 +188,12 @@ def _rescaled_tails(m, h, integral, t, side):
     underflows where the density at t does not.  Each read is summed again
     from the nodes of the panels of h's partition between the end and t,
     the last one cut at t."""
-    edges = integral.partition.edges
+    edges = integral.edges
     if side == "left":
-        end = integral.partition.lo
+        end = edges[0]
         cuts = [np.append(edges[edges < u], u) for u in t]
     else:
-        end = integral.partition.hi
+        end = edges[-1]
         cuts = [np.append(u, edges[edges > u]) for u in t]
     count = np.array([len(c) - 1 for c in cuts])
     half, pts = quadrature.rule_nodes(np.concatenate([c[:-1] for c in cuts]),

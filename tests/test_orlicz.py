@@ -89,7 +89,9 @@ class TestOrliczNorm:
         assert abs(got - want) < 1e-12 * want
 
     def test_modular_lost_by_quadrature_diverges(self):
-        # E|x| is infinite under Cauchy, but the quadrature reads 0 at λ = 1e-8
+        # E|x| is infinite under Cauchy: the quadrature raises IntegrationError
+        # (its seed shells grow toward -inf), which orlicz_norm turns into
+        # DivergentNormError
         cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
         with pytest.raises(DivergentNormError):
             ineq.orlicz_norm(cauchy, x, ineq.young_power(1))

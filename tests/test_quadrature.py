@@ -119,7 +119,7 @@ def test_width_underflow_within_budget_returns():
     # lighter side; it is kept without passing, and its error counts against
     # the budget, which it meets
     cum = quadrature.cumulative(lambda x: np.abs(np.asarray(x, float) - 1.0) ** 0.25, 1.0, 2.0)
-    a, b = cum.partition.edges[:2]
+    a, b = cum.edges[:2]
     assert a == 1.0 and not a + (b - a) / 8.0 > a
     assert abs(cum.total - 0.8) < 1e-15
     assert cum.error_bound <= numerics.active().rel_tol * cum.total
@@ -273,6 +273,26 @@ class TestCumulative:
             alone = query(np.array([t]))[0]
             assert query(np.array([t, 1.0]))[0] == alone
             assert query(np.linspace(0.0, 40.0, 1001).tolist() + [t])[-1] == alone
+
+    @pytest.mark.parametrize("build, lo, hi", [
+        (lambda: quadrature.cumulative(gauss_pdf, -40.0, 40.0), -40.0, 40.0),
+        (lambda: measures.laplace(0, 1).cumulative(functions.monomial(1)),
+         *measures.laplace(0, 1).integration_domain()),
+        (lambda: quadrature.cumulative(lambda x: np.abs(np.asarray(x, float) - 1.0) ** 0.25,
+                                       1.0, 2.0), 1.0, 2.0),
+        (lambda: quadrature.cumulative(np.exp, 0.0, 30.0), 0.0, 30.0),
+    ], ids=["gaussian", "laplace-x", "width-underflow", "exp"])
+    def test_partition_in_x_order(self, build, lo, hi):
+        # the panels tile (lo, hi) in x order, one value each, and a read at
+        # an edge is the prefix or suffix sum of the values, bit for bit: at
+        # hi too, where the 15-point rule on the last panel reads e^30 an ulp off
+        cum = build()
+        e, v = cum.edges, cum.values
+        assert e[0] == lo and e[-1] == hi and np.all(np.diff(e) > 0)
+        assert len(v) == len(e) - 1
+        assert cum.total == float(np.sum(v))
+        assert np.array_equal(cum.left(e), np.concatenate([[0.0], np.cumsum(v)]))
+        assert np.array_equal(cum.right(e), np.concatenate([np.cumsum(v[::-1])[::-1], [0.0]]))
 
     def test_queries_clip_to_domain(self):
         cum = quadrature.cumulative(gauss_pdf, -40.0, 40.0)
