@@ -68,6 +68,10 @@ def monomial(k) -> DifferentiableFunction:
     return DifferentiableFunction(ev, dv, (), f"monomial({k})")
 
 
+# x, declared once: the grammar's x and the moment checks share its memo entries
+IDENTITY = monomial(1)
+
+
 def signed_power(p) -> DifferentiableFunction:
     """x ↦ sign(x)|x|^p with derivative p|x|^(p−1); knot at 0."""
     p = float(p)
@@ -325,7 +329,7 @@ def parse_expression(text: str) -> Expression:
             a, b = build(node.left, depth + 1), build(node.right, depth + 1)
             return lambda m: product(a(m), b(m))
         if getattr(node, "id", None) == "x":
-            return lambda m: monomial(1)
+            return lambda m: IDENTITY
         if isinstance(op, ast.Pow) and getattr(node.left, "id", None) == "x":
             k = number(node.right)
             fn = monomial(int(k)) if k.is_integer() and k >= 1 else power(k)

@@ -74,8 +74,6 @@ ORLICZ_VARIANTS = ("median_centered", "mean_centered")
 COV_VARIANT_SIDES = ("left", "right")
 HYPOTHESIS_TOL = 1e-6
 
-_IDENTITY = functions.monomial(1)
-
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -309,13 +307,6 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
 # mean/median centering comparison
 
 
-def _abs_deviation(m, g, c, knots=()) -> float:
-    """E|g − c|; ``knots`` are the crossings of g = c."""
-    return m.expectation(
-        lambda x: np.abs(np.asarray(g(x), dtype=float) - c), (*g.knots, *knots)
-    )
-
-
 _CROSSING_STEPS = 60
 
 
@@ -382,14 +373,19 @@ def _pushforward_median(m, g) -> tuple[float, tuple[float, ...]]:
 def check_mean_median_sandwich(m, g) -> InequalityCertificate:
     """E|g − med(g)| ≤ E|g − Eg| ≤ 2·E|g − med(g)|.
 
-    The certificate's lhs/rhs carry the upper inequality; the lower one
-    sets ``status`` and is recorded under ``side_conditions``.
+    E|g − Eg| is ``Measure.lp_norm`` of ``functions.centered(g, m)`` at
+    p = 1, and E|g − med(g)| one expectation seeded at the crossings of
+    g = med(g).  The certificate's lhs/rhs carry the upper inequality; the
+    lower one sets ``status`` and is recorded under ``side_conditions``.
     Deviations below 1e-12·|E g|, quadrature noise relative to the mean,
     collapse to zero, so an (effectively) constant g certifies 0 ≤ 0.
     """
     center = m.expectation(g)
-    mean_dev = _abs_deviation(m, g, center)
-    med_dev = _abs_deviation(m, g, *_pushforward_median(m, g))
+    mean_dev = m.lp_norm(functions.centered(g, m), 1.0)
+    med, crossings = _pushforward_median(m, g)
+    med_dev = m.expectation(
+        lambda x: np.abs(np.asarray(g(x), dtype=float) - med), (*g.knots, *crossings)
+    )
     floor = 1e-12 * abs(center)
     if mean_dev < floor and med_dev < floor:
         mean_dev = med_dev = 0.0
@@ -522,9 +518,11 @@ def _log_level(v: float) -> float:
 def orlicz_norm(m, g, N: YoungFunction) -> float:
     """The Luxemburg norm inf{λ > 0 : E[N(g/λ)] ≤ 1}.
 
-    For N = |x|^p (``N.power``) this is ‖g‖_p, ``Measure.lp_norm``: one
-    quadrature, with g probed on the 64-point grid that ``lp_norm`` takes
-    its unit on.  Only the ψ1 bracket needs the sup over ``probe_points()``.
+    One ``Measure.lp_norm`` read, memoized on ``m``, serves both kinds of
+    N: for N = |x|^p (``N.power``) the norm is ‖g‖_p, one quadrature, with
+    g probed on the 64-point grid that ``lp_norm`` takes its unit on; for
+    any other N it is ‖g‖₁, the lower end of the bracket below.  Only the
+    ψ1 bracket needs the sup over ``probe_points()``.
 
     Any other N (ψ1) is solved for: λ ↦ log E[N(g/λ)] falls through 0 at
     the norm, and Brent's method (``_zeroin``) finds that root in log λ.
@@ -537,12 +535,12 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
     slides up to [hi, 1e8·hi]; past the top of the float range
     ``DivergentNormError`` is raised.
 
-    ‖g‖₁ = ∞ makes every Orlicz norm infinite.  A quadrature that raises
-    IntegrationError (Cauchy under |x|^1, whose seed shells grow toward
-    each infinite end) raises ``DivergentNormError``.  So does an L_p norm,
-    ‖g‖₁ or root modular that reads 0 while g is not 0 on the probe grid:
-    that is mass the quadrature lost, not a norm, as near a true root the
-    modular is near one, never 0.
+    ‖g‖₁ = ∞ makes every Orlicz norm infinite.  An ``lp_norm`` read that
+    raises IntegrationError (Cauchy under |x|^1, whose seed shells grow
+    toward each infinite end) raises ``DivergentNormError``.  So does an
+    ``lp_norm`` read or root modular that reads 0 while g is not 0 on the
+    probe grid: that is mass the quadrature lost, not a norm, as near a
+    true root the modular is near one, never 0.
     """
     knots = getattr(g, "knots", ())
     with np.errstate(all="ignore"):
@@ -557,24 +555,18 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
             "grid: the quadrature lost the mass"
         )
 
-    if N.power is not None:
-        try:
-            norm = m.lp_norm(g, N.power)
-        except IntegrationError as exc:
-            raise DivergentNormError(f"E|g|^{N.power:g} diverges: {exc}") from exc
-        if norm == 0.0 and sup > 0.0:
-            raise lost()
-        return norm
-
+    p = 1.0 if N.power is None else N.power
     try:
-        n1 = m.expectation(lambda x: np.abs(np.asarray(g(x), dtype=float)), knots)
+        norm = m.lp_norm(g, p)
     except IntegrationError as exc:
-        raise DivergentNormError(f"E|g| diverges, and so does ‖g‖_N: {exc}") from exc
-    if n1 == 0.0:
-        if sup > 0.0:
-            raise lost()
-        return 0.0
-    lo = n1 / N.t1
+        raise DivergentNormError(
+            f"E|g|^{p:g} diverges, and so does ‖g‖_N: {exc}"
+        ) from exc
+    if norm == 0.0 and sup > 0.0:
+        raise lost()
+    if N.power is not None or norm == 0.0:
+        return norm
+    lo = norm / N.t1
     s_top = math.log(sys.float_info.max / lo)
 
     def at(s: float) -> float:
@@ -594,7 +586,7 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
     at_lo = level(0.0)
     if at_lo <= 0.0:
         return lo
-    s_lo, s_hi = 0.0, math.log(max(sup, n1) / N.t1 / lo)
+    s_lo, s_hi = 0.0, math.log(max(sup, norm) / N.t1 / lo)
     at_hi = level(s_hi)
     while at_hi > 0.0:
         s_lo, at_lo = s_hi, at_hi
@@ -655,7 +647,7 @@ def check_moment_growth(m, p) -> InequalityCertificate:
     p = _check_p(p)
     inv_is = _inv_is(m)
     c_p = p * inv_is
-    lhs = m.lp_norm(functions.centered(_IDENTITY, m), p)
+    lhs = m.lp_norm(functions.centered(functions.IDENTITY, m), p)
     return certify(
         "moment_growth",
         lhs=lhs,
@@ -668,7 +660,7 @@ def check_moment_growth(m, p) -> InequalityCertificate:
 def check_psi1_bound(m) -> InequalityCertificate:
     """‖X − EX‖_{Ψ1} ≤ 4/Is(μ)."""
     inv_is = _inv_is(m)
-    lhs = orlicz_norm(m, functions.centered(_IDENTITY, m), young_psi1())
+    lhs = orlicz_norm(m, functions.centered(functions.IDENTITY, m), young_psi1())
     return certify(
         "psi1_bound",
         lhs=lhs,
@@ -679,7 +671,7 @@ def check_psi1_bound(m) -> InequalityCertificate:
 
 def _require_centered(m, norm_p) -> None:
     """E[X] = 0 up to 1e-9·‖X‖_p, a scale |E[X]| ≤ ‖X‖_p never exceeds."""
-    mean = m.expectation(_IDENTITY)
+    mean = m.expectation(functions.IDENTITY)
     if abs(mean) > 1e-9 * norm_p:
         raise HypothesisViolatedError("E[X] = 0", mean)
 
@@ -692,9 +684,9 @@ def check_moment_comparison(m, p) -> InequalityCertificate:
     p = 1 (the constant diverges), hence the domain error.
     """
     p = _check_p(p, open_left=True)
-    norm_p = m.lp_norm(_IDENTITY, p)
+    norm_p = m.lp_norm(functions.IDENTITY, p)
     _require_centered(m, norm_p)
-    lhs = m.lp_norm(_IDENTITY, p + 1.0)
+    lhs = m.lp_norm(functions.IDENTITY, p + 1.0)
     scaled_is = norm_p * isoperimetric_value(m)
     const = math.inf if scaled_is == 0.0 else p**2 / ((p - 1.0) * scaled_is)
     rhs = const ** (1.0 / (p + 1.0)) * norm_p
@@ -720,9 +712,9 @@ def check_logconcave_moments(m, p) -> InequalityCertificate:
     p = lp_exponent(p)
     if not 2.0 <= p < math.inf:
         raise DomainError(f"p must be >= 2 and finite, got {p!r}")
-    norm_p = m.lp_norm(_IDENTITY, p)
+    norm_p = m.lp_norm(functions.IDENTITY, p)
     _require_centered(m, norm_p)
-    lhs = m.lp_norm(_IDENTITY, p + 1.0)
+    lhs = m.lp_norm(functions.IDENTITY, p + 1.0)
     rhs = (math.sqrt(3.0) * p**2 / (p - 1.0)) ** (1.0 / (p + 1.0)) * norm_p
     side = {"norm_p": norm_p}
     if p == 2.0:

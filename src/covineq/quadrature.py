@@ -197,7 +197,7 @@ def _adapt(f, lo, hi, knots, rel_tol, lighter_side=False) -> CumulativeIntegral:
         width = b - a
         split = np.where(a == lo, a + width / 8.0,
                          np.where(b == hi, b - width / 8.0, a + 0.5 * width))
-        spent = round_no == _MAX_ROUNDS or n - len(new) + 2 * np.count_nonzero(~ok) > _MAX_PANELS
+        spent = round_no == _MAX_ROUNDS or n + np.count_nonzero(~ok) > _MAX_PANELS
         # a spent budget, or width underflow, leaves a panel stuck
         stuck = spent | ~((split > a) & (split < b))
         gave_up |= spent or (stuck & ~ok).any()

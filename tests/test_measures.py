@@ -219,6 +219,26 @@ class TestMemo:
         assert quadratures == []
         assert orlicz.lhs.hex() == poincare.lhs.hex() == (26.832815729997478).hex()
 
+    def test_psi1_bracket_reads_the_memoized_l1_norm(self, quadratures):
+        # ψ1's lower bracket end ‖g‖₁ is the lp_norm entry at p = 1
+        m, g = measures.laplace(0, 1), functions.monomial(3)
+        inequalities.orlicz_norm(m, g, inequalities.young_psi1())
+        quadratures.clear()
+        m.lp_norm(g, 1.0)
+        assert quadratures == []
+
+    def test_sandwich_reads_the_memoized_l1_norm_of_centered(self, quadratures):
+        # E|g − Eg| is the lp_norm entry of functions.centered(g, m) at p = 1
+        m, g = measures.laplace(0, 1), functions.monomial(3)
+        cert = inequalities.check_mean_median_sandwich(m, g)
+        quadratures.clear()
+        assert m.lp_norm(functions.centered(g, m), 1.0) == cert.lhs
+        assert quadratures == []
+
+    def test_grammar_x_is_the_moment_checks_x(self):
+        m = measures.laplace(0, 1)
+        assert functions.parse_expression("x").bind(m) is functions.IDENTITY
+
 
 def test_import_leaves_scipy_stats_out():
     # every named family is closed-form; scipy.stats is loaded only by a

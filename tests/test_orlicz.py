@@ -88,6 +88,25 @@ class TestOrliczNorm:
         want = 23044.987083571404872
         assert abs(got - want) < 1e-12 * want
 
+    @pytest.mark.parametrize(
+        "young, probe",
+        [(ineq.young_power(2), lambda m: m.probe_points(64)[40]),
+         (ineq.young_psi1(), lambda m: m.probe_points()[1000])],
+        ids=["power", "psi1"],
+    )
+    def test_spike_on_a_probe_point_is_mass_lost(self, young, probe):
+        # g is 1 on a 2e-9 wide spike at a probe point of the grid that
+        # orlicz_norm takes its sup on, so sup|g| = 1, and 0 elsewhere: no
+        # quadrature node lands on the spike, so ‖g‖ reads 0 and is refused
+        m = measures.laplace(0, 1)
+        p0 = probe(m)
+
+        def g(v):
+            return np.where(np.abs(np.asarray(v, dtype=float) - p0) < 1e-9, 1.0, 0.0)
+
+        with pytest.raises(DivergentNormError, match="the quadrature lost the mass"):
+            ineq.orlicz_norm(m, g, young)
+
     def test_modular_lost_by_quadrature_diverges(self):
         # E|x| is infinite under Cauchy: the quadrature raises IntegrationError
         # (its seed shells grow toward -inf), which orlicz_norm turns into

@@ -112,6 +112,17 @@ def test_spent_panel_budget_raises(monkeypatch, panels):
     assert info.value.error_bound > numerics.active().rel_tol * info.value.estimate
 
 
+def test_panel_budget_counts_the_panels_that_pass(monkeypatch):
+    # the 40 seed panels of ∫_0^10 sin²(40x) dx at the knots 0.25, 0.5, ...
+    # all split in the first round; in the second, 2 of the 80 fail, and
+    # the 78 that pass count against the budget with the 4 children, so the
+    # budget is spent at 80 panels rather than overrun to 82
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 80)
+    with pytest.raises(IntegrationError) as info:
+        quadrature.cumulative(sin2, 0.0, 10.0, knots=np.arange(0.25, 10.0, 0.25))
+    assert info.value.error_bound > numerics.active().rel_tol * info.value.estimate
+
+
 def test_width_underflow_within_budget_returns():
     # ∫_1^2 (x−1)^(1/4) dx = 4/5: the boundary stub at 1 splits until its
     # split point no longer falls strictly inside it (the float spacing at
