@@ -10,16 +10,14 @@ the tail identities.
 
 T_k conditionally averages h over the tail cut at the moving point:
 T_k h(x) = (∫_{−∞}^x h dF)/F(x) for x ≤ k and (∫_{(x,∞)} h dF)/(1−F(x))
-above.  Numerator and denominator are prefix (suffix) reads of two
-cumulatives, of h dF and of dF.  They share the engine, the window and
-the seed edges (the measure's knots and h's), but each partition is
-adapted on its own; on every pair of the default suite the two come out
-the same.  T reads both in one pass (``_tail_mean``): where a point's
-sub-panels agree, its 15 nodes and their density values serve both, so
-the density is evaluated once per node.  Each read accumulates from its
-own end, so the ratio stays stable deep in the tails, and T_k 1 ≡ 1
-holds exactly.  Both splits, W at the median and T_k at k, query each
-side only on the points of that side (``_split``).
+above.  Numerator and denominator are read on one partition, that of the
+cumulative of h dF, by one rule: each panel's ∫ h dF and ∫ dF are summed
+by the 15-point rule from one density evaluation per node, and kept as
+prefix and suffix sums; a point adds the panels its tail covers whole to
+the same rule on the sub-panel it cuts (``_tail_mean``).  Each read
+accumulates from its own end, so the ratio stays stable deep in the
+tails, and T_k 1 ≡ 1 holds exactly.  Both splits, W at the median and
+T_k at k, query each side only on the points of that side (``_split``).
 """
 
 from __future__ import annotations
@@ -114,34 +112,42 @@ def tail_identity_right(m, h, z) -> tuple[float, float]:
 
 
 def t_transform(m, h, k) -> Callable:
-    """T_k h over two cumulatives of ``m``, of h dF and of dF (seeded with
-    h's knots): prefixes at x ≤ k, suffixes above, the numerator and the
-    mass of each point read in one pass (``_tail_mean``)."""
+    """T_k h over the cumulative of h dF: prefixes at x ≤ k, suffixes
+    above.  ``sums`` holds the numerators and masses of the tails that
+    cover whole panels of h's partition; ``_tail_mean`` adds the rest."""
     k = float(k)
     integral = m.cumulative(h)
-    mass = m.cumulative(np.ones_like, h.knots)  # 1.0·pdf is pdf exactly
-    same = np.array_equal(integral.edges, mass.edges)
+    sums = quadrature.end_sums(_rule_pair(m, h, integral.edges[:-1], integral.edges[1:]))
     lo, hi = m.integration_domain()
 
     def T(x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         xc = np.clip(x_arr, np.nextafter(lo, hi), np.nextafter(hi, lo))
         out = _split(xc, k,
-                     lambda t: _tail_mean(m, h, integral, mass, same, t, "left"),
-                     lambda t: _tail_mean(m, h, integral, mass, same, t, "right"))
+                     lambda t: _tail_mean(m, h, integral, sums, t, "left"),
+                     lambda t: _tail_mean(m, h, integral, sums, t, "right"))
         return float(out[0]) if np.ndim(x) == 0 else out
 
     return T
 
 
-def _tail_mean(m, h, integral, mass, same, t, side):
+def _rule_pair(m, h, a, b):
+    """(∫ h dF, ∫ dF) over each sub-panel [a_i, b_i] by the 15-point rule,
+    both from one density evaluation per node, summed row by row."""
+    half, pts = quadrature.rule_nodes(a, b)
+    nodes = pts.reshape(-1)
+    pdf = np.asarray(m.pdf(nodes), dtype=float)
+    return np.stack([quadrature.rule_sums(half, m.weighted(h, nodes, pdf).reshape(pts.shape)),
+                     quadrature.rule_sums(half, pdf.reshape(pts.shape))])
+
+
+def _tail_mean(m, h, integral, sums, t, side):
     """∫ h dF / ∫ dF over the tail on ``side`` of each point of t.
 
-    Both reads are those of ``integral`` and ``mass``, bit for bit, made in
-    one pass: pdf and h are called once on the nodes of h's sub-panel, and
-    the mass sums those pdf values wherever its sub-panel is the same one
-    (everywhere when the two partitions are the ``same``); only the points
-    where it is not are read from ``mass`` itself.  Where either read
+    Each read is the sum over the panels of h's partition that the tail
+    covers whole (``sums``) plus the 15-point rule on the one it cuts:
+    pdf and h are called once on its nodes, and the mass sums the same
+    pdf values as the numerator, so T_k 1 ≡ 1 exactly.  Where either read
     underflows, both are read again divided by one power of two
     (``_rescaled_tails``); where the mass is 0 even so (beyond the window,
     or a density that underflows itself), or not finite (a node on a pole
@@ -149,16 +155,7 @@ def _tail_mean(m, h, integral, mass, same, t, side):
     conditional mean.
     """
     i, a, b = integral.split(t, side)
-    half, pts = quadrature.rule_nodes(a, b)
-    nodes = pts.reshape(-1)
-    pdf = np.asarray(m.pdf(nodes), dtype=float)
-    num = integral.whole(i, side) + quadrature.rule_sums(
-        half, m.weighted(h, nodes, pdf).reshape(pts.shape))
-    m_i, ma, mb = (i, a, b) if same else mass.split(t, side)
-    den = mass.whole(m_i, side) + quadrature.rule_sums(half, pdf.reshape(pts.shape))
-    own = (ma != a) | (mb != b)
-    if own.any():
-        den[own] = (mass.left if side == "left" else mass.right)(t[own])
+    num, den = sums[side][:, i] + _rule_pair(m, h, a, b)
     # a read has underflowed where its subnormal spacing is coarser than
     # the quadrature tolerance; a mass that is not finite goes to the limit
     floor = _SUBNORMAL / active().rel_tol

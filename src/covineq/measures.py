@@ -162,15 +162,12 @@ class Measure:
         return self.memo(("expectation", g, knots),
                          lambda: self._against("integrate", g, knots))
 
-    def cumulative(self, g, knots=()) -> quadrature.CumulativeIntegral:
+    def cumulative(self, g) -> quadrature.CumulativeIntegral:
         """Prefix/suffix queries x ↦ ∫_{(lo,x)} g dμ and ∫_{(x,hi)} g dμ,
         seeded as in ``expectation``, over the integrand ``weighted``.
-        Built once per (g, knots) and kept in the memo: the mass cumulative
-        of ``kernel.t_transform`` serves every h with the same knots, a
-        centered h₀ included, and T reads it in one pass with h's own."""
-        knots = tuple(knots)
-        return self.memo(("cumulative", g, knots),
-                         lambda: self._against("cumulative", g, knots))
+        Built once per g and kept in the memo: W reads it, and T_k h reads
+        its mass ∫ dμ on the same partition (``kernel.t_transform``)."""
+        return self.memo(("cumulative", g), lambda: self._against("cumulative", g, ()))
 
     def _against(self, engine, g, knots):
         return self._quadrature(engine, lambda x: self.weighted(g, x),

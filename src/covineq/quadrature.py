@@ -114,6 +114,10 @@ def _panel_batch(f, a, b):
     Gauss rule reuses 10 of their values.  Panels containing non-finite
     evaluations get err = mass = inf and value 0 so they never pass any
     acceptance test but do not poison running totals.
+
+    The sums are one (n, 21) @ (21, 2) matrix product, which rounds with
+    the number of rows: a panel scored in another batch can come out one
+    ulp apart.  A caller that needs fixed bits sums by row (``rule_sums``).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -291,19 +295,26 @@ def _partial_panels(f, a, b):
     return rule_sums(half, np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape))
 
 
+def end_sums(values):
+    """{"left": Σ values[..., :i], "right": Σ values[..., i:]} for i = 0 … K
+    on the last axis, each summed from its own end so neither cancels."""
+    zero = np.zeros((*values.shape[:-1], 1))
+    return {"left": np.concatenate([zero, values.cumsum(-1)], -1),
+            "right": np.concatenate([values[..., ::-1].cumsum(-1)[..., ::-1], zero], -1)}
+
+
 @dataclass(eq=False)
 class CumulativeIntegral:
     """Prefix/suffix integrals over an adaptively accepted partition.
 
-    left(t) = integral over (lo, t), right(t) = integral over (t, hi); the
-    two accumulate independently from their own end so neither suffers
-    cancellation near its tail.  Queries are vectorized: a query lands in
-    one accepted panel and costs one partial 15-point evaluation.
-    ``split`` and ``whole`` give a read's two parts to a caller that
-    evaluates the rule itself (``kernel.t_transform``).  A read below
-    2^-57 of the total (``_LIGHT_FLOOR``) is accurate only absolutely, to
-    about 7e-29 of the total at rel_tol 1e-9: the panels there are exempt
-    against the floor.
+    left(t) = integral over (lo, t), right(t) = integral over (t, hi), each
+    accumulated from its own end (``end_sums``).  Queries are vectorized:
+    a query lands in one accepted panel and costs one partial 15-point
+    evaluation.  ``split`` gives a read's panel index and sub-panel to a
+    caller that sums the panels itself (``kernel.t_transform``).  A read
+    below 2^-57 of the total (``_LIGHT_FLOOR``) is accurate only
+    absolutely, to about 7e-29 of the total at rel_tol 1e-9: the panels
+    there are exempt against the floor.
     """
 
     f: Callable
@@ -313,16 +324,12 @@ class CumulativeIntegral:
     error_bound: float
 
     @cached_property
-    def _prefix(self):
-        return np.concatenate([[0.0], np.cumsum(self.values)])
-
-    @cached_property
-    def _suffix(self):
-        return np.concatenate([np.cumsum(self.values[::-1])[::-1], [0.0]])
+    def _sums(self):
+        return end_sums(self.values)
 
     def split(self, t, side):
         """Queries t (a float array) on ``side``, "left" or "right", as
-        (i, a, b): the read is ``whole(i, side)``, the sum of the panels it
+        (i, a, b): the read is ``end_sums(values)[side][i]``, the panels it
         covers whole, plus the rule of f on the sub-panel [a, b]."""
         edges = self.edges
         tc = np.clip(t, edges[0], edges[-1])
@@ -332,9 +339,6 @@ class CumulativeIntegral:
         i = np.minimum(np.searchsorted(edges, tc, side="left"), len(edges) - 1)
         return i, tc, edges[i]
 
-    def whole(self, i, side):
-        return (self._prefix if side == "left" else self._suffix)[i]
-
     def left(self, t):
         return self._read(t, "left")
 
@@ -343,7 +347,7 @@ class CumulativeIntegral:
 
     def _read(self, t, side):
         i, a, b = self.split(np.atleast_1d(np.asarray(t, dtype=float)), side)
-        out = self.whole(i, side) + _partial_panels(self.f, a, b)
+        out = self._sums[side][i] + _partial_panels(self.f, a, b)
         return float(out[0]) if np.ndim(t) == 0 else out
 
 

@@ -154,8 +154,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("check", ["hardy", "cov_l1_linf", "cov_lp_lq_T"])
     def test_beta_subnormal_density_ends_in_a_row(self, capsys, check):
-        # the mass cumulative of beta(0.5, 2) splits its stub at 0 down to
-        # subnormal widths, where scipy's beta pdf raises OverflowError
+        # the cumulatives of beta(0.5, 2) have a panel from 0 to 2.2e-308,
+        # whose nodes are subnormal, where scipy's beta pdf raises OverflowError
         code, out, _ = run_cli(
             capsys, "verify",
             "--measure", "beta:0.5,2", "--function", "x", "--check", check,

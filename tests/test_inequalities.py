@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,6 +24,27 @@ from covineq.numerics import NumericContext, numeric_context
 x = fn.monomial(1)
 x2 = fn.monomial(2)
 x3 = fn.monomial(3)
+
+
+def _t_norm_truth(family, p):
+    """‖T_m x‖_p at the median m of exponential(1), gaussian(0,1) or
+    uniform(0,1), from T in closed form, in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        if family == "exponential":
+            ends, dens = (0, mpmath.log(2), mpmath.inf), lambda t: mpmath.exp(-t)
+            sides = (lambda t: (1 - (1 + t) * mpmath.exp(-t)) / -mpmath.expm1(-t),
+                     lambda t: t + 1)
+        elif family == "gaussian":
+            ends, dens = (-mpmath.inf, 0, mpmath.inf), mpmath.npdf
+            sides = (lambda t: -mpmath.npdf(t) / mpmath.ncdf(t),
+                     lambda t: mpmath.npdf(t) / mpmath.ncdf(-t))
+        else:
+            ends, dens = (0, mpmath.mpf(1) / 2, 1), lambda t: 1
+            sides = (lambda t: t / 2, lambda t: (1 + t) / 2)
+        q = mpmath.mpf(p)
+        moment = sum(mpmath.quad(lambda t, T=T: abs(T(t)) ** q * dens(t), [a, b])
+                     for T, a, b in zip(sides, ends[:-1], ends[1:]))
+        return float(moment ** (1 / q))
 
 
 class TestCovarianceChecks:
@@ -50,6 +72,21 @@ class TestCovarianceChecks:
             math.sqrt(5.0), rel=1e-12, abs=0.0)
         assert ineq.check_cov_lp_lq_T(lap, h, h, 2).rhs == pytest.approx(
             math.sqrt(5.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("family", ["exponential", "gaussian", "uniform"])
+    def test_t_norm_closed_form(self, family, p):
+        # T_m x at the median m in closed form: E[X | X ≤ t] below m and
+        # E[X | X > t] above; ‖T_m x‖_p from it by 30-digit quadrature
+        m = {"exponential": measures.exponential(1), "gaussian": measures.gaussian(0, 1),
+             "uniform": measures.uniform(0, 1)}[family]
+        assert kernel.hardy_certificate(m, x, m.median(), p).lhs == pytest.approx(
+            _t_norm_truth(family, p), rel=1e-12, abs=0.0)
+
+    def test_uniform_t_norm_truth_is_exact(self):
+        # ∫_0^½ (t/2)² dt + ∫_½^1 ((1 + t)/2)² dt = 1/96 + 37/96
+        assert _t_norm_truth("uniform", 2.0) == pytest.approx(math.sqrt(19 / 48),
+                                                              rel=1e-15, abs=0.0)
 
     def test_laplace_cheeger_variance_of_square(self, lap):
         # Var(X²) = E X⁴ − (E X²)² = 24 − 4 on laplace(0,1)

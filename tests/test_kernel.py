@@ -140,10 +140,20 @@ class TestTailWeights:
         assert sum(density) == 15 * len(xs) and len(density) == 2
 
 
+def _mass_cumulative(m, h):
+    """The cumulative of dF seeded with h's knots, adapted on its own: the
+    constant 1 as a function that lists them (1.0·pdf is pdf exactly)."""
+    one = fn.DifferentiableFunction(lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                                    lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                                    h.knots, "1")
+    return m.cumulative(one)
+
+
 def _two_query_t(m, h, k):
-    """T_k h read as two queries and a division: ∫ h dF and ∫ dF, each
-    from its own cumulative's left/right, and h(x) where the mass is 0."""
-    integral, mass = m.cumulative(h), m.cumulative(np.ones_like, h.knots)
+    """T_k h read as two queries and a division: ∫ h dF from h's
+    cumulative and ∫ dF from ``_mass_cumulative``, each by its own
+    left/right, and h(x) where the mass is 0."""
+    integral, mass = m.cumulative(h), _mass_cumulative(m, h)
     lo, hi = m.integration_domain()
 
     def T(xs):
@@ -184,39 +194,42 @@ def _extremal_pairs():
 
 
 class TestOnePassRead:
-    """T reads its numerator and its mass in one pass, bit for bit the two
-    reads of ``_two_query_t``."""
+    """T reads its numerator and its mass in one pass on h's partition; it
+    agrees with the two separately adapted reads of ``_two_query_t`` to
+    1e-12 relative plus 1e-15·max|h| at every probe whose tail holds at
+    least 2^-57 of the mass.  Below that, a read is accurate only
+    absolutely (the ``quadrature`` module docstring)."""
 
-    def _assert_same_bits(self, m, h, k):
+    def _assert_close(self, m, h, k):
         probes = _t_probes(m, k)
         new = kernel.t_transform(m, h, k)(probes)
         old = _two_query_t(m, h, k)(probes)
-        assert new.tobytes() == old.tobytes(), (m.label, h.descriptor, k)
+        lo, hi = m.integration_domain()
+        xc = np.clip(probes, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        read = np.where(xc <= k, m.cdf(xc), m.sf(xc)) >= 2.0 ** -57
+        h_max = np.max(np.abs(h(xc[read])))
+        bound = 1e-12 * np.abs(old[read]) + 1e-15 * h_max
+        assert np.all(np.abs(new[read] - old[read]) <= bound), (m.label, h.descriptor, k)
 
     def test_default_pairs(self):
         pairs = list(_default_pairs())
         assert len(pairs) == 24
         for m, h in pairs:
-            self._assert_same_bits(m, h, m.median())
+            self._assert_close(m, h, m.median())
 
     def test_extremal_ramps(self):
         for m, h in _extremal_pairs():
-            self._assert_same_bits(m, h, m.median())
+            self._assert_close(m, h, m.median())
 
     @pytest.mark.parametrize("h", [fn.power(0.5), fn.abs_power(1.5)],
                              ids=lambda h: h.descriptor)
     @pytest.mark.parametrize("k", [-1.0, 0.0, 2.0])
     def test_pair_with_partitions_that_differ(self, h, k):
-        # on laplace(0, 4) the two partitions differ on both sides of each k
+        # on laplace(0, 4) a mass cumulative adapted on its own does not
+        # come out on h's partition
         m = measures.laplace(0, 4)
-        integral, mass = m.cumulative(h), m.cumulative(np.ones_like, h.knots)
-        probes = np.clip(_t_probes(m, k), *m.integration_domain())
-        for side, t in (("left", probes[probes <= k]), ("right", probes[probes > k])):
-            _, a, b = integral.split(t, side)
-            _, ma, mb = mass.split(t, side)
-            own = (ma != a) | (mb != b)
-            assert 0 < own.sum() < len(t)  # the mass reads both ways on each side
-        self._assert_same_bits(m, h, k)
+        assert not np.array_equal(m.cumulative(h).edges, _mass_cumulative(m, h).edges)
+        self._assert_close(m, h, k)
 
 
 class TestTailIdentities:
@@ -303,7 +316,7 @@ class TestTransform:
             lambda t: (np.asarray(t, dtype=float) >= 0.0).astype(float),
             lambda t: np.zeros_like(np.asarray(t, dtype=float)), (0.0,), "step(0)")
         num = lap.cumulative(step).left(0.0)
-        den = lap.cumulative(np.ones_like, step.knots).left(0.0)
+        den = _mass_cumulative(lap, step).left(0.0)
         assert num == 0.0 and den == pytest.approx(0.5, rel=1e-12) and step(0.0) == 1.0
         calls, reread = [], kernel._rescaled_tails
         monkeypatch.setattr(kernel, "_rescaled_tails",
@@ -311,20 +324,20 @@ class TestTransform:
         assert kernel.t_transform(lap, step, 0.0)(0.0) == num / den
         assert calls == []
 
-    def test_mass_cumulative_shared_with_centered_h(self, quadratures):
+    def test_one_cumulative_per_h(self, quadratures):
         m = measures.laplace(0, 1)
         h = fn.ramp(0.3, 0.2)
         kernel.t_transform(m, h, 0.0)
         kernel.t_transform(m, fn.centered(h, m), 0.0)
-        # h, h₀ = h − E[h] and the mass 1: three cumulatives, not four
-        assert quadratures.count("cumulative") == 3
+        # h and h₀ = h − E[h]: one cumulative each, and none for the mass
+        assert quadratures.count("cumulative") == 2
+        kernel.t_transform(m, h, 1.0)
+        assert quadratures.count("cumulative") == 2
         with numeric_context(NumericContext(rel_tol=1e-8)):
             kernel.t_transform(m, h, 0.0)
         kernel.t_transform(measures.laplace(0, 1), h, 0.0)
-        assert quadratures.count("cumulative") == 7
-        # another h with other knots needs its own mass as well
         kernel.t_transform(m, fn.ramp(0.5, 0.2), 0.0)
-        assert quadratures.count("cumulative") == 9
+        assert quadratures.count("cumulative") == 5
 
     def test_t_norm_oracles(self):
         lap = measures.laplace(0, 1)

@@ -75,23 +75,22 @@ class TestMemo:
 
     def test_cumulative_second_call_is_a_hit(self, quadratures):
         m = measures.gaussian(0, 1)
-        first = m.cumulative(x, (0.5,))
-        assert m.cumulative(x, [0.5]) is first
+        first = m.cumulative(x)
+        assert m.cumulative(x) is first
         assert quadratures == ["cumulative"]
 
-    def test_cumulative_other_function_knots_measure_or_tolerance_is_a_miss(self, quadratures):
+    def test_cumulative_other_function_measure_or_tolerance_is_a_miss(self, quadratures):
         m = measures.gaussian(0, 1)
         first = m.cumulative(x)
         others = [
             m.cumulative(functions.monomial(1)),
-            m.cumulative(x, (0.5,)),
             measures.gaussian(0, 1).cumulative(x),
         ]
         with numeric_context(NumericContext(rel_tol=1e-8)):
             others.append(m.cumulative(x))
-        assert quadratures == ["cumulative"] * 5
+        assert quadratures == ["cumulative"] * 4
         assert all(c is not first for c in others)
-        assert m.cumulative(x) is first and len(quadratures) == 5
+        assert m.cumulative(x) is first and len(quadratures) == 4
 
     def test_a_build_that_raises_keeps_nothing(self, quadratures):
         m = measures.from_scipy(scipy.stats.cauchy())  # E|X| = ∞: every build below raises
