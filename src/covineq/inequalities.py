@@ -345,6 +345,8 @@ def _pushforward_median(m, g) -> tuple[float, tuple[float, ...]]:
         a, b, rising = pts[flip], pts[flip + 1], below[flip]
         for _ in range(_CROSSING_STEPS):
             mid = a + 0.5 * (b - a)
+            if np.all((mid == a) | (mid == b)):
+                break  # every column at adjacent floats: its midpoint is final
             same = (np.asarray(g(mid), dtype=float) <= c) == rising
             a, b = np.where(same, mid, a), np.where(same, b, mid)
         return a + 0.5 * (b - a), rising, below

@@ -248,12 +248,17 @@ class Measure:
         return self.memo(("probe", n), build)
 
     def ess_sup(self, g, extra_knots=()) -> float:
-        """Grid supremum of |g|, refined by zoom search around the top points.
+        """Grid supremum of |g|, zoomed only where the grid maximum is interior.
 
         The density is positive on the support, so the essential sup is the
-        sup over the interior.  Genuinely unbounded |g| is reported as the
-        largest probed value (or inf if a probe overflows) — an
-        under-report, documented where it matters.
+        sup over the interior.  A grid maximum at the first or last probe is
+        returned unzoomed: it is decided by g's tail past the grid, which a
+        zoom between the last two probes cannot reach, and is to be replaced
+        by a read of that tail's limit (or +inf).  Until then genuinely
+        unbounded |g| is reported as the largest probed value (or inf if a
+        probe overflows) — an under-report, documented where it matters.
+        Only an interior maximum is polished, by zoom search on the brackets
+        of the top 3 probes.
 
         ``extra_knots`` are abscissae merged into the probe grid that it
         cannot know about: kinks of g, the median, both sides of a jump.
@@ -269,6 +274,8 @@ class Measure:
         vals = np.abs(np.asarray(g(pts), dtype=float))
         if not np.all(np.isfinite(vals)):
             return float("inf")
+        if np.argmax(vals) in (0, len(vals) - 1):
+            return float(np.max(vals))
         top = np.argsort(vals)[-3:]
         lo = pts[np.maximum(top - 1, 0)]
         hi = pts[np.minimum(top + 1, len(pts) - 1)]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import covineq
 from covineq import config, functions, inequalities, isoperimetry, kernel, measures
-from covineq import quadrature, runner
+from covineq import quadrature, runner, search
 from covineq.errors import IngestionError, IntegrationError, UnsupportedMeasureError
 from covineq.numerics import NumericContext, numeric_context
 
@@ -309,6 +309,50 @@ def test_ess_sup():
     assert abs(measures.laplace(0, 1).ess_sup(r) - 1.0) < 1e-12
     # unbounded: documented under-report = largest probed value
     assert measures.gaussian(0, 1).ess_sup(x2) > 50.0
+
+
+class TestEssSupEndProbe:
+    """A grid maximum at an end probe is returned as it stands; only an
+    interior one is zoomed by ``search.golden_max``."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        real = search.golden_max
+
+        def spy(f, lo, hi):
+            calls.append(np.size(lo))
+            return real(f, lo, hi)
+
+        monkeypatch.setattr(search, "golden_max", spy)
+        return calls
+
+    def test_last_probe_maximum_is_not_searched(self, searches):
+        m = measures.gaussian(0, 1)
+        pts = m.probe_points()
+        assert m.ess_sup(x2) == np.abs(x2(pts))[-1]
+        assert searches == []
+
+    def test_interior_maximum_is_zoomed(self, searches):
+        # sup |x e^{−x²}| = e^{−1/2}/√2 at x = ±1/√2
+        got = measures.gaussian(0, 1).ess_sup(lambda v: v * np.exp(-v * v))
+        assert abs(got - math.exp(-0.5) / math.sqrt(2.0)) < 1e-12
+        assert searches == [3]
+
+    def test_ramp_reads_one(self, searches):
+        assert measures.laplace(0, 1).ess_sup(functions.ramp(0.0, 0.5)) == 1.0
+
+    def test_maximum_at_an_extra_knot_inside_the_grid(self, searches):
+        # a spike narrower than the grid spacing: the grid alone misses it
+        c = 0.123456789
+
+        def spike(v):
+            return np.maximum(0.0, 1.0 - 1e6 * np.abs(np.asarray(v, dtype=float) - c))
+
+        m = measures.laplace(0, 1)
+        assert m.ess_sup(spike) < 0.5
+        assert m.ess_sup(spike, extra_knots=(c,)) == 1.0
+        assert searches == [3]
 
 
 @given(c=st.floats(min_value=0.3, max_value=5.0))
