@@ -41,8 +41,9 @@ class DifferentiableFunction:
 
     @functools.cached_property
     def prime(self) -> "DifferentiableFunction":
-        """g′ as a function object, built on first use and kept on g (see
-        ``derivative``)."""
+        """g′ as a function object, built on first use and kept on g and
+        its shifts (``shifted``, ``centered``), so a measure's memo entries
+        on g′ serve ‖g′‖_p and ‖(g + c)′‖_p; g′ holds no reference to g."""
         descriptor = self.descriptor  # so that g′ holds no reference back to g
 
         def _no_second(x):
@@ -161,35 +162,29 @@ def constant(c) -> DifferentiableFunction:
     return DifferentiableFunction(ev, dv, (), f"constant({c:g})")
 
 
-def shifted(g: DifferentiableFunction, c) -> DifferentiableFunction:
-    """g + c: same derivative and knots."""
+def shifted(g: DifferentiableFunction, c, descriptor=None) -> DifferentiableFunction:
+    """g + c: same knots and the same derivative object, ``g.prime``."""
     c = float(c)
 
     def ev(x):
         return np.asarray(g.eval(x), dtype=float) + c
 
-    return DifferentiableFunction(
-        ev, g.deriv, g.knots, f"shifted({g.descriptor},{c:g})"
-    )
+    out = DifferentiableFunction(ev, g.deriv, g.knots,
+                                 descriptor or f"shifted({g.descriptor},{c:g})")
+    out.__dict__["prime"] = g.prime  # the cache of the cached_property
+    return out
 
 
 def centered(g: DifferentiableFunction, m) -> DifferentiableFunction:
-    """g − E_m[g]; propagates the integration error if E_m[g] diverges.
+    """g − E_m[g], named for the report rows; propagates the integration
+    error if E_m[g] diverges.
 
     Memoized on ``m`` per function object and quadrature tolerance: a
     second call returns the same object, so memo keys built on h₀ (its
-    cumulatives, its covariances) hit too.
+    cumulatives, its covariances) hit too; its derivative is ``g.prime``.
     """
-
-    def build():
-        out = shifted(g, -m.expectation(g))
-        # the shift value is measure-dependent quadrature output; report rows
-        # read better with the semantic name
-        return DifferentiableFunction(
-            out.eval, out.deriv, out.knots, f"centered({g.descriptor})"
-        )
-
-    return m.memo(("centered", g), build)
+    return m.memo(("centered", g),
+                  lambda: shifted(g, -m.expectation(g), f"centered({g.descriptor})"))
 
 
 def product(g: DifferentiableFunction, h: DifferentiableFunction) -> DifferentiableFunction:
@@ -229,16 +224,6 @@ def piecewise_linear(xs, ys, descriptor=None) -> DifferentiableFunction:
 
     label = descriptor or f"custom(pwl,n={len(xs)})"
     return DifferentiableFunction(ev, dv, tuple(float(v) for v in xs), label)
-
-
-def derivative(g: DifferentiableFunction) -> DifferentiableFunction:
-    """g′ packaged as a function object (for norms of derivatives).
-
-    One g′ per function object: every call returns the same ``g.prime``,
-    so the memo entries a measure keeps on g′ (its L_p norms) are hit by
-    each check that asks for ‖g′‖_p.  It is freed with g.
-    """
-    return g.prime
 
 
 # ---- expression grammar ----------------------------------------------------

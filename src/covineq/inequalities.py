@@ -113,7 +113,7 @@ def _one_of(choices, v):
 def _cov_bound(name, m, g, h, scale, p, h_side, extra) -> InequalityCertificate:
     """|Cov(g,h)| ≤ scale·‖g′‖_p·h_side(), the rhs multiplied left to right."""
     lhs = abs(kernel.covariance_kernel(m, g, h))
-    rhs = scale * m.lp_norm(functions.derivative(g), p) * h_side()
+    rhs = scale * m.lp_norm(g.prime, p) * h_side()
     params = {"family": m.label, "g": g.descriptor, "h": h.descriptor, **extra}
     return certify(name, lhs=lhs, rhs=rhs, params=params)
 
@@ -154,7 +154,7 @@ def check_cheeger(m, g) -> InequalityCertificate:
     """Var(g) ≤ 4·Is(μ)⁻²·‖g′‖₂² (the g=h, p=2 specialization)."""
     inv_is = _inv_is(m)
     lhs = abs(kernel.covariance_kernel(m, g, g))
-    rhs = 4.0 * inv_is**2 * m.lp_norm(functions.derivative(g), 2.0) ** 2
+    rhs = 4.0 * inv_is**2 * m.lp_norm(g.prime, 2.0) ** 2
     return certify(
         "cheeger",
         lhs=lhs,
@@ -169,7 +169,7 @@ def check_cov_final(m, g, h, p) -> InequalityCertificate:
     q = _holder_conjugate(p)
     return _cov_bound(
         "cov_final", m, g, h, 2.0 * (p + q) * _inv_is(m) ** 2, p,
-        lambda: m.lp_norm(functions.derivative(h), q), {"p": p, "q": q},
+        lambda: m.lp_norm(h.prime, q), {"p": p, "q": q},
     )
 
 
@@ -293,7 +293,7 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
                 raise HypothesisViolatedError("E[sign(u^p)] = 0", sign_raw)
             constant = p
 
-    rhs = constant * inv_is * m.lp_norm(functions.derivative(u), p)
+    rhs = constant * inv_is * m.lp_norm(u.prime, p)
     return certify(
         "lp_poincare",
         lhs=lhs,
@@ -538,7 +538,7 @@ def orlicz_norm(m, g, N: YoungFunction) -> float:
     ``DivergentNormError`` is raised.
 
     ‖g‖₁ = ∞ makes every Orlicz norm infinite.  An ``lp_norm`` read that
-    raises IntegrationError (Cauchy under |x|^1, whose seed shells grow
+    raises IntegrationError (Cauchy under |x|^1, whose shells grow
     toward each infinite end) raises ``DivergentNormError``.  So does an
     ``lp_norm`` read or root modular that reads 0 while g is not 0 on the
     probe grid: that is mass the quadrature lost, not a norm, as near a
@@ -625,7 +625,7 @@ def check_orlicz(m, f, N: YoungFunction, which) -> InequalityCertificate:
         center = m.expectation(f)  # the memoized shift of functions.centered
         f0, constant = functions.centered(f, m), 2.0 * N.cn
     lhs = orlicz_norm(m, f0, N)
-    rhs = constant * inv_is * orlicz_norm(m, functions.derivative(f), N)
+    rhs = constant * inv_is * orlicz_norm(m, f.prime, N)
     return certify(
         "orlicz",
         lhs=lhs,
@@ -803,7 +803,7 @@ def estimate_best_constant(m, g, deltas) -> BestConstantEstimate:
             f"{g.descriptor} is not strictly increasing on the probe grid"
         )
     med = m.median()
-    g1 = m.lp_norm(functions.derivative(g), 1.0)
+    g1 = m.lp_norm(g.prime, 1.0)
     target = _inv_is(m)
     ratios = []
     for d in ds:

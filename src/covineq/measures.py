@@ -15,8 +15,9 @@ They run in x-space, adaptively over [quantile(1e-300), isf(1e-300)] (exact
 endpoints where the support is bounded), seeded at the measure's knots and
 at its own quantiles ``seed_levels``: ppf and isf at 2^-j for j in
 ``_SEED_DEPTHS``, so the seed panels carry the mass, not the window.  An
-infinite side's window end is the outermost of its seeds, and its seed
-panels are the shells whose growth ``quadrature`` reads as divergence.
+infinite side's window end is the outermost of its seeds, and their
+intervals are the shells whose growth ``quadrature`` reads as divergence
+(a kink seeds a panel but splits no shell).
 Upper-tail quantiles always go through the survival function, never
 through 1−t.
 """
@@ -65,7 +66,8 @@ class Measure:
     quadrature).  Instances are immutable and all methods are pure; each
     also carries a private memo (``memo``) of results derived from it: the
     median, probe grids, the ``Is(μ)`` profile, each ``expectation`` of a
-    ``DifferentiableFunction``, each ``lp_norm`` (p = inf included), each
+    ``DifferentiableFunction``, each ``lp_norm`` (p = inf included; g, g + c
+    and the centred copy of g share one g′, so one ‖g′‖_p), each
     ``cumulative``, each |Cov(g,h)| of ``kernel.covariance_kernel``, each
     centered function of ``functions.centered`` and the W sup of
     ``check_cov_variant``.  It takes no part in comparison or repr.  Keys
@@ -128,15 +130,19 @@ class Measure:
         hi = b if math.isfinite(b) else float(self.dist.isf(_TAIL_EPS))
         return lo, hi
 
-    def seed_levels(self) -> tuple[float, ...]:
-        """The quantile seeds of every quadrature: ppf and isf at 2^-j for
-        j in ``_SEED_DEPTHS``, and the window's ends (on a bounded side, the
-        support's end, which seeds nothing); memoized on the measure."""
+    def seed_levels(self) -> np.ndarray:
+        """The ladder of every quadrature, whose intervals are its shells:
+        ppf and isf at 2^-j for j in ``_SEED_DEPTHS`` and the window's ends
+        (on a bounded side, the support's end), sorted and read-only;
+        memoized on the measure."""
 
         def build():
             t = 2.0 ** -np.asarray(_SEED_DEPTHS, dtype=float)
             ends = self.integration_domain()
-            return tuple(np.concatenate([self.dist.ppf(t), self.dist.isf(t), ends]))
+            levels = np.concatenate([self.dist.ppf(t), self.dist.isf(t), ends])
+            ladder = np.sort(levels[np.isfinite(levels)])
+            ladder.flags.writeable = False
+            return ladder
 
         return self.memo(("seeds",), build)
 
@@ -180,12 +186,12 @@ class Measure:
 
     def _quadrature(self, engine, f, knots):
         """``quadrature.<engine>`` of f over the support, seeded at the
-        measure's knots and ``seed_levels``, whose outermost seeds cut an
-        infinite side at the window's end; looked up on the module at each
-        call, so that a wrapper set there sees every one."""
+        shells ``seed_levels``, which cut an infinite side at the window's
+        end, and at the kinks ``knots`` and the measure's knots; looked up
+        on the module at each call, so that a wrapper set there sees all."""
         lo, hi = self.support
         return getattr(quadrature, engine)(
-            f, lo, hi, knots=(*knots, *self.knots, *self.seed_levels()))
+            f, lo, hi, knots=self.seed_levels(), kinks=(*knots, *self.knots))
 
     def lp_norm(self, g, p, knots=()) -> float:
         """‖g‖_p = (∫|g|^p dμ)^(1/p) for real p ≥ 1; p = inf is ``ess_sup``.

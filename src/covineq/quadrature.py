@@ -18,18 +18,19 @@ sub-panel (``rule_nodes``, ``rule_sums``).
 Three refinements make the scheme robust on the integrands this package
 produces:
 
-* an infinite end is cut at the outermost knot toward it, and the seed
-  panels toward it are its shells: ``Measure`` seeds every quadrature at
-  the measure's quantiles 2^-1, 2^-3, 2^-5, 2^-9, ... on each side and the
-  window's ends [ppf(1e-300), isf(1e-300)], so each shell carries a fixed
-  share of the mass.  The outermost shell with |f| mass (the outermost, or
-  the one inward of it where f underflows past the deepest level) must
-  carry at most half the mass of the shell inward of it, as the terms of a
-  convergent series shrink.  A divergent integral (|x| under a Cauchy law
-  gains (1/π)·ln 2 per halving of the tail, so its shells double) raises
-  IntegrationError instead of reading its truncation; so does a
-  convergent one whose shells shrink more slowly, as its mass past the
-  window's depth 1e-300 is then over 1e-3 of the total;
+* an infinite end is cut at the outermost knot toward it, and the
+  intervals of the knots toward it are its shells: ``Measure`` passes its
+  quantiles 2^-1, 2^-3, 2^-5, 2^-9, ... on each side and the window's ends
+  [ppf(1e-300), isf(1e-300)], so each shell carries a fixed share of the
+  mass, and f's kinks apart, as ``kinks``, so that they split no shell.
+  The outermost shell with |f| mass (the outermost, or the one inward of
+  it where f underflows past the deepest level) must carry at most half
+  the mass of the shell inward of it, as the terms of a convergent series
+  shrink.  A divergent integral (|x| under a Cauchy law gains (1/π)·ln 2
+  per halving of the tail, so its shells double) raises IntegrationError
+  instead of reading its truncation; so does a convergent one whose
+  shells shrink more slowly, as its mass past the window's depth 1e-300
+  is then over 1e-3 of the total;
 * a panel touching an endpoint is split geometrically (the boundary child
   keeps 1/8 of the width) instead of bisected, so the endpoint
   singularities of a bounded support (a beta density with a shape below 1,
@@ -154,10 +155,10 @@ def _seed_edges(lo, hi, knots):
 
 
 def _growing_shell(shells, lo_inf, hi_inf):
-    """The first infinite end whose outermost seed panel with |f| mass (the
+    """The first infinite end whose outermost shell with |f| mass (the
     outermost, or the one inward of it where the outermost reads 0) carries
     more than half the mass of the one inward of it, as (end, outer mass,
-    inner mass), or None; ``shells`` are the seed panels' masses."""
+    inner mass), or None; ``shells`` are the shells' masses, in x order."""
     if len(shells) < 6:
         return None
     for end, inf, out in (("-inf", lo_inf, shells[:3]), ("+inf", hi_inf, shells[:-4:-1])):
@@ -167,19 +168,20 @@ def _growing_shell(shells, lo_inf, hi_inf):
     return None
 
 
-def _adapt(f, lo, hi, knots, rel_tol, lighter_side=False) -> CumulativeIntegral:
+def _adapt(f, lo, hi, knots, rel_tol, lighter_side=False, kinks=()) -> CumulativeIntegral:
     """Refine the seed partition of (lo, hi), kept in x order: each round
     scores the panels not yet kept, keeps those that pass or are stuck, and
     replaces each of the rest by its two children.  One give-up rule: a
     kept panel that did not pass, or a spent budget, sets ``gave_up``, and
     then the summed error must meet the global budget.  ``lighter_side``
     measures the mass exemption against each panel's lighter side, for the
-    prefix and suffix reads of a cumulative."""
-    edges = _seed_edges(lo, hi, knots)
+    prefix and suffix reads of a cumulative.  ``kinks`` seed panels as
+    knots do, but bound no shell: then the sorted ``knots`` do."""
+    edges = _seed_edges(lo, hi, (*knots, *kinks))
+    ladder = np.asarray(knots, dtype=float) if len(kinks) else edges
     lo_inf, hi_inf = lo == -np.inf, hi == np.inf
     lo, hi = float(edges[0]), float(edges[-1])
     n = len(edges) - 1
-    seed = np.arange(n)  # each panel's seed panel
     value, err, mass = np.zeros(n), np.zeros(n), np.zeros(n)  # mass: finite |f| mass
     kept = np.zeros(n, dtype=bool)
     gave_up = False
@@ -217,7 +219,7 @@ def _adapt(f, lo, hi, knots, rel_tol, lighter_side=False) -> CumulativeIntegral:
         edges = edges.repeat(twice)
         edges[at + np.arange(1, len(at) + 1)] = split[go]
         twice = twice[:-1]
-        seed, value, err, mass, kept = (x.repeat(twice) for x in (seed, value, err, mass, kept))
+        value, err, mass, kept = (x.repeat(twice) for x in (value, err, mass, kept))
         n += len(at)
 
     total, error_bound = float(value.sum()), float(err.sum())
@@ -229,10 +231,12 @@ def _adapt(f, lo, hi, knots, rel_tol, lighter_side=False) -> CumulativeIntegral:
             estimate=total,
             error_bound=error_bound,
         )
-    grown = _growing_shell(np.bincount(seed, mass), lo_inf, hi_inf)
+    # a panel past an end knot of the ladder (a kink moved the cut) is in the end shell
+    shell = np.searchsorted(ladder[1:-1], edges[:-1], side="right")
+    grown = _growing_shell(np.bincount(shell, mass), lo_inf, hi_inf)
     if grown is not None:
         raise IntegrationError(
-            "integral diverges toward {}: a seed shell carries |f| mass {:.3e} "
+            "integral diverges toward {}: a shell carries |f| mass {:.3e} "
             "against {:.3e} inward of it".format(*grown),
             estimate=total,
             error_bound=math.inf,
@@ -246,6 +250,7 @@ def integrate(
     hi: float,
     *,
     knots: Sequence[float] = (),
+    kinks: Sequence[float] = (),
 ) -> float:
     """Integral of f over (lo, hi).
 
@@ -253,11 +258,12 @@ def integrate(
     they become seed panel edges so kinks never straddle a panel.  Raises
     IntegrationError when the tolerance cannot be met (divergent or broken
     integrands end up here).  An infinite end is cut at the outermost knot
-    toward it, and raises IntegrationError when the seed panels toward it
-    grow (see the module docstring).  The relative tolerance is that of the
+    toward it, and raises IntegrationError when the shells toward it grow
+    (see the module docstring).  ``kinks`` seed panels but bound no shell;
+    then ``knots`` must be sorted.  The relative tolerance is that of the
     active numerics.NumericContext.
     """
-    return _adapt(f, lo, hi, knots, active().rel_tol).total
+    return _adapt(f, lo, hi, knots, active().rel_tol, kinks=kinks).total
 
 
 def rule_nodes(a, b):
@@ -357,7 +363,8 @@ def cumulative(
     hi: float,
     *,
     knots: Sequence[float] = (),
+    kinks: Sequence[float] = (),
 ) -> CumulativeIntegral:
     """Adaptively integrate f once, returning prefix/suffix query access;
-    ends and knots as in ``integrate``."""
-    return _adapt(f, lo, hi, knots, active().rel_tol, lighter_side=True)
+    ends, knots and kinks as in ``integrate``."""
+    return _adapt(f, lo, hi, knots, active().rel_tol, lighter_side=True, kinks=kinks)

@@ -49,6 +49,14 @@ def test_centered_subtracts_mean():
     assert c2.descriptor == "centered(monomial(2))"
 
 
+def test_shifts_share_the_derivative_object():
+    g, m = F.monomial(3), M.laplace(0, 1)
+    assert F.shifted(g, 2.5).prime is g.prime
+    assert F.shifted(F.shifted(g, 1.0), -2.0).prime is g.prime
+    assert F.centered(g, m).prime is g.prime
+    assert F.shifted(g, 2.5, "named").descriptor == "named"
+
+
 class TestCenteredMemo:
     @pytest.fixture()
     def expectations(self, monkeypatch):

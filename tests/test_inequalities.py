@@ -11,7 +11,8 @@ from scipy import optimize, stats
 
 from covineq import functions as fn
 from covineq import inequalities as ineq
-from covineq import kernel, measures
+from covineq import config as cfg
+from covineq import kernel, measures, runner
 from covineq.certificates import certify
 from covineq.errors import (
     DomainError,
@@ -388,3 +389,68 @@ class TestOneArgumentRule:
     def test_cp_sequence_refuses_an_infinite_p(self, ps):
         with pytest.raises(DomainError, match="finite"):
             ineq.cp_sequence(ps)
+
+
+def _default_truth(name, family, p, field):
+    """A default ``verify`` row's ``field`` (its lhs, or a side condition of
+    the sandwich with g = x²) in closed form or 30-digit mpmath."""
+    mp = mpmath
+    with mp.workdps(30):
+        if name == "psi1_bound":  # the ψ1 norm of X − EX: E e^{|X − EX|/λ} = 2
+            modular, start = {
+                "laplace(0,1)": (lambda lam: 1 / (1 - 1 / lam), 1.5),
+                "gaussian(0,1)": (lambda lam: 2 * mp.exp(1 / (2 * lam**2)) * mp.ncdf(1 / lam),
+                                  1.5),
+                "uniform(0,1)": (lambda lam: 2 * lam * mp.expm1(1 / (2 * lam)), 0.5),
+            }[family]
+            return float(mp.findroot(lambda lam: modular(lam) - 2, start))
+        if name == "moment_growth":  # ‖X − EX‖_p
+            q = mp.mpf(p)
+            moment = {
+                "laplace(0,1)": lambda: mp.gamma(q + 1),
+                "gaussian(0,1)": lambda: 2 ** (q / 2) * mp.gamma((q + 1) / 2) / mp.sqrt(mp.pi),
+                "uniform(0,1)": lambda: 2**-q / (q + 1),
+                "exponential(1)": lambda: mp.quad(
+                    lambda t: abs(t - 1) ** q * mp.exp(-t), [0, 1, mp.inf]),
+            }[family]()
+            return float(moment ** (1 / q))
+        if name == "cheeger":  # Var X²
+            return {"gaussian(0,1)": 2.0, "uniform(0,1)": 4 / 45,
+                    "exponential(1)": 20.0}[family]
+        # the sandwich: E|X² − c|, c the median or the mean of X², over |X|
+        density = {"laplace(0,1)": lambda t: mp.exp(-t),
+                   "gaussian(0,1)": lambda t: 2 * mp.npdf(t)}[family]
+        c = {("laplace(0,1)", "median_abs_dev"): mp.log(2) ** 2,
+             ("gaussian(0,1)", "median_abs_dev"): 2 * mp.erfinv(mp.mpf(1) / 2) ** 2,
+             ("gaussian(0,1)", "mean_abs_dev"): mp.mpf(1)}[family, field]
+        return float(mp.quad(lambda t: abs(t * t - c) * density(t), [0, mp.sqrt(c), mp.inf]))
+
+
+class TestDefaultReportTruth:
+    """Rows of the default ``verify`` against closed forms and mpmath, to
+    10·rel_tol relative (ROADMAP item 12)."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        res = runner.run(cfg.parse_config(cfg.default_config_dict()))
+        return {(c.name, c.params["family"], c.params.get("g"), c.params.get("p")): c
+                for c in res.certificates}
+
+    @pytest.mark.parametrize("name, family, g, p, field", [
+        *(("psi1_bound", f, None, None, "lhs")
+          for f in ("laplace(0,1)", "gaussian(0,1)", "uniform(0,1)")),
+        *(("moment_growth", f, None, p, "lhs")
+          for f in ("laplace(0,1)", "gaussian(0,1)", "uniform(0,1)", "exponential(1)")
+          for p in (1.0, 2.0, 3.0)),
+        *(("cheeger", f, "monomial(2)", 2.0, "lhs")
+          for f in ("gaussian(0,1)", "uniform(0,1)", "exponential(1)")),
+        ("mean_median_sandwich", "laplace(0,1)", "monomial(2)", None, "median_abs_dev"),
+        ("mean_median_sandwich", "gaussian(0,1)", "monomial(2)", None, "median_abs_dev"),
+        ("mean_median_sandwich", "gaussian(0,1)", "monomial(2)", None, "mean_abs_dev"),
+    ])
+    def test_row_matches_truth(self, rows, name, family, g, p, field):
+        row = rows[name, family, g, p]
+        value = row.lhs if field == "lhs" else row.side_conditions[field]
+        assert row.status == "ok"
+        assert value == pytest.approx(_default_truth(name, family, p, field),
+                                      rel=1e-8, abs=0.0)

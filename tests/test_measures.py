@@ -181,13 +181,22 @@ class TestMemo:
 
     def test_one_derivative_per_function(self):
         g = functions.monomial(3)
-        d = functions.derivative(g)
-        assert functions.derivative(g) is d and d.descriptor == "derivative(monomial(3))"
-        assert functions.derivative(functions.monomial(3)) is not d
+        d = g.prime
+        assert g.prime is d and d.descriptor == "derivative(monomial(3))"
+        assert functions.monomial(3).prime is not d
         # g′ keeps no reference to g: both go when g does, with no collection
         g_ref, d_ref = weakref.ref(g), weakref.ref(d)
         del g, d
         assert g_ref() is None and d_ref() is None
+
+    def test_a_shift_reads_the_derivative_norm_of_its_base(self, quadratures):
+        m, g = measures.laplace(0, 1), functions.monomial(1)
+        g0 = functions.centered(g, m)  # one quadrature, E g
+        want = m.lp_norm(g.prime, 2)
+        assert quadratures == ["integrate"] * 2
+        assert m.lp_norm(g0.prime, 2) == want
+        assert m.lp_norm(functions.shifted(g, 3.0).prime, 2) == want
+        assert quadratures == ["integrate"] * 2
 
     def test_orlicz_reads_the_derivative_norm_of_cheeger(self, quadratures):
         m, g, young = measures.laplace(0, 1), functions.monomial(3), inequalities.young_power(2)

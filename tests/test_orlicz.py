@@ -109,7 +109,7 @@ class TestOrliczNorm:
 
     def test_modular_lost_by_quadrature_diverges(self):
         # E|x| is infinite under Cauchy: the quadrature raises IntegrationError
-        # (its seed shells grow toward -inf), which orlicz_norm turns into
+        # (its shells grow toward -inf), which orlicz_norm turns into
         # DivergentNormError
         cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
         with pytest.raises(DivergentNormError):

@@ -27,6 +27,7 @@ def test_total_mass_gaussian():
 def test_kink_with_knot_is_exact():
     v = quadrature.integrate(lambda x: np.abs(x), -1.0, 2.0, knots=(0.0,))
     assert abs(v - 2.5) < 1e-13
+    assert abs(quadrature.integrate(np.abs, -1.0, 2.0, kinks=(0.0,)) - 2.5) < 1e-13
 
 
 def test_endpoint_singularity_integrable():
@@ -203,7 +204,8 @@ class TestQuantileSeeds:
 
 
 class TestHeavyTails:
-    """The seed shells toward an infinite end must shrink."""
+    """The shells toward an infinite end, the intervals of the measure's
+    ladder, must shrink."""
 
     cauchy = measures.from_scipy(stats.cauchy(), "cauchy")
 
@@ -226,6 +228,24 @@ class TestHeavyTails:
         # window piece; that piece still carries mass, so the shells shrink
         m = measures.from_scipy(stats.lognorm(1))
         assert abs(m.expectation(lambda t: t**k) / math.exp(k * k / 2) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "m, c, delta",
+        [
+            (measures.laplace(0, 1), 400.0, 0.1),
+            (measures.laplace(0, 1), 354.0, 0.1),
+            (measures.laplace(0, 1), 355.5, 0.1),
+            (measures.gaussian(0, 1), 30.0, 0.01),
+            (measures.exponential(1), 600.0, 0.1),
+            (measures.logistic(0, 1), 400.0, 0.1),
+        ],
+        ids=["laplace-400", "laplace-354", "laplace-355.5", "gaussian-30",
+             "exponential-600", "logistic-400"],
+    )
+    def test_a_kink_in_a_tail_shell_splits_no_shell(self, m, c, delta):
+        # the ramp's knots c ± δ lie in the outermost shell with mass; read
+        # as shells, its two pieces would seem to grow outward
+        assert abs(m.expectation(functions.ramp(c, delta)) + 1.0) <= 1e-12
 
 
 @given(
