@@ -307,30 +307,84 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
 # mean/median centering comparison
 
 
-_CROSSING_STEPS = 60
+_SIGN_BIT = np.int64(-(1 << 63))
 
 
-def _float_order(v: float) -> int:
-    """An integer that sorts like the float v (−0 and +0 tie)."""
-    i = int(np.float64(v).view(np.int64))
-    return i if i >= 0 else -(1 << 63) - i
+def _float_order(v):
+    """Integers that sort like the floats v (−0 and +0 tie), elementwise."""
+    i = np.asarray(v, dtype=float).view(np.int64)
+    return np.where(i >= 0, i, _SIGN_BIT - i)
 
 
-def _order_float(i: int) -> float:
-    """The float whose ``_float_order`` is i."""
-    bits = i if i >= 0 else -(1 << 63) - i
-    return float(np.int64(bits).view(np.float64))
+def _order_float(i):
+    """The floats whose ``_float_order`` is i."""
+    i = np.asarray(i, dtype=np.int64)
+    return np.where(i >= 0, i, _SIGN_BIT - i).view(np.float64)
+
+
+def _halfway(i, j):
+    """⌊(i + j)/2⌋ of float orders, without overflowing int64."""
+    return (i >> 1) + (j >> 1) + (i & j & 1)
+
+
+def _gap(i, j):
+    """|i − j| for float orders i and j, as float64 (exact below 2^53)."""
+    high = ((i >> 32) - (j >> 32)) * 4294967296.0
+    return np.abs(high + ((i & 0xFFFFFFFF) - (j & 0xFFFFFFFF)))
+
+
+def _newton_probe(ix, t, ia, ib, hist):
+    """The next probe of a bracketed Newton search over the floats, as
+    (its order, the new ``hist``, whether t lay past the far end).
+
+    The last probe, of order ix, became one end of the bracket of orders
+    ia < ib, and t is the Newton target from it.  The probe is t where t
+    lies strictly inside the bracket, or the float next to the last probe
+    toward the far end where rounding puts t at or behind it.  It is taken
+    while Newton makes progress: the bracket has halved over the last two
+    probes, or the step is at most half the step before last, as in
+    Brent's method (a search that converges from one side).  Otherwise,
+    and where t is not finite or lies past the far end, the probe is the
+    bracket's midpoint in float order.  ``hist`` holds the lengths of the
+    last two steps and the bracket's widths at the last two calls, counted
+    in floats as float64; it starts as four infinities.
+    """
+    d1, d2, w1, w2 = hist
+    x, a, b = _order_float(ix), _order_float(ia), _order_float(ib)
+    toward = np.where(ix == ia, 1, -1)
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(t)
+        behind = finite & ((t - x) * toward <= 0.0)
+        inside = finite & (a < t) & (t < b)
+    it = np.where(behind, ix + toward, _float_order(np.where(inside, t, x)))
+    width = _gap(ib, ia)
+    newton = (behind | inside) & ((width <= 0.5 * w2) | (_gap(it, ix) <= 0.5 * d2))
+    it = np.where(newton, it, _halfway(ia, ib))
+    step = _gap(it, ix)
+    return it, (step, np.where(newton, d1, step), width, w1), finite & ~behind & ~inside
 
 
 def _pushforward_median(m, g) -> tuple[float, tuple[float, ...]]:
     """A median of g(X), and the crossings of g = median.
 
     Monotone g (on the probe grid) pushes the median of X forward.
-    Otherwise the crossings of g = c between probe points are bisected on
-    g alone, P(g(X) ≤ c) is the sum of cdf differences over the runs where
-    g ≤ c, and c is bisected on that, over the ordered floats, to the
-    smallest c with P(g(X) ≤ c) ≥ 1/2.  g is taken to cross c at most once
-    between neighbouring probe points and not beyond the outermost ones.
+    Otherwise the median is the smallest float c with P(g(X) ≤ c) ≥ 1/2,
+    where P is the sum of cdf differences over the runs where g ≤ c, and
+    g is taken to cross c at most once between neighbouring probe points
+    and not beyond the outermost ones.  Both searches are Newton's method
+    kept inside a bracket over the ordered floats (``_newton_probe``):
+
+    - each crossing of g = c, from the secant through its probe values,
+      with g′ (``g.prime``), to the pair of adjacent floats between which
+      g ≤ c changes; the crossing is their midpoint as rounded;
+    - c, from the quantile-weighted median of g on the probe grid, on
+      P − 1/2 with slope Σ f(x_j)/|g′(x_j)| over the crossings x_j, to the
+      adjacent pair between which P ≥ 1/2 starts.
+
+    A g′ or slope that is 0 or not finite halves the bracket.  Where the
+    target of c lies past the end where P ≥ 1/2 and that end is a value g
+    keeps across probe points (P jumps there, across a plateau of g), the
+    float below it is tried first.
     """
     pts = m.probe_points()
     vals = np.asarray(g(pts), dtype=float)
@@ -340,36 +394,78 @@ def _pushforward_median(m, g) -> tuple[float, tuple[float, ...]]:
         return float(np.asarray(g(med), dtype=float)), (med,)
 
     def crossings(c):
+        """The crossings of g = c, and g′ near each."""
         below = vals <= c
         flip = np.flatnonzero(below[:-1] != below[1:])
-        a, b, rising = pts[flip], pts[flip + 1], below[flip]
-        for _ in range(_CROSSING_STEPS):
-            mid = a + 0.5 * (b - a)
-            if np.all((mid == a) | (mid == b)):
-                break  # every column at adjacent floats: its midpoint is final
-            same = (np.asarray(g(mid), dtype=float) <= c) == rising
-            a, b = np.where(same, mid, a), np.where(same, b, mid)
-        return a + 0.5 * (b - a), rising, below
+        rising = below[flip]
+        a, b, ga, gb = pts[flip], pts[flip + 1], vals[flip], vals[flip + 1]
+        ia, ib = _float_order(a), _float_order(b)
+        with np.errstate(all="ignore"):
+            # g′ until a probe reads it: the secant slope through the probe values
+            gp = (gb - ga) / (b - a)
+            secant = a + (c - ga) / gp
+        inf = np.full(len(flip), np.inf)
+        ix, hist, _ = _newton_probe(ia, secant, ia, ib, (inf,) * 4)
+        live = np.flatnonzero(ia + 1 < ib)
+        while live.size:
+            x = _order_float(ix[live])
+            gx = np.asarray(g(x), dtype=float)
+            # the invariant: g ≤ c at ia exactly where g rises through c
+            same = (gx <= c) == rising[live]
+            ia[live] = np.where(same, ix[live], ia[live])
+            ib[live] = np.where(same, ib[live], ix[live])
+            go = ia[live] + 1 < ib[live]
+            live, x, gx = live[go], x[go], gx[go]
+            if not live.size:
+                break
+            with np.errstate(all="ignore"):
+                gp[live] = slope = np.asarray(g.prime(x), dtype=float)
+                t = np.where(np.isfinite(slope) & (slope != 0.0), x - (gx - c) / slope, np.nan)
+            ix[live], new, _ = _newton_probe(ix[live], t, ia[live], ib[live],
+                                             tuple(h[live] for h in hist))
+            for h, n in zip(hist, new):
+                h[live] = n
+        a, b = _order_float(ia), _order_float(ib)
+        return a + 0.5 * (b - a), gp, rising, below
 
     def mass_below(c):
-        xs, rising, below = crossings(c)
+        """P(g(X) ≤ c), its slope in c, and the crossings of g = c."""
+        xs, gp, rising, below = crossings(c)
         cdf = np.asarray(m.cdf(xs), dtype=float)
         # runs of g ≤ c end where g rises through c and start where it falls
         total = float(np.sum(cdf[rising]) - np.sum(cdf[~rising]))
-        return total + (1.0 if below[-1] else 0.0)
+        with np.errstate(all="ignore"):
+            slope = float(np.sum(np.asarray(m.pdf(xs), dtype=float) / np.abs(gp)))
+        return total + (1.0 if below[-1] else 0.0), slope, xs
 
-    lo, hi = float(np.min(vals)), float(np.max(vals))
-    if mass_below(lo) >= 0.5:
-        return lo, tuple(crossings(lo)[0].tolist())
-    i_lo, i_hi = _float_order(lo), _float_order(hi)
-    while i_hi - i_lo > 1:
-        i_mid = (i_lo + i_hi) // 2
-        if mass_below(_order_float(i_mid)) >= 0.5:
-            i_hi = i_mid
+    # the start: the median of g's probe values, each weighted by its cell's mass
+    u = np.asarray(m.cdf(pts), dtype=float)
+    w = np.diff(np.concatenate([[0.0], 0.5 * (u[1:] + u[:-1]), [1.0]]))
+    by = np.argsort(vals, kind="stable")
+    t = vals[by[min(np.searchsorted(np.cumsum(w[by]), 0.5), len(by) - 1)]]
+    # P is 0 below min g and 1 at max g, where g = c has no crossings
+    ia = ic = _float_order(np.min(vals)) - 1
+    ib = _float_order(np.max(vals))
+    xs_hi = np.empty(0)
+    hist = (math.inf,) * 4
+    while True:
+        ix = ic
+        ic, hist, past = _newton_probe(ix, t, ia, ib, hist)
+        if past and ix == ia and np.count_nonzero(vals == _order_float(ib)) > 1:
+            # P may jump at ib, a value g keeps across probe points: try below it
+            ic = ib - 1
+            hist = (_gap(ic, ix),) * 2 + hist[2:]
+        c = float(_order_float(ic))
+        p, slope, xs = mass_below(c)
+        if p >= 0.5:
+            ib, xs_hi = ic, xs
         else:
-            i_lo = i_mid
-    med = _order_float(i_hi)
-    return med, tuple(crossings(med)[0].tolist())
+            ia = ic
+        if not ia + 1 < ib:
+            return float(_order_float(ib)), tuple(xs_hi.tolist())
+        # aim one rounding unit of P past 1/2, so that the bracket closes from both sides
+        aim = 0.5 - _EPS / 2 if p >= 0.5 else 0.5 + _EPS / 2
+        t = c - (p - aim) / slope if 0.0 < slope < math.inf else math.nan
 
 
 def check_mean_median_sandwich(m, g) -> InequalityCertificate:

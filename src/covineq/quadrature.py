@@ -140,18 +140,19 @@ def _panel_batch(f, a, b):
     return value, err, mass
 
 
-def _seed_edges(lo, hi, knots):
-    """lo, hi and the finite knots between them, sorted and unique; an
-    infinite end is cut at the outermost finite knot toward it."""
-    ks = np.asarray(list(knots), dtype=float)
+def _seed_edges(lo, hi, knots, kinks=()):
+    """lo, hi and the finite knots and kinks between them, sorted and unique;
+    an infinite end is cut at the outermost finite one toward it."""
+    ks = np.sort(np.concatenate([knots, kinks]) if len(kinks) else knots)
     ks = ks[np.isfinite(ks)]
     if ks.size:
-        lo = ks.min() if lo == -np.inf else lo
-        hi = ks.max() if hi == np.inf else hi
+        lo = ks[0] if lo == -np.inf else lo
+        hi = ks[-1] if hi == np.inf else hi
     lo, hi = float(lo), float(hi)
     if not (hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise IntegrationError(f"empty integration interval ({lo}, {hi})", 0.0, 0.0)
-    return np.unique(np.concatenate([[lo, hi], ks[(ks > lo) & (ks < hi)]]))
+    edges = np.concatenate([[lo], ks[(ks > lo) & (ks < hi)], [hi]])
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
 
 
 def _growing_shell(shells, lo_inf, hi_inf):
@@ -177,7 +178,7 @@ def _adapt(f, lo, hi, knots, rel_tol, lighter_side=False, kinks=()) -> Cumulativ
     measures the mass exemption against each panel's lighter side, for the
     prefix and suffix reads of a cumulative.  ``kinks`` seed panels as
     knots do, but bound no shell: then the sorted ``knots`` do."""
-    edges = _seed_edges(lo, hi, (*knots, *kinks))
+    edges = _seed_edges(lo, hi, knots, kinks)
     ladder = np.asarray(knots, dtype=float) if len(kinks) else edges
     lo_inf, hi_inf = lo == -np.inf, hi == np.inf
     lo, hi = float(edges[0]), float(edges[-1])

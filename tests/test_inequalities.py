@@ -256,6 +256,89 @@ class TestLpPoincare:
                 assert c.passed, (m.label, u.descriptor, p, variant, c.describe())
 
 
+def _order(v):
+    i = int(np.float64(v).view(np.int64))
+    return i if i >= 0 else -(1 << 63) - i
+
+
+def _unorder(i):
+    return float(np.int64(i if i >= 0 else -(1 << 63) - i).view(np.float64))
+
+
+def _bisected_median(m, g):
+    """The nested bisection ``_pushforward_median`` replaced, as the reference:
+    (median, crossings, calls of g, whether every crossing it returns sits
+    at adjacent floats).  Each crossing of g = c is bisected from its probe
+    bracket for at most 60 steps, and c over the ordered floats to the
+    smallest c with P(g(X) ≤ c) ≥ 1/2."""
+    calls = [0]
+
+    def g_of(x):
+        calls[0] += 1
+        return np.asarray(g(x), dtype=float)
+
+    pts = m.probe_points()
+    vals = g_of(pts)
+    d = np.diff(vals)
+    if np.all(d >= 0.0) or np.all(d <= 0.0):
+        med = m.median()
+        return float(g_of(med)), (med,), calls[0], True
+
+    def crossings(c):
+        below = vals <= c
+        flip = np.flatnonzero(below[:-1] != below[1:])
+        a, b, rising = pts[flip], pts[flip + 1], below[flip]
+        for _ in range(60):
+            mid = a + 0.5 * (b - a)
+            if np.all((mid == a) | (mid == b)):
+                break
+            same = (g_of(mid) <= c) == rising
+            a, b = np.where(same, mid, a), np.where(same, b, mid)
+        mid = a + 0.5 * (b - a)
+        return mid, rising, below, bool(np.all((mid == a) | (mid == b)))
+
+    def mass_below(c):
+        xs, rising, below, _ = crossings(c)
+        cdf = np.asarray(m.cdf(xs), dtype=float)
+        total = float(np.sum(cdf[rising]) - np.sum(cdf[~rising]))
+        return total + (1.0 if below[-1] else 0.0)
+
+    lo, hi = float(np.min(vals)), float(np.max(vals))
+    if mass_below(lo) >= 0.5:
+        med = lo
+    else:
+        i_lo, i_hi = _order(lo), _order(hi)
+        while i_hi - i_lo > 1:
+            i_mid = (i_lo + i_hi) // 2
+            if mass_below(_unorder(i_mid)) >= 0.5:
+                i_hi = i_mid
+            else:
+                i_lo = i_mid
+        med = _unorder(i_hi)
+    xs, _, _, adjacent = crossings(med)
+    return med, tuple(xs.tolist()), calls[0], adjacent
+
+
+def _counted(g):
+    """g with its calls of g and g′ counted."""
+    n = {"g": 0, "prime": 0}
+
+    def ev(x):
+        n["g"] += 1
+        return g.eval(x)
+
+    def dv(x):
+        n["prime"] += 1
+        return g.deriv(x)
+
+    return fn.DifferentiableFunction(ev, dv, g.knots, g.descriptor), n
+
+
+SANDWICH_MEASURES = ("laplace:0,1", "gaussian:0,1", "logistic:0,2", "exponential:1", "beta:2,3")
+SANDWICH_FUNCTIONS = ("x^2", "ramp(0,0.5)*ramp(2,0.5)", "x*(x^2-1)", "x*ramp(0,0.5)",
+                      "abspow(1.5)-0.3", "x^4-1")
+
+
 class TestSandwich:
     def test_exponential_oracles(self, expo):
         c = ineq.check_mean_median_sandwich(expo, x)
@@ -289,6 +372,43 @@ class TestSandwich:
         med, knots = ineq._pushforward_median(lap, g)
         assert abs(med - want) <= 1e-14 * want
         assert np.allclose(knots, [-want / 2, 2 * want], rtol=1e-14)
+
+    @pytest.mark.parametrize("expr", SANDWICH_FUNCTIONS)
+    @pytest.mark.parametrize("spec", SANDWICH_MEASURES)
+    def test_pushforward_median_against_bisection(self, spec, expr):
+        # the Newton search stops at the adjacent pair the bisection stops
+        # at, so where every reference crossing reached adjacent floats the
+        # median and crossings are the same bits; it never calls g and g′
+        # more often than the bisection calls g
+        m = cfg.parse_measure_spec(spec)
+        g = fn.parse_expression(expr).bind(m)
+        ref_g, _ = _counted(g)
+        med_ref, xs_ref, ref_calls, adjacent = _bisected_median(m, ref_g)
+        new_g, n = _counted(g)
+        med, xs = ineq._pushforward_median(m, new_g)
+        if adjacent:
+            assert [v.hex() for v in (med, *xs)] == [v.hex() for v in (med_ref, *xs_ref)]
+        assert n["g"] + n["prime"] <= ref_calls
+
+    @pytest.mark.parametrize("expr", SANDWICH_FUNCTIONS)
+    @pytest.mark.parametrize("spec", SANDWICH_MEASURES)
+    def test_crossings_reach_adjacent_floats(self, spec, expr):
+        # g ≤ med changes between each crossing and a neighbouring float; the
+        # bisection's 60-step cap stopped short of that on a bracket around 0
+        # (x*(x^2-1) on gaussian(0,1) crossed at 1.3914529937012342e-16, the
+        # adjacent pair being at 1.391458212335883e-16)
+        # (a g monotone on the probe grid returns the median of X instead)
+        m = cfg.parse_measure_spec(spec)
+        g = fn.parse_expression(expr).bind(m)
+        med, xs = ineq._pushforward_median(m, g)
+        d = np.diff(g(m.probe_points()))
+        if np.all(d >= 0.0) or np.all(d <= 0.0):
+            assert xs == (m.median(),)
+            return
+        for x in xs:
+            near = np.array([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+            below = np.asarray(g(near), dtype=float) <= med
+            assert below[0] != below[1] or below[1] != below[2], (x, med)
 
     def test_constant_g(self, lap):
         c = ineq.check_mean_median_sandwich(lap, fn.constant(5.0))

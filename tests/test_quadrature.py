@@ -170,6 +170,43 @@ def test_infinite_end_is_cut_at_the_outermost_knot():
         quadrature.integrate(gauss_pdf, -math.inf, 1.0)
 
 
+def _unique_edges(lo, hi, knots):
+    """The seed edges as ``np.unique`` over every knot: the reference."""
+    ks = np.asarray(list(knots), dtype=float)
+    ks = ks[np.isfinite(ks)]
+    if ks.size:
+        lo = ks.min() if lo == -np.inf else lo
+        hi = ks.max() if hi == np.inf else hi
+    return np.unique(np.concatenate([[float(lo), float(hi)], ks[(ks > lo) & (ks < hi)]]))
+
+
+@pytest.mark.parametrize("kinks", [
+    (), (0.25,), (0.25, 0.25, -3.0), "ladder", "outside", (math.inf, -math.inf, 0.5),
+])
+@pytest.mark.parametrize("make", [
+    lambda: measures.laplace(0, 1), lambda: measures.exponential(1),
+    lambda: measures.beta(2, 3), lambda: measures.gaussian(0, 1e-6),
+])
+def test_seed_edges_merge_kinks_into_the_ladder(make, kinks):
+    # the sorted ladder and the kinks merged, bit for bit the edges of
+    # np.unique over both; kinks on a ladder value, outside the ladder
+    # (moving an infinite end's cut) or infinite
+    m = make()
+    ladder = m.seed_levels()
+    if kinks == "ladder":
+        kinks = (float(ladder[3]), float(ladder[3]), float(ladder[-2]))
+    elif kinks == "outside":
+        kinks = (float(ladder[0]) - 1.0, float(ladder[-1]) + 1.0)
+    lo, hi = m.support
+    got = quadrature._seed_edges(lo, hi, ladder, kinks)
+    assert got.tobytes() == _unique_edges(lo, hi, (*ladder, *kinks)).tobytes()
+
+
+def test_seed_edges_sort_a_direct_callers_knots():
+    got = quadrature._seed_edges(-math.inf, 2.0, (3.0, -1.0, 0.5, -1.0, math.nan))
+    assert got.tobytes() == np.array([-1.0, 0.5, 2.0]).tobytes()
+
+
 class TestQuantileSeeds:
     """Every quadrature of a measure is seeded at its own quantiles."""
 

@@ -287,6 +287,27 @@ class TestDefaultSuite:
         runner.run(cfg.parse_config(cfg.default_config_dict()))
         assert len(calls) <= 139
 
+    def test_default_suite_median_budget(self, monkeypatch):
+        # the median of g(X) is a Newton search on g and g′, over the 12
+        # sandwich cells: 115 calls of g and 75 of g′, 190 in all (5,527
+        # calls of g with nested bisections); budget +10%
+        calls = []
+        real = inequalities._pushforward_median
+
+        def spy(m, g):
+            def counted(f):
+                def call(x):
+                    calls.append(f)
+                    return f(x)
+                return call
+
+            return real(m, functions.DifferentiableFunction(
+                counted(g.eval), counted(g.deriv), g.knots, g.descriptor))
+
+        monkeypatch.setattr(inequalities, "_pushforward_median", spy)
+        runner.run(cfg.parse_config(cfg.default_config_dict()))
+        assert len(calls) <= 209
+
 
 class TestNearExtremalProbe:
     @pytest.mark.parametrize("spec", ["laplace:0,1", "uniform:0,1", "gaussian:0,1"])
