@@ -124,21 +124,21 @@ class Measure:
     # ---- integration ----------------------------------------------------
 
     def integration_domain(self) -> tuple[float, float]:
-        """Finite window carrying all but ~1e-300 of the mass."""
-        a, b = self.support
-        lo = a if math.isfinite(a) else float(self.dist.ppf(_TAIL_EPS))
-        hi = b if math.isfinite(b) else float(self.dist.isf(_TAIL_EPS))
-        return lo, hi
+        """The window: the first and last entries of ``seed_levels``."""
+        ladder = self.seed_levels()
+        return float(ladder[0]), float(ladder[-1])
 
     def seed_levels(self) -> np.ndarray:
         """The ladder of every quadrature, whose intervals are its shells:
-        ppf and isf at 2^-j for j in ``_SEED_DEPTHS`` and the window's ends
-        (on a bounded side, the support's end), sorted and read-only;
-        memoized on the measure."""
+        ppf and isf at 2^-j for j in ``_SEED_DEPTHS``, and the window's ends,
+        ppf and isf at ``_TAIL_EPS`` (on a bounded side, the support's end),
+        which leave out ~1e-300 of the mass; sorted, read-only and memoized."""
 
         def build():
             t = 2.0 ** -np.asarray(_SEED_DEPTHS, dtype=float)
-            ends = self.integration_domain()
+            a, b = self.support
+            ends = (a if math.isfinite(a) else float(self.dist.ppf(_TAIL_EPS)),
+                    b if math.isfinite(b) else float(self.dist.isf(_TAIL_EPS)))
             levels = np.concatenate([self.dist.ppf(t), self.dist.isf(t), ends])
             ladder = np.sort(levels[np.isfinite(levels)])
             ladder.flags.writeable = False

@@ -18,11 +18,11 @@ sub-panel (``rule_nodes``, ``rule_sums``).
 Three refinements make the scheme robust on the integrands this package
 produces:
 
-* an infinite end is cut at the outermost knot toward it, and the
-  intervals of the knots toward it are its shells: ``Measure`` passes its
-  quantiles 2^-1, 2^-3, 2^-5, 2^-9, ... on each side and the window's ends
-  [ppf(1e-300), isf(1e-300)], so each shell carries a fixed share of the
-  mass, and f's kinks apart, as ``kinks``, so that they split no shell.
+* the intervals of the sorted ``knots`` are the shells, an infinite end
+  is cut at the outermost knot (or kink) toward it, and ``kinks`` only seed:
+  ``Measure`` passes its ladder as ``knots`` (the quantiles 2^-1, 2^-3, 2^-5,
+  2^-9, ... on each side, and the window's ends ppf/isf(1e-300)), so each
+  shell carries a fixed share of the mass, and f's kinks as ``kinks``.
   The outermost shell with |f| mass (the outermost, or the one inward of
   it where f underflows past the deepest level) must carry at most half
   the mass of the shell inward of it, as the terms of a convergent series
@@ -143,7 +143,7 @@ def _panel_batch(f, a, b):
 def _seed_edges(lo, hi, knots, kinks=()):
     """lo, hi and the finite knots and kinks between them, sorted and unique;
     an infinite end is cut at the outermost finite one toward it."""
-    ks = np.sort(np.concatenate([knots, kinks]) if len(kinks) else knots)
+    ks = np.sort(np.concatenate([knots, kinks]))
     ks = ks[np.isfinite(ks)]
     if ks.size:
         lo = ks[0] if lo == -np.inf else lo
@@ -169,17 +169,18 @@ def _growing_shell(shells, lo_inf, hi_inf):
     return None
 
 
-def _adapt(f, lo, hi, knots, rel_tol, lighter_side=False, kinks=()) -> CumulativeIntegral:
-    """Refine the seed partition of (lo, hi), kept in x order: each round
-    scores the panels not yet kept, keeps those that pass or are stuck, and
-    replaces each of the rest by its two children.  One give-up rule: a
-    kept panel that did not pass, or a spent budget, sets ``gave_up``, and
-    then the summed error must meet the global budget.  ``lighter_side``
-    measures the mass exemption against each panel's lighter side, for the
-    prefix and suffix reads of a cumulative.  ``kinks`` seed panels as
-    knots do, but bound no shell: then the sorted ``knots`` do."""
-    edges = _seed_edges(lo, hi, knots, kinks)
-    ladder = np.asarray(knots, dtype=float) if len(kinks) else edges
+def _adapt(f, lo, hi, knots, kinks=(), lighter_side=False) -> CumulativeIntegral:
+    """Refine the seed partition of (lo, hi), kept in x order, to the active
+    rel_tol: each round scores the panels not yet kept, keeps those that pass
+    or are stuck, and replaces each of the rest by its two children.  One
+    give-up rule: a kept panel that did not pass, or a spent budget, sets
+    ``gave_up``, and then the summed error must meet the global budget.
+    ``lighter_side`` measures the mass exemption against each panel's lighter
+    side, for the prefix and suffix reads of a cumulative.  ``knots`` and
+    ``kinks`` seed panels; the sorted finite ``knots`` bound the shells."""
+    rel_tol, ladder = active().rel_tol, np.sort(np.asarray(knots, dtype=float))
+    ladder = ladder[np.isfinite(ladder)]
+    edges = _seed_edges(lo, hi, ladder, kinks)
     lo_inf, hi_inf = lo == -np.inf, hi == np.inf
     lo, hi = float(edges[0]), float(edges[-1])
     n = len(edges) - 1
@@ -253,18 +254,17 @@ def integrate(
     knots: Sequence[float] = (),
     kinks: Sequence[float] = (),
 ) -> float:
-    """Integral of f over (lo, hi).
+    """Integral of f over (lo, hi) to the active numerics.NumericContext's
+    relative tolerance; IntegrationError when it cannot be met (divergent or
+    broken integrands end up here).
 
-    ``knots`` are abscissae where f (or a derivative) is discontinuous;
-    they become seed panel edges so kinks never straddle a panel.  Raises
-    IntegrationError when the tolerance cannot be met (divergent or broken
-    integrands end up here).  An infinite end is cut at the outermost knot
-    toward it, and raises IntegrationError when the shells toward it grow
-    (see the module docstring).  ``kinks`` seed panels but bound no shell;
-    then ``knots`` must be sorted.  The relative tolerance is that of the
-    active numerics.NumericContext.
+    ``knots`` and ``kinks`` seed panel edges, so that no kink of f (or of a
+    derivative) straddles a panel; ``kinks`` only seed, and the intervals of
+    the sorted finite ``knots`` are the shells.  An infinite end is cut at the
+    outermost knot or kink toward it, and raises IntegrationError when the
+    shells toward it grow (see the module docstring).
     """
-    return _adapt(f, lo, hi, knots, active().rel_tol, kinks=kinks).total
+    return _adapt(f, lo, hi, knots, kinks).total
 
 
 def rule_nodes(a, b):
@@ -367,5 +367,5 @@ def cumulative(
     kinks: Sequence[float] = (),
 ) -> CumulativeIntegral:
     """Adaptively integrate f once, returning prefix/suffix query access;
-    ends, knots and kinks as in ``integrate``."""
-    return _adapt(f, lo, hi, knots, active().rel_tol, lighter_side=True, kinks=kinks)
+    ends, tolerance, knots (seeds and shells) and kinks as in ``integrate``."""
+    return _adapt(f, lo, hi, knots, kinks, lighter_side=True)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from covineq import functions as F
 from covineq import measures as M
-from covineq.errors import DomainError, ExpressionError
+from covineq.errors import ComputationError, DomainError, ExpressionError
 from covineq.numerics import NumericContext, numeric_context
 
 
@@ -171,11 +171,17 @@ def test_piecewise_linear_interpolates_nodes(xs, data):
         lambda: F.ramp(0, 0.0),
         lambda: F.power(0),
         lambda: F.piecewise_linear([0, 0], [1, 1]),
+        lambda: F.piecewise_linear([0, 1], [0, 1, 2]),
     ],
 )
 def test_builder_domain_errors(bad):
     with pytest.raises(DomainError):
         bad()
+
+
+def test_second_derivative_is_not_tracked():
+    with pytest.raises(ComputationError, match="second derivative of monomial"):
+        F.monomial(2).prime.prime(1.0)
 
 
 class TestExpressions:

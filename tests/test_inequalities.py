@@ -230,6 +230,12 @@ class TestLpPoincare:
         with pytest.raises(HypothesisViolatedError):
             ineq.check_lp_poincare(expo, x, 1, "raw_p")
 
+    def test_raw_p_requires_vanishing_mean_sign(self, expo):
+        # E[X − 1] = 0 on exponential(1), but E[sign(X − 1)] = 2/e − 1
+        with pytest.raises(HypothesisViolatedError, match="E\\[sign") as info:
+            ineq.check_lp_poincare(expo, fn.shifted(x, -1.0), 1, "raw_p")
+        assert info.value.value == pytest.approx(2.0 / math.e - 1.0, rel=1e-9)
+
     def test_centered_p_requires_sign_symmetry(self, expo):
         with pytest.raises(HypothesisViolatedError):
             ineq.check_lp_poincare(expo, x, 3, "centered_p")
@@ -336,7 +342,17 @@ def _counted(g):
 
 SANDWICH_MEASURES = ("laplace:0,1", "gaussian:0,1", "logistic:0,2", "exponential:1", "beta:2,3")
 SANDWICH_FUNCTIONS = ("x^2", "ramp(0,0.5)*ramp(2,0.5)", "x*(x^2-1)", "x*ramp(0,0.5)",
-                      "abspow(1.5)-0.3", "x^4-1")
+                      "abspow(1.5)-0.3", "x^4-1", "x^3*(x^2-1)+0.1", "x^3*(x^2-4)")
+# g is 0.1 in floats for |x| < 1.9e-6, so P(g(X) ≤ c) jumps at c = 0.1 across
+# a plateau narrower than the probe spacing: the level search takes 44 and
+# 52 levels, each with a near-triple crossing at 0 that takes about 90
+# rounds of g and g′
+_TRIPLE_PLATEAU = {
+    ("gaussian:0,1", "x^3*(x^2-1)+0.1"): "4,010 calls of g and 3,965 of g′ "
+    "against the bisection's 3,373 calls of g",
+    ("logistic:0,2", "x^3*(x^2-1)+0.1"): "4,636 calls of g and 4,583 of g′ "
+    "against the bisection's 3,448 calls of g",
+}
 
 
 class TestSandwich:
@@ -375,11 +391,16 @@ class TestSandwich:
 
     @pytest.mark.parametrize("expr", SANDWICH_FUNCTIONS)
     @pytest.mark.parametrize("spec", SANDWICH_MEASURES)
-    def test_pushforward_median_against_bisection(self, spec, expr):
+    def test_pushforward_median_against_bisection(self, spec, expr, request):
         # the Newton search stops at the adjacent pair the bisection stops
         # at, so where every reference crossing reached adjacent floats the
         # median and crossings are the same bits; it never calls g and g′
-        # more often than the bisection calls g
+        # more often than the bisection calls g, except on a float plateau
+        # at the median (_TRIPLE_PLATEAU), where the medians still agree
+        if (spec, expr) in _TRIPLE_PLATEAU:
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason="the median search's worst case: "
+                + _TRIPLE_PLATEAU[spec, expr]))
         m = cfg.parse_measure_spec(spec)
         g = fn.parse_expression(expr).bind(m)
         ref_g, _ = _counted(g)

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import covineq
 from covineq import config, functions, inequalities, isoperimetry, kernel, measures
 from covineq import quadrature, runner, search
-from covineq.errors import IngestionError, IntegrationError, UnsupportedMeasureError
+from covineq.errors import (DomainError, IngestionError, IntegrationError,
+                            UnsupportedMeasureError)
 from covineq.numerics import NumericContext, numeric_context
 
 x = functions.monomial(1)
@@ -39,6 +40,17 @@ def test_cdf_oracles(m, at, cdf_want):
     assert abs(m.cdf(at) - cdf_want) < 1e-12
     assert abs(m.sf(at) - (1 - cdf_want)) < 1e-12
     assert abs(m.quantile(cdf_want) - at) < 1e-9
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: measures.gaussian(0, math.inf), "invalid sd"),
+    (lambda: measures.uniform(1, 0), "uniform needs lo < hi"),
+    (lambda: measures.laplace(0, 1).rescale(0), "rescale factor must be positive"),
+    (lambda: measures.gaussian(0, 1).quantile(1.0), "quantile level must lie in"),
+])
+def test_out_of_domain_arguments_are_domain_errors(make, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        make()
 
 
 def test_median():
@@ -318,6 +330,9 @@ def test_ess_sup():
     assert abs(measures.laplace(0, 1).ess_sup(r) - 1.0) < 1e-12
     # unbounded: documented under-report = largest probed value
     assert measures.gaussian(0, 1).ess_sup(x2) > 50.0
+    # +inf on a probe (laplace(0,1)'s knot 0) reads inf
+    pole = lambda v: np.where(np.asarray(v, dtype=float) == 0.0, np.inf, 1.0)
+    assert measures.laplace(0, 1).ess_sup(pole) == math.inf
 
 
 class TestEssSupEndProbe:
@@ -469,6 +484,22 @@ class TestQuadratureSetup:
         assert abs(m.integral(lambda t: np.abs(t - 0.7), (0.7,)) - 1.09) < 1e-13
 
 
+@pytest.mark.parametrize("make", [
+    lambda: measures.laplace(0, 1), lambda: measures.exponential(2),
+    lambda: measures.beta(2, 3), lambda: measures.from_scipy(scipy.stats.cauchy()),
+])
+def test_the_window_is_the_ladders_ends(make, monkeypatch):
+    # the window is read off the memoized ladder: no further dist call
+    m = make()
+    ladder = m.seed_levels()
+    for name in ("ppf", "isf"):
+        monkeypatch.setattr(m.dist, name, lambda *a: pytest.fail("dist call"))
+    assert m.integration_domain() == (float(ladder[0]), float(ladder[-1]))
+    # a bounded side's end is the support's; an infinite one's is finite
+    for end, edge in zip(m.support, m.integration_domain()):
+        assert edge == end if math.isfinite(end) else math.isfinite(edge)
+
+
 def test_probe_points_sorted_interior():
     m = measures.gaussian(0, 1)
     pts = m.probe_points()
@@ -498,11 +529,20 @@ class TestTabulated:
             (np.zeros(9), np.ones(9)),  # non-increasing nodes
             (np.linspace(0, 1, 9), np.zeros(9)),  # zero mass
             (np.linspace(0, 1, 9), [1, 1, 1, 0, 0, 1, 1, 1, 1]),  # interior zero
+            (np.arange(8.0), np.ones(9)),  # length mismatch
+            (np.arange(9.0), [1, 1, 1, np.nan, 1, 1, 1, 1, 1]),  # NaN value
+            (np.arange(8) * 1e-10, np.full(8, 5e-324)),  # mass underflows to 0
         ],
     )
     def test_rejects_bad_input(self, xs, ds):
         with pytest.raises(IngestionError):
             measures.ingest_tabulated(xs, ds)
+
+    def test_load_rejects_non_numeric_entry(self, tmp_path):
+        p = tmp_path / "bad.tab"
+        p.write_text("0.5 abc\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match="bad.tab:1: non-numeric entry"):
+            measures.load_tabulated(str(p))
 
     def test_load_rejects_malformed_line(self, tmp_path):
         p = tmp_path / "bad.tab"

@@ -34,6 +34,8 @@ class TestOrliczNorm:
     def test_constant_function(self, lap):
         n = ineq.orlicz_norm(lap, fn.constant(3.0), ineq.young_power(2))
         assert abs(n - 3.0) < 3e-8
+        # the lower end of ψ1's bracket, ‖g‖₁/ln 2, already has E[exp(3/λ) − 1] = 1
+        assert ineq.orlicz_norm(lap, fn.constant(3.0), ineq.young_psi1()) == 3.0 / math.log(2)
 
     def test_psi1_exponential_closed_form(self, expo):
         # E[exp(x/λ)] = 2 at λ = 2 for the unit exponential

@@ -207,6 +207,21 @@ def test_seed_edges_sort_a_direct_callers_knots():
     assert got.tobytes() == np.array([-1.0, 0.5, 2.0]).tobytes()
 
 
+@pytest.mark.parametrize("kinks", [(), (0.5,)])
+def test_a_direct_caller_reads_divergence_off_its_knots(kinks):
+    # the shells are the intervals of the knots whether or not kinks are given
+    m = measures.from_scipy(stats.cauchy())
+    with pytest.raises(IntegrationError, match="diverges toward -inf"):
+        quadrature.integrate(lambda v: np.abs(v) * m.pdf(v), -math.inf, math.inf,
+                             knots=m.seed_levels(), kinks=kinks)
+
+
+def test_a_direct_caller_on_the_ladder_is_an_expectation():
+    g = measures.gaussian(0, 1)
+    got = quadrature.integrate(g.pdf, -math.inf, math.inf, knots=g.seed_levels())
+    assert got.hex() == g.expectation(functions.constant(1.0)).hex()
+
+
 class TestQuantileSeeds:
     """Every quadrature of a measure is seeded at its own quantiles."""
 

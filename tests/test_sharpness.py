@@ -87,6 +87,10 @@ class TestSharpnessSweep:
         certs = ineq.sharpness_sweep(lap, 2, [1, 3, 5, 7])
         assert all(c.ratio <= 1 + 1e-7 for c in certs)
 
+    def test_decreasing_degrees_rejected(self, lap):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            ineq.sharpness_sweep(lap, 2, [3, 1])
+
     def test_even_degree_rejected(self, lap):
         with pytest.raises(DomainError):
             ineq.sharpness_sweep(lap, 2, [2, 4])
