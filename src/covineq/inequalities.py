@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -307,61 +308,57 @@ def check_lp_poincare(m, u, p, variant) -> InequalityCertificate:
 # mean/median centering comparison
 
 
-_SIGN_BIT = np.int64(-(1 << 63))
+def _float_search(side, target, a, b, t, plateau=None) -> tuple[float, float]:
+    """The adjacent floats a′ < b′ in [a, b] between which ``side`` turns
+    true, by Newton's method kept inside a bracket over the ordered floats.
 
-
-def _float_order(v):
-    """Integers that sort like the floats v (−0 and +0 tie), elementwise."""
-    i = np.asarray(v, dtype=float).view(np.int64)
-    return np.where(i >= 0, i, _SIGN_BIT - i)
-
-
-def _order_float(i):
-    """The floats whose ``_float_order`` is i."""
-    i = np.asarray(i, dtype=np.int64)
-    return np.where(i >= 0, i, _SIGN_BIT - i).view(np.float64)
-
-
-def _halfway(i, j):
-    """⌊(i + j)/2⌋ of float orders, without overflowing int64."""
-    return (i >> 1) + (j >> 1) + (i & j & 1)
-
-
-def _gap(i, j):
-    """|i − j| for float orders i and j, as float64 (exact below 2^53)."""
-    high = ((i >> 32) - (j >> 32)) * 4294967296.0
-    return np.abs(high + ((i & 0xFFFFFFFF) - (j & 0xFFFFFFFF)))
-
-
-def _newton_probe(ix, t, ia, ib, hist):
-    """The next probe of a bracketed Newton search over the floats, as
-    (its order, the new ``hist``, whether t lay past the far end).
-
-    The last probe, of order ix, became one end of the bracket of orders
-    ia < ib, and t is the Newton target from it.  The probe is t where t
-    lies strictly inside the bracket, or the float next to the last probe
-    toward the far end where rounding puts t at or behind it.  It is taken
-    while Newton makes progress: the bracket has halved over the last two
-    probes, or the step is at most half the step before last, as in
-    Brent's method (a search that converges from one side).  Otherwise,
-    and where t is not finite or lies past the far end, the probe is the
-    bracket's midpoint in float order.  ``hist`` holds the lengths of the
-    last two steps and the bracket's widths at the last two calls, counted
-    in floats as float64; it starts as four infinities.
+    ``side`` is taken false at a and true at b.  Each probe x replaces the
+    end on its side, and while a float lies between the ends, ``target(x)``
+    is the next Newton target; t is the first, from a.  The probe is the
+    target strictly inside the bracket, or the float next to the last probe
+    toward the far end where rounding puts the target at or behind it.  It
+    is taken while Newton makes progress, as in Brent's method: the bracket
+    halved over the last two probes, or the step is at most half the step
+    before last (steps and widths counted in floats, compared as float64).
+    Otherwise, or where the target is not finite or lies past the far end,
+    the probe is the midpoint in float order, or the float below b where
+    the target from a lies past b and ``plateau(b)`` holds.
     """
-    d1, d2, w1, w2 = hist
-    x, a, b = _order_float(ix), _order_float(ia), _order_float(ib)
-    toward = np.where(ix == ia, 1, -1)
-    with np.errstate(invalid="ignore"):
-        finite = np.isfinite(t)
-        behind = finite & ((t - x) * toward <= 0.0)
-        inside = finite & (a < t) & (t < b)
-    it = np.where(behind, ix + toward, _float_order(np.where(inside, t, x)))
-    width = _gap(ib, ia)
-    newton = (behind | inside) & ((width <= 0.5 * w2) | (_gap(it, ix) <= 0.5 * d2))
-    it = np.where(newton, it, _halfway(ia, ib))
-    step = _gap(it, ix)
-    return it, (step, np.where(newton, d1, step), width, w1), finite & ~behind & ~inside
+
+    def order(v):  # an int that sorts like the float v (−0 and +0 tie)
+        i = struct.unpack("<q", struct.pack("<d", v))[0]
+        return i if i >= 0 else -(1 << 63) - i
+
+    def value(i):
+        return struct.unpack("<d", struct.pack("<q", i if i >= 0 else -(1 << 63) - i))[0]
+
+    ia, ib = order(a), order(b)
+    a, b = value(ia), value(ib)
+    ix, x = ia, a
+    d1 = d2 = w1 = w2 = math.inf  # the last two steps and widths
+    while ia + 1 < ib:
+        toward = 1 if ix == ia else -1
+        finite = math.isfinite(t)
+        behind = finite and (t - x) * toward <= 0.0
+        inside = finite and not behind and a < t < b
+        it = ix + toward if behind else order(t) if inside else ix
+        width = float(ib - ia)
+        newton = (behind or inside) and (width <= 0.5 * w2
+                                         or float(abs(it - ix)) <= 0.5 * d2)
+        it = it if newton else (ia + ib) >> 1
+        step = float(abs(it - ix))
+        d1, d2, w1, w2 = step, d1 if newton else step, width, w1
+        if finite and not (behind or inside) and ix == ia and plateau and plateau(b):
+            it = ib - 1
+            d1 = d2 = float(it - ix)
+        ix, x = it, value(it)
+        if side(x):
+            ib, b = ix, x
+        else:
+            ia, a = ix, x
+        if ia + 1 < ib:
+            t = target(x)
+    return a, b
 
 
 def _pushforward_median(m, g) -> tuple[float, tuple[float, ...]]:
@@ -371,8 +368,8 @@ def _pushforward_median(m, g) -> tuple[float, tuple[float, ...]]:
     Otherwise the median is the smallest float c with P(g(X) ≤ c) ≥ 1/2,
     where P is the sum of cdf differences over the runs where g ≤ c, and
     g is taken to cross c at most once between neighbouring probe points
-    and not beyond the outermost ones.  Both searches are Newton's method
-    kept inside a bracket over the ordered floats (``_newton_probe``):
+    and not beyond the outermost ones.  Both searches are a
+    ``_float_search``, on one point at a time:
 
     - each crossing of g = c, from the secant through its probe values,
       with g′ (``g.prime``), to the pair of adjacent floats between which
@@ -399,73 +396,54 @@ def _pushforward_median(m, g) -> tuple[float, tuple[float, ...]]:
         flip = np.flatnonzero(below[:-1] != below[1:])
         rising = below[flip]
         a, b, ga, gb = pts[flip], pts[flip + 1], vals[flip], vals[flip + 1]
-        ia, ib = _float_order(a), _float_order(b)
         with np.errstate(all="ignore"):
             # g′ until a probe reads it: the secant slope through the probe values
             gp = (gb - ga) / (b - a)
             secant = a + (c - ga) / gp
-        inf = np.full(len(flip), np.inf)
-        ix, hist, _ = _newton_probe(ia, secant, ia, ib, (inf,) * 4)
-        live = np.flatnonzero(ia + 1 < ib)
-        while live.size:
-            x = _order_float(ix[live])
-            gx = np.asarray(g(x), dtype=float)
-            # the invariant: g ≤ c at ia exactly where g rises through c
-            same = (gx <= c) == rising[live]
-            ia[live] = np.where(same, ix[live], ia[live])
-            ib[live] = np.where(same, ib[live], ix[live])
-            go = ia[live] + 1 < ib[live]
-            live, x, gx = live[go], x[go], gx[go]
-            if not live.size:
-                break
-            with np.errstate(all="ignore"):
-                gp[live] = slope = np.asarray(g.prime(x), dtype=float)
-                t = np.where(np.isfinite(slope) & (slope != 0.0), x - (gx - c) / slope, np.nan)
-            ix[live], new, _ = _newton_probe(ix[live], t, ia[live], ib[live],
-                                             tuple(h[live] for h in hist))
-            for h, n in zip(hist, new):
-                h[live] = n
-        a, b = _order_float(ia), _order_float(ib)
-        return a + 0.5 * (b - a), gp, rising, below
+        xs, gx = np.empty(len(flip)), [math.nan] * len(flip)  # gx: g at the last probe
+        for k, up in enumerate(~rising):
+            def side(x):  # one point a call, on a one-point array as g's runs are
+                gx[k] = np.asarray(g(np.array([x])), dtype=float).item()
+                # the invariant: g ≤ c at the lower end exactly where g rises through c
+                return (gx[k] <= c) == up
 
-    def mass_below(c):
-        """P(g(X) ≤ c), its slope in c, and the crossings of g = c."""
+            def target(x):
+                gp[k] = s = np.asarray(g.prime(np.array([x])), dtype=float).item()
+                return x - (gx[k] - c) / s if math.isfinite(s) and s != 0.0 else math.nan
+
+            lo, hi = _float_search(side, target, a[k], b[k], float(secant[k]))
+            xs[k] = lo + 0.5 * (hi - lo)
+        return xs, gp, rising, below
+
+    p, slope, xs_hi = math.nan, math.nan, np.empty(0)
+
+    def side(c):
+        """P(g(X) ≤ c) ≥ 1/2; P, its slope in c and the crossings are kept."""
+        nonlocal p, slope, xs_hi
         xs, gp, rising, below = crossings(c)
         cdf = np.asarray(m.cdf(xs), dtype=float)
         # runs of g ≤ c end where g rises through c and start where it falls
-        total = float(np.sum(cdf[rising]) - np.sum(cdf[~rising]))
+        p = float(np.sum(cdf[rising]) - np.sum(cdf[~rising])) + (1.0 if below[-1] else 0.0)
         with np.errstate(all="ignore"):
             slope = float(np.sum(np.asarray(m.pdf(xs), dtype=float) / np.abs(gp)))
-        return total + (1.0 if below[-1] else 0.0), slope, xs
+        xs_hi = xs if p >= 0.5 else xs_hi
+        return p >= 0.5
+
+    def target(c):
+        # aim one rounding unit of P past 1/2, so that the bracket closes from both sides
+        aim = 0.5 - _EPS / 2 if p >= 0.5 else 0.5 + _EPS / 2
+        return c - (p - aim) / slope if 0.0 < slope < math.inf else math.nan
 
     # the start: the median of g's probe values, each weighted by its cell's mass
     u = np.asarray(m.cdf(pts), dtype=float)
     w = np.diff(np.concatenate([[0.0], 0.5 * (u[1:] + u[:-1]), [1.0]]))
     by = np.argsort(vals, kind="stable")
     t = vals[by[min(np.searchsorted(np.cumsum(w[by]), 0.5), len(by) - 1)]]
-    # P is 0 below min g and 1 at max g, where g = c has no crossings
-    ia = ic = _float_order(np.min(vals)) - 1
-    ib = _float_order(np.max(vals))
-    xs_hi = np.empty(0)
-    hist = (math.inf,) * 4
-    while True:
-        ix = ic
-        ic, hist, past = _newton_probe(ix, t, ia, ib, hist)
-        if past and ix == ia and np.count_nonzero(vals == _order_float(ib)) > 1:
-            # P may jump at ib, a value g keeps across probe points: try below it
-            ic = ib - 1
-            hist = (_gap(ic, ix),) * 2 + hist[2:]
-        c = float(_order_float(ic))
-        p, slope, xs = mass_below(c)
-        if p >= 0.5:
-            ib, xs_hi = ic, xs
-        else:
-            ia = ic
-        if not ia + 1 < ib:
-            return float(_order_float(ib)), tuple(xs_hi.tolist())
-        # aim one rounding unit of P past 1/2, so that the bracket closes from both sides
-        aim = 0.5 - _EPS / 2 if p >= 0.5 else 0.5 + _EPS / 2
-        t = c - (p - aim) / slope if 0.0 < slope < math.inf else math.nan
+    # P is 0 below min g and 1 at max g, and may jump on a plateau of g
+    lo, hi = math.nextafter(float(np.min(vals)), -math.inf), float(np.max(vals))
+    _, med = _float_search(side, target, lo, hi, float(t),
+                           lambda b: np.count_nonzero(vals == b) > 1)
+    return med, tuple(xs_hi.tolist())
 
 
 def check_mean_median_sandwich(m, g) -> InequalityCertificate:

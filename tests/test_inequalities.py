@@ -348,10 +348,10 @@ SANDWICH_FUNCTIONS = ("x^2", "ramp(0,0.5)*ramp(2,0.5)", "x*(x^2-1)", "x*ramp(0,0
 # 52 levels, each with a near-triple crossing at 0 that takes about 90
 # rounds of g and g′
 _TRIPLE_PLATEAU = {
-    ("gaussian:0,1", "x^3*(x^2-1)+0.1"): "4,010 calls of g and 3,965 of g′ "
-    "against the bisection's 3,373 calls of g",
-    ("logistic:0,2", "x^3*(x^2-1)+0.1"): "4,636 calls of g and 4,583 of g′ "
-    "against the bisection's 3,448 calls of g",
+    ("gaussian:0,1", "x^3*(x^2-1)+0.1"): "4,362 calls of g and 4,229 of g′, "
+    "one point each, against the bisection's 3,373 calls of g",
+    ("logistic:0,2", "x^3*(x^2-1)+0.1"): "5,052 calls of g and 4,895 of g′, "
+    "one point each, against the bisection's 3,448 calls of g",
 }
 
 

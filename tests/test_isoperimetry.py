@@ -9,7 +9,7 @@ import scipy.stats as st
 
 from covineq import isoperimetry as iso
 from covineq import measures
-from covineq.errors import DomainError
+from covineq.errors import ComputationError, DomainError
 
 CLOSED_FORMS = [
     (measures.laplace(0, 1), 1.0, 1e-6),
@@ -40,6 +40,16 @@ def test_pointwise_ratio_oracles():
         iso.isoperimetric_ratio(u, 1.5)
     with pytest.raises(DomainError):
         iso.isoperimetric_ratio(u, 0.0)  # boundary is outside the open support
+
+
+def test_non_finite_ratio_raises(monkeypatch):
+    # a density that reads NaN past x = 1 (F(1) = 0.816 on laplace(0,1)) is
+    # refused at the first grid level there, not minimized over
+    m = measures.laplace(0, 1)
+    real = m.dist.pdf
+    monkeypatch.setattr(m.dist, "pdf", lambda v: np.where(np.asarray(v) > 1.0, np.nan, real(v)))
+    with pytest.raises(ComputationError, match=r"failed at t=0\.816.* \(x=1\.00"):
+        iso.isoperimetric_constant(m)
 
 
 def test_symmetric_families_minimize_at_median():

@@ -1,6 +1,7 @@
 """Moment growth, Ψ₁ integrability, consecutive-moment comparison, C_p."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from covineq import functions as fn
 from covineq import inequalities as ineq
 from covineq import measures
 from covineq.errors import (
+    ComputationError,
     DomainError,
     HypothesisViolatedError,
     UnsupportedMeasureError,
@@ -124,3 +126,17 @@ class TestCpSequence:
     def test_p_one_rejected(self):
         with pytest.raises(DomainError):
             ineq.cp_sequence([1, 2])
+
+    @pytest.mark.parametrize(
+        "sqrt, ps, match",
+        [(lambda v: math.nan, [2, 3], "failed to decrease between p=2.0 and p=3.0"),
+         (lambda v: 0.0, [2], "dropped to 1 or below")],
+        ids=["not-decreasing", "not-above-one"],
+    )
+    def test_broken_evaluation_raises(self, monkeypatch, sqrt, ps, match):
+        # C_p is closed-form, so only a broken evaluation (here √3) reaches
+        # its two checks: NaN values do not decrease, and 0 is not above 1
+        broken = types.SimpleNamespace(**{**vars(math), "sqrt": sqrt})
+        monkeypatch.setattr(ineq, "math", broken)
+        with pytest.raises(ComputationError, match=match):
+            ineq.cp_sequence(ps)

@@ -109,6 +109,15 @@ class TestOrliczNorm:
         with pytest.raises(DivergentNormError, match="the quadrature lost the mass"):
             ineq.orlicz_norm(m, g, young)
 
+    def test_modular_above_one_at_every_lambda_slides_past_the_float_range(self, lap):
+        # a stub N ≡ 2 keeps E[N(g/λ)] at 2 for every λ, so the bracket slides
+        # up 1e8-fold at a time until λ would pass the largest float
+        two = ineq.YoungFunction(
+            lambda v: np.full(np.shape(v), 2.0), math.inf, math.log(2.0), "two"
+        )
+        with pytest.raises(DivergentNormError, match="stays above 1 for lambda up to"):
+            ineq.orlicz_norm(lap, x, two)
+
     def test_modular_lost_by_quadrature_diverges(self):
         # E|x| is infinite under Cauchy: the quadrature raises IntegrationError
         # (its shells grow toward -inf), which orlicz_norm turns into

@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from covineq import config as cfg
@@ -288,25 +289,41 @@ class TestDefaultSuite:
         assert len(calls) <= 139
 
     def test_default_suite_median_budget(self, monkeypatch):
-        # the median of g(X) is a Newton search on g and g′, over the 12
-        # sandwich cells: 115 calls of g and 75 of g′, 190 in all (5,527
-        # calls of g with nested bisections); budget +10%
-        calls = []
+        # the median of g(X) over the 12 sandwich cells reads 292 points of
+        # g and g′ past each cell's probe-grid read: a Newton search, one
+        # point a call (the same 292 points in 178 calls when it ran over
+        # every open crossing at once; 5,527 calls of g with nested
+        # bisections); budget +10%
+        points = []
         real = inequalities._pushforward_median
 
         def spy(m, g):
+            reads = []
+
             def counted(f):
                 def call(x):
-                    calls.append(f)
+                    reads.append(np.size(x))
                     return f(x)
                 return call
 
-            return real(m, functions.DifferentiableFunction(
+            out = real(m, functions.DifferentiableFunction(
                 counted(g.eval), counted(g.deriv), g.knots, g.descriptor))
+            points.append(sum(reads[1:]))  # reads[0] is g on the probe grid
+            return out
 
         monkeypatch.setattr(inequalities, "_pushforward_median", spy)
         runner.run(cfg.parse_config(cfg.default_config_dict()))
-        assert len(calls) <= 209
+        assert len(points) == 12
+        assert sum(points) <= 321
+
+
+def test_random_battery_skips_a_draw_with_one_distinct_node(monkeypatch):
+    # a piecewise-linear function needs two distinct nodes; a quantile that
+    # sends every level to one point leaves one, so each draw is skipped
+    m = measures.laplace(0, 1)
+    assert len(runner._random_battery(m, np.random.default_rng(0), 0)) == runner._BATTERY_SIZE
+    monkeypatch.setattr(m.dist, "ppf", lambda q: np.zeros_like(q))
+    assert runner._random_battery(m, np.random.default_rng(0), 0) == []
 
 
 class TestNearExtremalProbe:

@@ -7,6 +7,7 @@ import pytest
 from covineq import functions as fn
 from covineq import inequalities as ineq
 from covineq import kernel, runner
+from covineq.certificates import certify
 from covineq.errors import ComputationError, DomainError
 
 x = fn.monomial(1)
@@ -103,3 +104,14 @@ class TestSharpnessSweep:
     def test_integral_float_degrees_accepted(self, lap):
         assert ([c.ratio for c in ineq.sharpness_sweep(lap, 2, [1.0, 3.0])]
                 == [c.ratio for c in ineq.sharpness_sweep(lap, 2, [1, 3])])
+
+    def test_falling_ratios_raise_on_laplace(self, lap, monkeypatch):
+        # on Laplace the ratios must not fall as k grows; a stub check whose
+        # ratio falls from 0.9 to 0.5 is refused
+        ratios = iter([0.9, 0.5])
+        monkeypatch.setattr(
+            ineq, "check_lp_poincare",
+            lambda m, u, p, variant: certify("lp_poincare", lhs=next(ratios), rhs=1.0, params={}),
+        )
+        with pytest.raises(ComputationError, match="not monotone for laplace"):
+            ineq.sharpness_sweep(lap, 2, [1, 3])
