@@ -808,9 +808,9 @@ def check_logconcave_moments(m, p) -> InequalityCertificate:
 def cp_sequence(p_values) -> list[float]:
     """C_p = (p/(p+1))·(√3·p²/(p−1))^{1/(p+1)}: decreasing toward 1.
 
-    Each p must be finite and > 1 (``_check_p``).  Strict decrease over
-    increasing inputs is asserted; a violation would mean the evaluation
-    itself is broken, so it raises rather than flags.
+    Each p must be finite and > 1 (``_check_p``).  Non-increase over
+    increasing inputs and C_p ≥ 1 are asserted (close p round to one float,
+    and C_p to 1.0 from p ≈ 1e17); a violation means a broken evaluation.
     """
     ps = [_check_p(p, open_left=True) for p in p_values]
     out = [
@@ -818,12 +818,12 @@ def cp_sequence(p_values) -> list[float]:
         for p in ps
     ]
     for (pa, ca), (pb, cb) in zip(zip(ps, out), zip(ps[1:], out[1:])):
-        if pb > pa and not cb < ca:
+        if pb > pa and not cb <= ca:
             raise ComputationError(
                 f"C_p failed to decrease between p={pa} and p={pb}"
             )
-    if any(c <= 1.0 for c in out):
-        raise ComputationError("C_p dropped to 1 or below; evaluation is broken")
+    if not all(c >= 1.0 for c in out):
+        raise ComputationError("C_p dropped below 1; evaluation is broken")
     return out
 
 

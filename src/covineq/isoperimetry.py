@@ -3,8 +3,8 @@
 The ratio is continuous and positive for the measures in scope, so the
 essential infimum is the infimum and pointwise minimization is sound: a
 quantile-space grid locates the low region and a batched zoom search
-(``search.golden_min``) polishes it.  Boundary probes guard against heavy
-tails, where the true infimum is 0 and is approached only as t → {0, 1}.
+(``search.golden_min``) polishes it.  ``Measure.tail`` probes below 1e-6
+guard against heavy tails, where Is = 0 is approached only as t → {0, 1}.
 
 The profile is computed once per measure instance and grid setting and kept
 in the measure's private memo; later calls return the same read-only profile.
@@ -20,11 +20,10 @@ import numpy as np
 
 from . import search
 from .errors import ComputationError, DomainError
+from .measures import TAIL_LEVELS
 
 DEFAULT_GRID_SIZE = 1024
 
-# boundary probe depths for the diverging-tail guard (all below t = 1e-6)
-_PROBE_LEVELS = 10.0 ** -np.arange(7.0, 14.0)
 # relative drop a tail step must exceed to count as a fall; exactly
 # exponential tails (laplace, exponential) wobble by ~1e-15 at some scales
 _FALL_MARGIN = 1e-9
@@ -72,18 +71,17 @@ def _ratio_at_t(m, t):
 
 
 def _tail_diverges(m, interior_min) -> bool:
-    """Three successive decreases below t=1e-6 dipping under the interior min.
+    """Three successive decreases of a side's tail probes below t=1e-6 dipping
+    under the interior min, both sides read in one pdf call.
 
     Decreases and the dip both count only beyond a relative ``_FALL_MARGIN``.
     """
     # densities may legitimately be inf at the support edge (beta a<1);
     # inf is never below inf·(1-margin), so such steps are non-falling,
     # which is the right verdict
+    deep = TAIL_LEVELS["probes"] < 1e-6
     with np.errstate(invalid="ignore"):
-        for seq in (
-            m.pdf(np.asarray(m.dist.ppf(_PROBE_LEVELS), dtype=float)) / _PROBE_LEVELS,
-            m.pdf(np.asarray(m.dist.isf(_PROBE_LEVELS), dtype=float)) / _PROBE_LEVELS,
-        ):
+        for seq in m.pdf(np.stack(m.tail("probes"))[:, deep]) / TAIL_LEVELS["probes"][deep]:
             falling = seq[1:] < seq[:-1] * (1.0 - _FALL_MARGIN)
             runs = falling[:-2] & falling[1:-1] & falling[2:]
             if np.any(runs) and np.min(seq) < interior_min * (1.0 - _FALL_MARGIN):

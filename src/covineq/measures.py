@@ -17,9 +17,8 @@ at its own quantiles ``seed_levels``: ppf and isf at 2^-j for j in
 ``_SEED_DEPTHS``, so the seed panels carry the mass, not the window.  An
 infinite side's window end is the outermost of its seeds, and their
 intervals are the shells whose growth ``quadrature`` reads as divergence
-(a kink seeds a panel but splits no shell).
-Upper-tail quantiles always go through the survival function, never
-through 1−t.
+(a kink seeds a panel but splits no shell).  ``Measure.tail`` reads every
+tail level (``TAIL_LEVELS``), the upper ones through isf, never 1−t.
 """
 
 from __future__ import annotations
@@ -44,6 +43,10 @@ _TAIL_EPS = 1e-300  # quantile depth standing in for an infinite endpoint
 # the seed levels 2^-j of every quadrature, from the median to 2^-513: each
 # gap doubles, so the seeds reach the window's depth in 10 levels per side
 _SEED_DEPTHS = (1, 3, 5, 9, 17, 33, 65, 129, 257, 513)
+# every tail level of the package, by the name ``Measure.tail`` reads: the
+# seeds then the window's end, and the sup-norm and Is probes 10^-4 … 10^-13
+TAIL_LEVELS = {"seeds": np.append(2.0 ** -np.asarray(_SEED_DEPTHS, dtype=float), _TAIL_EPS),
+               "probes": 10.0 ** -np.arange(4.0, 14.0)}
 
 
 def lp_exponent(p) -> float:
@@ -65,7 +68,7 @@ class Measure:
     are density kinks strictly inside the support (panel seeds for
     quadrature).  Instances are immutable and all methods are pure; each
     also carries a private memo (``memo``) of results derived from it: the
-    median, probe grids, the ``Is(μ)`` profile, each ``expectation`` of a
+    median, tail rows, probe grids, the Is(μ) profile, each ``expectation`` of a
     ``DifferentiableFunction``, each ``lp_norm`` (p = inf included; g, g + c
     and the centred copy of g share one g′, so one ‖g′‖_p), each
     ``cumulative``, each |Cov(g,h)| of ``kernel.covariance_kernel``, each
@@ -128,23 +131,30 @@ class Measure:
         ladder = self.seed_levels()
         return float(ladder[0]), float(ladder[-1])
 
+    def tail(self, levels: str) -> tuple[np.ndarray, np.ndarray]:
+        """ppf and isf at ``TAIL_LEVELS[levels]``, the one read of ``dist``
+        at a tail level; a bounded side's entry at ``_TAIL_EPS`` is its
+        support's end, with no call.  Memoized per name, read-only."""
+
+        def row(call, end):
+            t = TAIL_LEVELS[levels]
+            out, at = np.full(t.shape, end), (t != _TAIL_EPS) | math.isinf(end)
+            out[at] = call(t[at])
+            out.flags.writeable = False
+            return out
+
+        return self.memo(("tail", levels), lambda: (
+            row(self.dist.ppf, self.support[0]), row(self.dist.isf, self.support[1])))
+
     def seed_levels(self) -> np.ndarray:
         """The ladder of every quadrature, whose intervals are its shells:
-        ppf and isf at 2^-j for j in ``_SEED_DEPTHS``, and the window's ends,
-        ppf and isf at ``_TAIL_EPS`` (on a bounded side, the support's end),
-        which leave out ~1e-300 of the mass; sorted, read-only and memoized."""
-
-        def build():
-            t = 2.0 ** -np.asarray(_SEED_DEPTHS, dtype=float)
-            a, b = self.support
-            ends = (a if math.isfinite(a) else float(self.dist.ppf(_TAIL_EPS)),
-                    b if math.isfinite(b) else float(self.dist.isf(_TAIL_EPS)))
-            levels = np.concatenate([self.dist.ppf(t), self.dist.isf(t), ends])
-            ladder = np.sort(levels[np.isfinite(levels)])
-            ladder.flags.writeable = False
-            return ladder
-
-        return self.memo(("seeds",), build)
+        the finite entries of ``tail("seeds")``, ppf and isf at 2^-j for j in
+        ``_SEED_DEPTHS`` and the window's ends at ``_TAIL_EPS``, which leave
+        out ~1e-300 of the mass; sorted and read-only."""
+        levels = np.concatenate(self.tail("seeds"))
+        ladder = np.sort(levels[np.isfinite(levels)])
+        ladder.flags.writeable = False
+        return ladder
 
     def integral(self, f, knots=()) -> float:
         """∫ f dx over ``integration_domain()``, panels seeded at the
@@ -240,11 +250,7 @@ class Measure:
 
         def build():
             t = np.linspace(0.0, 1.0, n + 2)[1:-1]
-            pts = [self.quantile(t)]
-            s = 10.0 ** -np.arange(4.0, 14.0)
-            pts.append(np.asarray(self.dist.ppf(s), dtype=float))
-            pts.append(np.asarray(self.dist.isf(s), dtype=float))
-            pts.append(np.asarray(self.knots, dtype=float))
+            pts = [self.quantile(t), *self.tail("probes"), np.asarray(self.knots, dtype=float)]
             lo, hi = self.integration_domain()
             out = np.unique(np.concatenate([np.atleast_1d(p) for p in pts]))
             out = out[(out >= lo) & (out <= hi)]

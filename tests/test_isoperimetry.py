@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ def test_tabulated_approximates_smooth_family(tab_laplace_file):
 
 def test_beta_profile_positive():
     prof = iso.isoperimetric_constant(measures.beta(2, 5))
+    assert prof.is_value > 0 and not prof.diverging_tail
+
+
+@pytest.mark.parametrize("a, b", [(2, 7), (7, 2)])
+def test_beta_profile_reads_no_seed_level(a, b):
+    # Is reads the tail probes only: scipy's _beta_ppf warns at the seed
+    # level 2^-513 for these shapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = iso.isoperimetric_constant(measures.beta(a, b))
     assert prof.is_value > 0 and not prof.diverging_tail
 
 

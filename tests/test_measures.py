@@ -508,6 +508,83 @@ def test_probe_points_sorted_interior():
     assert pts[0] >= lo and pts[-1] <= hi
 
 
+def _tail_calls(m, monkeypatch):
+    """Spy on m.dist.ppf/isf: the (name, levels) of each call made at tail
+    levels only, a 1-D array of entries of ``measures.TAIL_LEVELS``."""
+    every = np.concatenate(list(measures.TAIL_LEVELS.values()))
+    calls = []
+    for name in ("ppf", "isf"):
+        def spy(q, real=getattr(m.dist, name), name=name):
+            q_arr = np.asarray(q, dtype=float)
+            if q_arr.ndim == 1 and np.all(np.isin(q_arr, every)):
+                calls.append((name, tuple(q_arr)))
+            return real(q)
+        monkeypatch.setattr(m.dist, name, spy)
+    return calls
+
+
+_LADDER_MEASURES = [
+    lambda: measures.laplace(0, 1), lambda: measures.exponential(2),
+    lambda: measures.beta(2, 3),
+    lambda: measures.ingest_tabulated(np.linspace(-1, 1, 9), np.linspace(1, 2, 9)),
+    lambda: measures.from_scipy(scipy.stats.cauchy()),
+]
+
+
+@pytest.mark.parametrize("make", _LADDER_MEASURES)
+def test_each_tail_level_set_is_read_once_per_measure(make, monkeypatch):
+    # quadratures, both probe grids and Is profiles at two grid sizes all
+    # read the one memoized tail: dist sees each level set once per side
+    m = make()
+    calls = _tail_calls(m, monkeypatch)
+    for _ in range(2):
+        m.expectation(functions.constant(1.0))
+        m.integral(m.pdf)
+        m.expectation(lambda v: np.exp(-np.asarray(v, dtype=float) ** 2))
+        m.probe_points(64), m.probe_points(2048)
+        m.ess_sup(lambda v: 1.0 / (1.0 + np.asarray(v, dtype=float) ** 2))
+        isoperimetry.isoperimetric_constant(m)
+        isoperimetry.isoperimetric_constant(m, grid_size=256)
+    for name, end in zip(("ppf", "isf"), m.support):
+        want = [tuple(t[(t != measures._TAIL_EPS) | math.isinf(end)])
+                for t in measures.TAIL_LEVELS.values()]
+        assert sorted(q for n, q in calls if n == name) == sorted(want), name
+
+
+@pytest.mark.parametrize("make", _LADDER_MEASURES)
+def test_a_bounded_side_reads_its_end_at_the_window_depth(make, monkeypatch):
+    m = make()
+    calls = _tail_calls(m, monkeypatch)
+    assert measures.TAIL_LEVELS["seeds"][-1] == measures._TAIL_EPS
+    rows = m.tail("seeds")
+    assert m.tail("seeds") is rows and [n for n, _ in calls] == ["ppf", "isf"]
+    for (name, q), row, end in zip(calls, rows, m.support):
+        # dist is called at the window's depth on an infinite side only
+        assert (measures._TAIL_EPS in q) == math.isinf(end), name
+        assert row[-1] == end if math.isfinite(end) else math.isfinite(row[-1])
+        assert not row.flags.writeable
+
+
+@pytest.mark.parametrize("family", [measures.gaussian, measures.laplace, measures.logistic])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_a_symmetric_laws_upper_tail_is_its_lower_tail_negated(family, scale):
+    m = family(0.0, scale)
+    for name in measures.TAIL_LEVELS:
+        lower, upper = m.tail(name)
+        assert np.array_equal(upper, -lower), name  # 0.0 at the median, either sign
+
+
+@pytest.mark.xfail(strict=True, reason="scipy's _beta_ppf returns a wrong deep quantile "
+                                       "for a < 1 (ROADMAP item 5)")
+def test_beta_half_two_deep_probe_is_its_series_quantile():
+    # F(x) = x^a/(a·B(a, b))·(1 + O(x)) at 0, so Q(q) = (q·a·B(a, b))^{1/a}
+    # to far below 1e-12 relative at q = 1e-10, where x ≈ 4.4e-21
+    levels = measures.TAIL_LEVELS["probes"]
+    lower, _ = measures.beta(0.5, 2).tail("probes")
+    got = float(lower[np.flatnonzero(levels == 1e-10)[0]])
+    assert abs(got / 4.444444444444446e-21 - 1.0) <= 1e-12
+
+
 class TestTabulated:
     def test_roundtrip_laplace(self, tab_laplace_file):
         m = measures.load_tabulated(tab_laplace_file)

@@ -3,6 +3,7 @@
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -127,10 +128,21 @@ class TestCpSequence:
         with pytest.raises(DomainError):
             ineq.cp_sequence([1, 2])
 
+    @pytest.mark.parametrize("ps", [[1e18], [1.5e17, 1.6e17], [1e10, 1e10 + 1]])
+    def test_rounding_at_large_p_is_no_broken_evaluation(self, ps):
+        # C_p − 1 ≈ (ln(√3·p) − 1)/p: close neighbours round to one float,
+        # and at p = 1e18 the true value rounds to 1
+        cs = ineq.cp_sequence(ps)
+        with mpmath.workdps(40):
+            want = [float((p / (p + 1)) * (mpmath.sqrt(3) * p**2 / (p - 1)) ** (1 / (p + 1)))
+                    for p in map(mpmath.mpf, ps)]
+        assert all(abs(c - w) <= 4.4e-16 for c, w in zip(cs, want))
+        assert cs == sorted(cs, reverse=True) and min(cs) >= 1.0
+
     @pytest.mark.parametrize(
         "sqrt, ps, match",
         [(lambda v: math.nan, [2, 3], "failed to decrease between p=2.0 and p=3.0"),
-         (lambda v: 0.0, [2], "dropped to 1 or below")],
+         (lambda v: 0.0, [2], "dropped below 1")],
         ids=["not-decreasing", "not-above-one"],
     )
     def test_broken_evaluation_raises(self, monkeypatch, sqrt, ps, match):
