@@ -1,10 +1,16 @@
 """Cheeger isoperimetric constant Is(μ) = essinf f/min{F, 1−F} and its profile.
 
 The ratio is continuous and positive for the measures in scope, so the
-essential infimum is the infimum and pointwise minimization is sound: a
-quantile-space grid locates the low region and a batched zoom search
-(``search.golden_min``) polishes it.  ``Measure.tail`` probes below 1e-6
-guard against heavy tails, where Is = 0 is approached only as t → {0, 1}.
+essential infimum is the infimum and pointwise minimization is sound.  Every
+measure's ratio at t = 1/2 is 2·f(median), so Is ≤ 2·f(median); for a
+log-concave μ, t ↦ f(Q(t)) is concave and Is = 2·f(median) exactly
+(S. Bobkov, Ann. Probab. 24, 1996).  A quantile-space grid is read for every
+measure.  Where ``Measure.log_concave`` holds and no grid ratio lies below
+2·f(median)·(1 − 1e-9), that closed form is Is.  Otherwise (any other
+measure, or a wrong log-concave flag) a batched zoom search
+(``search.golden_min``) polishes the grid's low region, and ``Measure.tail``
+probes below 1e-6 guard against heavy tails, where Is = 0 is approached
+only as t → {0, 1}.
 
 The profile is computed once per measure instance and grid setting and kept
 in the measure's private memo; later calls return the same read-only profile.
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +32,8 @@ from .measures import TAIL_LEVELS
 DEFAULT_GRID_SIZE = 1024
 
 # relative drop a tail step must exceed to count as a fall; exactly
-# exponential tails (laplace, exponential) wobble by ~1e-15 at some scales
+# exponential tails (laplace, exponential) wobble by ~1e-15 at some scales;
+# also how far a grid ratio may read below the log-concave closed form
 _FALL_MARGIN = 1e-9
 
 
@@ -90,13 +98,16 @@ def _tail_diverges(m, interior_min) -> bool:
 
 
 def isoperimetric_constant(m, grid_size: int = DEFAULT_GRID_SIZE) -> IsoperimetricProfile:
-    """Grid minimum of the ratio profile plus zoom-search refinement.
+    """The ratio profile on the grid t_i = i/(grid_size+1) and its minimum.
 
-    The grid is t_i = i/(grid_size+1); refinement searches brackets around
-    the three lowest grid points, and the median level t = 1/2 is a
-    candidate too.  Where the profile is flat, argmin_t is the candidate
-    nearest 1/2, so it is exactly 0.5 on a plateau through the median.
-    Heavy-tailed measures are reported as is_value = 0 with the
+    A measure flagged log-concave gets is_value = 2·f(median) and
+    argmin_t = 0.5, with no search, when no grid ratio reads below that
+    value by more than a relative 1e-9.  Any other measure, or a flagged
+    one whose grid disagrees, gets a zoom-search refinement: it searches
+    brackets around the three lowest grid points, and the median level
+    t = 1/2 is a candidate too.  Where the profile is flat, argmin_t is the
+    candidate nearest 1/2, so it is exactly 0.5 on a plateau through the
+    median.  Heavy-tailed measures are reported as is_value = 0 with the
     diverging-tail flag set.  The result is memoized on ``m`` per
     grid_size (and, as every ``Measure.memo`` entry, per quadrature
     tolerance); its arrays are read-only.
@@ -118,25 +129,15 @@ def _profile(m, grid_size) -> IsoperimetricProfile:
             f"(x={xs[bad][0]:.6g})"
         )
 
-    # seeds: the three lowest grid points; on a plateau (many grid values tied
-    # to within 1e-9) prefer the center-most so the argmin is canonical
     rmin = float(np.min(ratios))
-    band = np.flatnonzero(ratios <= rmin * (1.0 + 1e-9))
-    if band.size >= 3:
-        order = band[np.argsort(np.abs(t[band] - 0.5), kind="stable")[:3]]
+    # 2·f(median) is the ratio at t = 1/2: exact for log-concave μ; NaN,
+    # which fails the grid check, for the others
+    closed = 2.0 * float(m.pdf(m.median())) if m.log_concave else math.nan
+    if rmin >= closed * (1.0 - _FALL_MARGIN):
+        argmin_t, is_value, diverging = 0.5, closed, False
     else:
-        order = np.argsort(ratios, kind="stable")[:3]
-    lo = t[np.maximum(order - 1, 0)]
-    hi = t[np.minimum(order + 1, grid_size - 1)]
-    t_ref, r_ref = search.golden_min(lambda tt: _ratio_at_t(m, tt), lo, hi)
-    # t = 1/2 is a candidate, so a plateau through the median reads exactly 0.5
-    cand_t = np.concatenate([t_ref, [t[order[0]], t[int(np.argmin(ratios))], 0.5]])
-    cand_r = np.concatenate([r_ref, [ratios[order[0]], rmin, float(_ratio_at_t(m, 0.5))]])
-    is_value = float(np.min(cand_r))
-    near = np.flatnonzero(cand_r <= is_value * (1.0 + 1e-12))
-    argmin_t = float(cand_t[near[np.argmin(np.abs(cand_t[near] - 0.5))]])
-
-    diverging = _tail_diverges(m, is_value)
+        argmin_t, is_value = _searched(m, t, ratios, rmin)
+        diverging = _tail_diverges(m, is_value)
     xs = np.asarray(xs, dtype=float)
     for arr in (t, xs, ratios):
         arr.flags.writeable = False
@@ -148,6 +149,26 @@ def _profile(m, grid_size) -> IsoperimetricProfile:
         is_value=0.0 if diverging else is_value,
         diverging_tail=diverging,
     )
+
+
+def _searched(m, t, ratios, rmin):
+    """(argmin_t, min) of the ratio: the grid polished by the zoom search."""
+    # seeds: the three lowest grid points; on a plateau (many grid values tied
+    # to within 1e-9) prefer the center-most so the argmin is canonical
+    band = np.flatnonzero(ratios <= rmin * (1.0 + 1e-9))
+    if band.size >= 3:
+        order = band[np.argsort(np.abs(t[band] - 0.5), kind="stable")[:3]]
+    else:
+        order = np.argsort(ratios, kind="stable")[:3]
+    lo = t[np.maximum(order - 1, 0)]
+    hi = t[np.minimum(order + 1, t.size - 1)]
+    t_ref, r_ref = search.golden_min(lambda tt: _ratio_at_t(m, tt), lo, hi)
+    # t = 1/2 is a candidate, so a plateau through the median reads exactly 0.5
+    cand_t = np.concatenate([t_ref, [t[order[0]], t[int(np.argmin(ratios))], 0.5]])
+    cand_r = np.concatenate([r_ref, [ratios[order[0]], rmin, float(_ratio_at_t(m, 0.5))]])
+    is_value = float(np.min(cand_r))
+    near = np.flatnonzero(cand_r <= is_value * (1.0 + 1e-12))
+    return float(cand_t[near[np.argmin(np.abs(cand_t[near] - 0.5))]]), is_value
 
 
 def isoperimetric_value(m) -> float:

@@ -62,7 +62,9 @@ class Measure:
     """A probability measure on an interval with strictly positive density.
 
     ``dist`` is any frozen scipy-like object exposing pdf/cdf/sf/ppf/isf;
-    ``log_concave`` says the density is log-concave, and
+    ``log_concave`` says the density is log-concave (Is(μ) then takes its
+    closed form 2·f(median), if the ratio grid agrees, and the log-concave
+    moment check runs), and
     ``potential_second_derivative`` is φ'' for the potential φ = −log f and
     is present exactly when the measure is strictly log-concave.  ``knots``
     are density kinks strictly inside the support (panel seeds for
@@ -150,11 +152,15 @@ class Measure:
         """The ladder of every quadrature, whose intervals are its shells:
         the finite entries of ``tail("seeds")``, ppf and isf at 2^-j for j in
         ``_SEED_DEPTHS`` and the window's ends at ``_TAIL_EPS``, which leave
-        out ~1e-300 of the mass; sorted and read-only."""
-        levels = np.concatenate(self.tail("seeds"))
-        ladder = np.sort(levels[np.isfinite(levels)])
-        ladder.flags.writeable = False
-        return ladder
+        out ~1e-300 of the mass; sorted, memoized and read-only."""
+
+        def build():
+            levels = np.concatenate(self.tail("seeds"))
+            ladder = np.sort(levels[np.isfinite(levels)])
+            ladder.flags.writeable = False
+            return ladder
+
+        return self.memo(("seed_levels",), build)
 
     def integral(self, f, knots=()) -> float:
         """∫ f dx over ``integration_domain()``, panels seeded at the

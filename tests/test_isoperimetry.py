@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import example, given
+from hypothesis import strategies as hst
 
 from covineq import isoperimetry as iso
 from covineq import measures
@@ -129,12 +131,56 @@ def test_beta_profile_positive():
 
 @pytest.mark.parametrize("a, b", [(2, 7), (7, 2)])
 def test_beta_profile_reads_no_seed_level(a, b):
-    # Is reads the tail probes only: scipy's _beta_ppf warns at the seed
-    # level 2^-513 for these shapes
+    # Is reads no seed level (at most the tail probes): scipy's _beta_ppf
+    # warns at the seed level 2^-513 for these shapes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prof = iso.isoperimetric_constant(measures.beta(a, b))
     assert prof.is_value > 0 and not prof.diverging_tail
+
+
+# the log-concave families at scale s; beta's shapes a, b ≥ 1 keep it log-concave
+LOG_CONCAVE = {
+    "gaussian": lambda s, a, b: measures.gaussian(0.0, s),
+    "laplace": lambda s, a, b: measures.laplace(0.0, s),
+    "exponential": lambda s, a, b: measures.exponential(1.0 / s),
+    "uniform": lambda s, a, b: measures.uniform(0.0, s),
+    "logistic": lambda s, a, b: measures.logistic(0.0, s),
+    "beta": lambda s, a, b: measures.beta(a, b, s),
+}
+
+
+@given(family=hst.sampled_from(sorted(LOG_CONCAVE)), log_s=hst.floats(-9.0, 9.0),
+       a=hst.floats(1.0, 8.0), b=hst.floats(1.0, 8.0))
+@example(family="beta", log_s=-9.0, a=1.0, b=8.0)
+@example(family="beta", log_s=9.0, a=8.0, b=1.0)
+@example(family="beta", log_s=0.0, a=1.0, b=1.0)
+@example(family="exponential", log_s=9.0, a=1.0, b=1.0)
+def test_log_concave_is_is_twice_the_median_density(family, log_s, a, b):
+    # Is = 2·f(median) for log-concave μ (Bobkov 1996), read with no search;
+    # the search over the same law, unflagged, finds the same minimum
+    m = LOG_CONCAVE[family](10.0**log_s, a, b)
+    prof = iso.isoperimetric_constant(m)
+    assert prof.is_value == 2.0 * float(m.pdf(m.median()))
+    assert prof.argmin_t == 0.5 and not prof.diverging_tail
+    searched = iso.isoperimetric_value(measures.from_scipy(m.dist, log_concave=False))
+    assert abs(prof.is_value - searched) <= 1e-12 * prof.is_value
+
+
+def test_wrong_log_concave_flag_falls_back_to_the_search():
+    # a bimodal law whose valley lies off the median: the grid reads ratios
+    # far below 2·f(median), so the flag is overruled and the profile is the
+    # unflagged one bit for bit
+    xs = np.linspace(-6.0, 6.0, 241)
+    tab = measures.ingest_tabulated(
+        xs, 0.7 * np.exp(-(xs + 2.0) ** 2) + 0.3 * np.exp(-(xs - 2.0) ** 2))
+    flagged, plain = (iso.isoperimetric_constant(measures.from_scipy(
+        tab.dist, log_concave=flag, knots=tab.knots)) for flag in (True, False))
+    for field in ("grid", "xs", "ratios"):
+        assert np.array_equal(getattr(flagged, field), getattr(plain, field))
+    assert (flagged.argmin_t, flagged.is_value, flagged.diverging_tail) == (
+        plain.argmin_t, plain.is_value, plain.diverging_tail)
+    assert flagged.is_value < 0.1 * 2.0 * float(tab.pdf(tab.median()))
 
 
 def test_grid_size_validated():
@@ -151,43 +197,43 @@ def test_profile_csv_shape():
 
 class TestProfileMemo:
     @pytest.fixture()
-    def golden_calls(self, monkeypatch):
+    def builds(self, monkeypatch):
         calls = []
-        real = iso.search.golden_min
+        real = iso._profile
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(iso.search, "golden_min", spy)
+        monkeypatch.setattr(iso, "_profile", spy)
         return calls
 
-    def test_second_call_is_a_hit(self, golden_calls):
+    def test_second_call_is_a_hit(self, builds):
         m = measures.gaussian(0, 1)
         first = iso.isoperimetric_constant(m)
-        assert len(golden_calls) == 1
+        assert len(builds) == 1
         assert iso.isoperimetric_constant(m) is first
         assert iso.isoperimetric_value(m) == first.is_value
-        assert len(golden_calls) == 1
+        assert len(builds) == 1
 
-    def test_settings_are_separate_entries(self, golden_calls):
+    def test_settings_are_separate_entries(self, builds):
         m = measures.laplace(0, 1)
         base = iso.isoperimetric_constant(m)
         other_grid = iso.isoperimetric_constant(m, grid_size=512)
         assert other_grid is not base
         assert len(other_grid.grid) == 512
-        assert len(golden_calls) == 2
+        assert len(builds) == 2
         assert iso.isoperimetric_constant(m, grid_size=512) is other_grid
-        assert len(golden_calls) == 2
+        assert len(builds) == 2
 
-    def test_fresh_and_rescaled_measures_start_cold(self, golden_calls):
+    def test_fresh_and_rescaled_measures_start_cold(self, builds):
         m = measures.laplace(0, 1)
         prof = iso.isoperimetric_constant(m)
         twin = measures.laplace(0, 1)
         assert iso.isoperimetric_constant(twin) is not prof
         scaled = iso.isoperimetric_constant(m.rescale(2.0))
         assert abs(scaled.is_value - 2.0 * prof.is_value) <= 1e-6 * scaled.is_value
-        assert len(golden_calls) == 3
+        assert len(builds) == 3
 
     def test_shared_profile_is_read_only(self):
         prof = iso.isoperimetric_constant(measures.uniform(0, 1))

@@ -255,6 +255,13 @@ class TestQuantileSeeds:
         m.expectation(functions.monomial(2))
         assert any(key[:2] == ("tail", "seeds") for key in m._memo)
 
+    def test_ladder_is_sorted_once(self):
+        # later quadratures read the memoized ladder, not a fresh sort
+        m = measures.gaussian(0, 1)
+        ladder = m.seed_levels()
+        m.expectation(functions.monomial(2))
+        assert m.seed_levels() is ladder and not ladder.flags.writeable
+
 
 class TestHeavyTails:
     """The shells toward an infinite end, the intervals of the measure's

@@ -230,17 +230,17 @@ class TestVerdict:
 
 class TestDefaultSuite:
     def test_full_default_suite_passes(self, monkeypatch):
-        # _tail_diverges runs once per computed Is profile: each of the 4
-        # configured measures gets one (moment_comparison takes the rescaled
-        # law's Is from the scale law, not from a fresh profile)
+        # each of the 4 configured measures gets one Is profile build
+        # (moment_comparison takes the rescaled law's Is from the scale law,
+        # not from a fresh profile)
         profiles = []
-        real = isoperimetry._tail_diverges
+        real = isoperimetry._profile
 
-        def spy(m, interior_min):
+        def spy(m, grid_size):
             profiles.append(m)
-            return real(m, interior_min)
+            return real(m, grid_size)
 
-        monkeypatch.setattr(isoperimetry, "_tail_diverges", spy)
+        monkeypatch.setattr(isoperimetry, "_profile", spy)
         res = runner.run(cfg.parse_config(cfg.default_config_dict()))
         assert len(profiles) == 4
         assert res.exit_code == runner.EXIT_PASS
@@ -260,7 +260,7 @@ class TestDefaultSuite:
     def test_default_suite_memo_holds_no_per_call_integrand(self):
         # expectation keeps only DifferentiableFunction keys, so a moment of
         # an integrand made afresh per call takes no entry, and lp_norm none
-        # on a T_k closure: 190 entries on the 4 measures, budget 205 (+8%)
+        # on a T_k closure: 194 entries on the 4 measures, budget 205 (+6%)
         config = cfg.parse_config(cfg.default_config_dict())
         runner.run(config)
         keys = [key for m in config.measures for key in m._memo]
@@ -270,10 +270,11 @@ class TestDefaultSuite:
         assert len(keys) <= 205
 
     def test_default_suite_search_budget(self, monkeypatch):
-        # every Is refinement and ess_sup bracket search goes through
-        # search.golden_min (golden_max calls it), and ess_sup zooms only an
-        # interior grid maximum: 9 searches of 14 calls of f each, 126 in
-        # all; budget +10%
+        # every ess_sup bracket search goes through search.golden_min
+        # (golden_max calls it), ess_sup zooms only an interior grid maximum,
+        # and the 4 log-concave measures take Is in closed form with no
+        # search: 5 searches of 14 calls of f each, 70 in all (126 when Is
+        # was searched too); budget +10%
         calls = []
         real = search.golden_min
 
@@ -286,7 +287,7 @@ class TestDefaultSuite:
 
         monkeypatch.setattr(search, "golden_min", spy)
         runner.run(cfg.parse_config(cfg.default_config_dict()))
-        assert len(calls) <= 139
+        assert len(calls) <= 77
 
     def test_default_suite_median_budget(self, monkeypatch):
         # the median of g(X) over the 12 sandwich cells reads 292 points of
