@@ -6,7 +6,7 @@ measure's ratio at t = 1/2 is 2·f(median), so Is ≤ 2·f(median); for a
 log-concave μ, t ↦ f(Q(t)) is concave and Is = 2·f(median) exactly
 (S. Bobkov, Ann. Probab. 24, 1996).  A quantile-space grid is read for every
 measure.  Where ``Measure.log_concave`` holds and no grid ratio lies below
-2·f(median)·(1 − 1e-9), that closed form is Is.  Otherwise (any other
+2·f(median)·(1 − 1e-14), that closed form is Is.  Otherwise (any other
 measure, or a wrong log-concave flag) a batched zoom search
 (``search.golden_min``) polishes the grid's low region, and ``Measure.tail``
 probes below 1e-6 guard against heavy tails, where Is = 0 is approached
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,13 @@ from .measures import TAIL_LEVELS
 DEFAULT_GRID_SIZE = 1024
 
 # relative drop a tail step must exceed to count as a fall; exactly
-# exponential tails (laplace, exponential) wobble by ~1e-15 at some scales;
-# also how far a grid ratio may read below the log-concave closed form
+# exponential tails (laplace, exponential) wobble by ~1e-15 at some scales
 _FALL_MARGIN = 1e-9
+
+# how far a grid ratio may read below 2·f(median) for the closed form to
+# stand: rounding only, ~45 ulps; the flat ratios of laplace and
+# exponential read up to ~11 ulps below it
+_GRID_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +105,7 @@ def isoperimetric_constant(m, grid_size: int = DEFAULT_GRID_SIZE) -> Isoperimetr
 
     A measure flagged log-concave gets is_value = 2·f(median) and
     argmin_t = 0.5, with no search, when no grid ratio reads below that
-    value by more than a relative 1e-9.  Any other measure, or a flagged
+    value by more than a relative 1e-14.  Any other measure, or a flagged
     one whose grid disagrees, gets a zoom-search refinement: it searches
     brackets around the three lowest grid points, and the median level
     t = 1/2 is a candidate too.  Where the profile is flat, argmin_t is the
@@ -130,10 +133,9 @@ def _profile(m, grid_size) -> IsoperimetricProfile:
         )
 
     rmin = float(np.min(ratios))
-    # 2·f(median) is the ratio at t = 1/2: exact for log-concave μ; NaN,
-    # which fails the grid check, for the others
-    closed = 2.0 * float(m.pdf(m.median())) if m.log_concave else math.nan
-    if rmin >= closed * (1.0 - _FALL_MARGIN):
+    # 2·f(median), the ratio at t = 1/2, is Is for log-concave μ
+    closed = 2.0 * float(m.pdf(m.median())) if m.log_concave else None
+    if m.log_concave and rmin >= closed * (1.0 - _GRID_ROUNDING):
         argmin_t, is_value, diverging = 0.5, closed, False
     else:
         argmin_t, is_value = _searched(m, t, ratios, rmin)

@@ -14,6 +14,12 @@ from covineq import isoperimetry as iso
 from covineq import measures
 from covineq.errors import ComputationError, DomainError
 
+
+def unflagged(m):
+    """The law of ``m`` with no log-concave flag: its Is takes the search."""
+    return measures.from_scipy(m.dist, log_concave=False)
+
+
 CLOSED_FORMS = [
     (measures.laplace(0, 1), 1.0, 1e-6),
     (measures.uniform(0, 1), 2.0, 1e-6),
@@ -78,6 +84,9 @@ def test_argmin_is_the_median_level_at_every_scale(make, s):
     # the reported argmin is the median level there, not wherever the search
     # stopped, so it does not move with the scale
     assert iso.isoperimetric_constant(make(s)).argmin_t == 0.5
+    # the same law unflagged takes the search and its plateau tie-break
+    prof = iso.isoperimetric_constant(unflagged(make(s)))
+    assert prof.argmin_t == 0.5 and not prof.diverging_tail
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, math.sqrt(2.0)])
@@ -111,10 +120,22 @@ def test_heavy_tail_flags_divergence():
     ],
     ids=lambda v: getattr(v, "label", v),
 )
-def test_exponential_tail_not_diverging(m, s):
-    prof = iso.isoperimetric_constant(m)
-    assert not prof.diverging_tail
-    assert abs(prof.is_value * s - 1.0) <= 1e-9
+def test_exponential_tail_not_diverging(m, s, monkeypatch):
+    # the closed form reads no tail; the same law unflagged reaches the
+    # heavy-tail guard, which must see no fall in the wobble
+    guards = []
+    real = iso._tail_diverges
+
+    def spy(law, interior_min):
+        guards.append(law)
+        return real(law, interior_min)
+
+    monkeypatch.setattr(iso, "_tail_diverges", spy)
+    for law in (m, unflagged(m)):
+        prof = iso.isoperimetric_constant(law)
+        assert not prof.diverging_tail
+        assert abs(prof.is_value * s - 1.0) <= 1e-9
+    assert len(guards) == 1
 
 
 def test_tabulated_approximates_smooth_family(tab_laplace_file):
@@ -131,11 +152,12 @@ def test_beta_profile_positive():
 
 @pytest.mark.parametrize("a, b", [(2, 7), (7, 2)])
 def test_beta_profile_reads_no_seed_level(a, b):
-    # Is reads no seed level (at most the tail probes): scipy's _beta_ppf
-    # warns at the seed level 2^-513 for these shapes
+    # the search path reads the tail probes only, not the seed levels:
+    # scipy's _beta_ppf warns at the seed level 2^-513 for these shapes (the
+    # flagged law takes the closed form, which reads no tail level at all)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        prof = iso.isoperimetric_constant(measures.beta(a, b))
+        prof = iso.isoperimetric_constant(unflagged(measures.beta(a, b)))
     assert prof.is_value > 0 and not prof.diverging_tail
 
 
@@ -163,7 +185,7 @@ def test_log_concave_is_is_twice_the_median_density(family, log_s, a, b):
     prof = iso.isoperimetric_constant(m)
     assert prof.is_value == 2.0 * float(m.pdf(m.median()))
     assert prof.argmin_t == 0.5 and not prof.diverging_tail
-    searched = iso.isoperimetric_value(measures.from_scipy(m.dist, log_concave=False))
+    searched = iso.isoperimetric_value(unflagged(m))
     assert abs(prof.is_value - searched) <= 1e-12 * prof.is_value
 
 
