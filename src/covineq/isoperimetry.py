@@ -6,7 +6,9 @@ measure's ratio at t = 1/2 is 2·f(median), so Is ≤ 2·f(median); for a
 log-concave μ, t ↦ f(Q(t)) is concave and Is = 2·f(median) exactly
 (S. Bobkov, Ann. Probab. 24, 1996).  A quantile-space grid is read for every
 measure.  Where ``Measure.log_concave`` holds and no grid ratio lies below
-2·f(median)·(1 − 1e-14), that closed form is Is.  Otherwise (any other
+2·f(median) by more than rounding (1e-14 relative, plus the quantile's own,
+~eps·|median|/IQR, which grows with |loc|/scale), that closed form is Is.
+Otherwise (any other
 measure, or a wrong log-concave flag) a batched zoom search
 (``search.golden_min``) polishes the grid's low region, and ``Measure.tail``
 probes below 1e-6 guard against heavy tails, where Is = 0 is approached
@@ -35,9 +37,15 @@ DEFAULT_GRID_SIZE = 1024
 _FALL_MARGIN = 1e-9
 
 # how far a grid ratio may read below 2·f(median) for the closed form to
-# stand: rounding only, ~45 ulps; the flat ratios of laplace and
-# exponential read up to ~11 ulps below it
+# stand, relative: the density's rounding, ~45 ulps (the flat ratios of
+# laplace and exponential read up to ~11 ulps below it) …
 _GRID_ROUNDING = 1e-14
+# … plus the quantile's, in units of eps·|median|/IQR: x = Q(t) is off by up
+# to half an ulp, eps·|x|/2, which moves f by |f′/f| times that; on
+# laplace's flat ratio |f′/f| = 1/scale = 2 ln 2/IQR, so it reads up to
+# ln 2 = 0.69 units below (0.36 at loc = 1e3, 1e6 and 1e9)
+_QUANTILE_ROUNDING = 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +113,7 @@ def isoperimetric_constant(m, grid_size: int = DEFAULT_GRID_SIZE) -> Isoperimetr
 
     A measure flagged log-concave gets is_value = 2·f(median) and
     argmin_t = 0.5, with no search, when no grid ratio reads below that
-    value by more than a relative 1e-14.  Any other measure, or a flagged
+    value by more than rounding (``_rounding``).  Any other measure, or a flagged
     one whose grid disagrees, gets a zoom-search refinement: it searches
     brackets around the three lowest grid points, and the median level
     t = 1/2 is a candidate too.  Where the profile is flat, argmin_t is the
@@ -135,7 +143,7 @@ def _profile(m, grid_size) -> IsoperimetricProfile:
     rmin = float(np.min(ratios))
     # 2·f(median), the ratio at t = 1/2, is Is for log-concave μ
     closed = 2.0 * float(m.pdf(m.median())) if m.log_concave else None
-    if m.log_concave and rmin >= closed * (1.0 - _GRID_ROUNDING):
+    if m.log_concave and rmin >= closed * (1.0 - _rounding(m, t, xs)):
         argmin_t, is_value, diverging = 0.5, closed, False
     else:
         argmin_t, is_value = _searched(m, t, ratios, rmin)
@@ -151,6 +159,16 @@ def _profile(m, grid_size) -> IsoperimetricProfile:
         is_value=0.0 if diverging else is_value,
         diverging_tail=diverging,
     )
+
+
+def _rounding(m, t, xs):
+    """How far, relative, the grid's ratios may read below 2·f(median) by
+    rounding alone: ``_GRID_ROUNDING`` plus ``_QUANTILE_ROUNDING`` units of
+    eps·|median|/IQR, which grow with |loc|/scale; the IQR is read off the
+    grid t_i = i/k, at i = ⌊k/4⌋ and ⌊3k/4⌋, next to 1/4 and 3/4."""
+    k = t.size + 1
+    iqr = float(xs[3 * k // 4 - 1] - xs[k // 4 - 1])
+    return _GRID_ROUNDING + _QUANTILE_ROUNDING * _EPS * abs(m.median()) / iqr
 
 
 def _searched(m, t, ratios, rmin):

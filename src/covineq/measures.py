@@ -3,9 +3,12 @@
 The six named families (gaussian, laplace, exponential, uniform, logistic,
 beta) compute pdf/cdf/sf/ppf/isf in closed form (numpy and scipy.special),
 repeating scipy's arithmetic so that every value equals the scipy frozen
-distribution's; ``from_scipy`` wraps any frozen scipy-like distribution, and
-tabulated densities are ingested as a piecewise-linear pdf with an exact
-piecewise-quadratic cdf and its inverse.
+distribution's.  ``from_scipy`` sends a frozen ``scipy.stats`` continuous
+law (t, Cauchy, lognorm, gamma, …) through the same location-scale adapter,
+``_LocScaleDist``, bound to the law's own private functions: scipy's values
+bit for bit, without its per-call argument handling.  It keeps any other
+scipy-like object as it is.  Tabulated densities are ingested as a
+piecewise-linear pdf with an exact piecewise-quadratic cdf and its inverse.
 
 Every quadrature in the package is set up by ``Measure.integral`` (∫ f dx,
 for the kernel's dx integrals), ``Measure.expectation`` or
@@ -26,6 +29,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
+import warnings
 from dataclasses import dataclass, field
 from operator import mul, truediv
 from typing import Any, Callable
@@ -339,8 +344,10 @@ class Measure:
 class _Standard:
     """Standard form of a location-scale family: support (a, b) and the
     five functions of y = (x − loc)/scale (or of the level q), copied
-    expression for expression from ``scipy/stats/_continuous_distns.py``;
-    a shape family binds its shapes into the five functions."""
+    expression for expression from ``scipy/stats/_continuous_distns.py``,
+    or a scipy generator's own (``_scipy_standard``), which take its
+    ``shapes`` (size-1 arrays) after their argument; beta binds its shapes
+    into the five functions instead."""
 
     a: float
     b: float
@@ -349,6 +356,7 @@ class _Standard:
     sf: Callable
     ppf: Callable
     isf: Callable
+    shapes: tuple = ()
 
 
 _NORM_PDF_C = np.sqrt(2 * np.pi)
@@ -457,11 +465,12 @@ def _elementwise(method):
 
 
 class _LocScaleDist:
-    """Frozen law of loc + scale·Y for a closed-form standard law Y.
+    """Frozen law of loc + scale·Y for a standard law Y: a named family's
+    closed form, or a scipy law's own private functions (``from_scipy``).
 
     Repeats the arithmetic of scipy's ``rv_continuous`` methods operation
     for operation, so each value is bit-identical to the scipy frozen
-    distribution of the same family: ``pdf = _pdf(y)/scale`` on the closed
+    distribution of the same law: ``pdf = _pdf(y)/scale`` on the closed
     support and 0 outside; ``cdf``/``sf`` on the open support with 0 and 1
     past its ends; ``ppf``/``isf = _ppf(q)·scale + loc`` for 0 < q < 1 and
     the support ends at q ∈ {0, 1}; NaN elsewhere; 0-d input gives a scalar.
@@ -487,8 +496,8 @@ class _LocScaleDist:
         y = (x - self.loc) / self.scale
         inside = (a <= y) & (y <= b)
         if inside.all():
-            return self.std.pdf(y) / self.scale
-        return _fill(self.std.pdf, y, inside, y < a, 0.0, y > b, 0.0) / self.scale
+            return self._every(self.std.pdf, y) / self.scale
+        return self._fill(self.std.pdf, y, inside, y < a, 0.0, y > b, 0.0) / self.scale
 
     @_elementwise
     def cdf(self, x):
@@ -503,8 +512,8 @@ class _LocScaleDist:
         y = (x - self.loc) / self.scale
         inside = (a < y) & (y < b)
         if inside.all():
-            return f(y)
-        return _fill(f, y, inside, y <= a, below, y >= b, above)
+            return self._every(f, y)
+        return self._fill(f, y, inside, y <= a, below, y >= b, above)
 
     @_elementwise
     def ppf(self, q):
@@ -517,16 +526,26 @@ class _LocScaleDist:
     def _quantile(self, f, q, at0, at1):
         inside = (0.0 < q) & (q < 1.0)
         if inside.all():
-            return f(q) * self.scale + self.loc
-        return _fill(f, q, inside, q == 0.0, at0, q == 1.0, at1) * self.scale + self.loc
+            return self._every(f, q) * self.scale + self.loc
+        return self._fill(f, q, inside, q == 0.0, at0, q == 1.0, at1) * self.scale + self.loc
 
+    # the standard function's calls, with the shapes as scipy's ``argsreduce``
+    # hands them over: arrays of v's shape when every entry is inside, size-1
+    # arrays with the inside entries otherwise (gausshyper's ``_pdf`` rounds
+    # differently under the two)
 
-def _fill(f, v, inside, at_lo, lo_value, at_hi, hi_value):
-    """f(v) where ``inside``, the given values where ``at_lo``/``at_hi``,
-    NaN elsewhere (NaN input included)."""
-    out = np.where(at_lo, lo_value, np.where(at_hi, hi_value, np.nan))
-    out[inside] = f(v[inside])
-    return out
+    def _every(self, f, v):
+        shapes = self.std.shapes
+        return f(v, *[np.full(v.shape, s) for s in shapes]) if shapes else f(v)
+
+    def _fill(self, f, v, inside, at_lo, lo_value, at_hi, hi_value):
+        """f(v) where ``inside``, the given values where ``at_lo``/``at_hi``,
+        NaN elsewhere (NaN input included); f is called only where some
+        entry is inside, as scipy calls it (kstwo's ``_pdf`` raises on none)."""
+        out = np.where(at_lo, lo_value, np.where(at_hi, hi_value, np.nan))
+        if inside.any():
+            out[inside] = f(v[inside], *self.std.shapes)
+        return out
 
 
 # ---- analytic families ----------------------------------------------------
@@ -690,17 +709,87 @@ def from_scipy(
     potential_second_derivative=None,
     knots=(),
 ) -> Measure:
-    """Wrap any frozen scipy-like continuous distribution (duck-typed)."""
+    """Wrap any frozen scipy-like continuous distribution (duck-typed).
+
+    A frozen ``scipy.stats`` ``rv_continuous`` law (t, Cauchy, lognorm,
+    gamma, …) is read through a ``_LocScaleDist`` bound to the law's own
+    ``_pdf/_cdf/_sf/_ppf/_isf`` and shapes (``_scipy_standard``): the same
+    arithmetic as scipy's public methods, so the same values bit for bit,
+    without the 60–130 µs of argument handling scipy spends on every call.
+    Any other object, or a scipy law that fails ``_scipy_adapted``'s gate
+    (levy, invgauss, invalid shapes, …), is kept as it is and called
+    through its public methods.
+    """
     a, b = (float(v) for v in dist.support())
     return Measure(
         family=family,
         params=dict(params or {}),
-        dist=dist,
+        dist=_scipy_adapted(dist) or dist,
         support=(a, b),
         log_concave=log_concave,
         potential_second_derivative=potential_second_derivative,
         knots=tuple(knots),
     )
+
+
+_PRIMITIVES = ("pdf", "cdf", "sf", "ppf", "isf")
+
+
+def _scipy_adapted(dist) -> _LocScaleDist | None:
+    """``dist`` as a ``_LocScaleDist`` of its own standard law, or None.
+
+    Taken only where it is provably scipy's arithmetic: ``dist`` is a frozen
+    ``rv_continuous`` law whose frozen object and generator keep scipy's own
+    public methods, ``_open_support_mask`` and NaN ``badvalue``; whose shapes,
+    loc and scale are real scalars, ``_argcheck(*shapes)`` holding and loc
+    and scale > 0 finite; and whose pdf mask is the closed support, or the
+    open one (lognorm, levy, invgauss, …) where ``_pdf`` is 0 at both ends,
+    so that the two masks agree (lognorm; not levy or invgauss, whose
+    ``_pdf`` is NaN at 0).  ``scipy.stats`` is read from ``sys.modules``
+    only, so a duck-typed law never imports it.
+    """
+    infra = sys.modules.get("scipy.stats._distn_infrastructure")
+    if infra is None or not isinstance(dist, infra.rv_continuous_frozen):
+        return None
+    gen, generic = dist.dist, infra.rv_continuous
+    if not (all(_own(dist, infra.rv_continuous_frozen, n) for n in _PRIMITIVES)
+            and all(_own(gen, generic, n) for n in (*_PRIMITIVES, "_open_support_mask"))
+            and math.isnan(gen.badvalue)):
+        return None
+    shapes, loc, scale = gen._parse_args(*dist.args, **dist.kwds)
+    shapes = tuple(np.asarray(v) for v in shapes)
+    if not all(v.ndim == 0 and v.dtype.kind in "fiu"
+               for v in (*shapes, np.asarray(loc), np.asarray(scale))):
+        return None
+    loc, scale = float(loc), float(scale)
+    if not (math.isfinite(loc) and 0.0 < scale < math.inf and np.all(gen._argcheck(*shapes))):
+        return None
+    std = _scipy_standard(gen, shapes)
+    adapted = _LocScaleDist(std, loc, scale)
+    mask = getattr(gen._support_mask, "__func__", None)
+    if mask is generic._open_support_mask:
+        # the closed mask reads _pdf at the ends, where the open one gives +0
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ends = adapted._every(std.pdf, np.array([std.a, std.b]))
+        if np.all((ends == 0.0) & ~np.signbit(ends)):
+            mask = generic._support_mask
+    return adapted if mask is generic._support_mask else None
+
+
+def _own(obj, cls, name) -> bool:
+    """Whether obj's method ``name`` is ``cls``'s, not a subclass's or the
+    instance's own."""
+    return getattr(getattr(obj, name, None), "__func__", None) is getattr(cls, name)
+
+
+def _scipy_standard(gen, shapes) -> _Standard:
+    """The standard law of the scipy generator ``gen`` at ``shapes`` (0-d
+    arrays): its support ``_get_support(*shapes)``, its private functions
+    and the shapes as size-1 arrays, as ``rv_continuous`` reads them."""
+    a, b = (float(v) for v in gen._get_support(*shapes))
+    return _Standard(a, b, *(getattr(gen, "_" + name) for name in _PRIMITIVES),
+                     shapes=tuple(np.atleast_1d(v) for v in shapes))
 
 
 # ---- tabulated densities ---------------------------------------------------

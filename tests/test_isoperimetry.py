@@ -161,32 +161,48 @@ def test_beta_profile_reads_no_seed_level(a, b):
     assert prof.is_value > 0 and not prof.diverging_tail
 
 
-# the log-concave families at scale s; beta's shapes a, b ≥ 1 keep it log-concave
+# the log-concave families at scale s and location loc; beta's shapes a, b ≥ 1
+# keep it log-concave; exponential and beta have no location parameter
 LOG_CONCAVE = {
-    "gaussian": lambda s, a, b: measures.gaussian(0.0, s),
-    "laplace": lambda s, a, b: measures.laplace(0.0, s),
-    "exponential": lambda s, a, b: measures.exponential(1.0 / s),
-    "uniform": lambda s, a, b: measures.uniform(0.0, s),
-    "logistic": lambda s, a, b: measures.logistic(0.0, s),
-    "beta": lambda s, a, b: measures.beta(a, b, s),
+    "gaussian": lambda s, a, b, loc: measures.gaussian(loc, s),
+    "laplace": lambda s, a, b, loc: measures.laplace(loc, s),
+    "exponential": lambda s, a, b, loc: measures.exponential(1.0 / s),
+    "uniform": lambda s, a, b, loc: measures.uniform(loc, loc + s),
+    "logistic": lambda s, a, b, loc: measures.logistic(loc, s),
+    "beta": lambda s, a, b, loc: measures.beta(a, b, s),
 }
+EPS = np.finfo(float).eps
 
 
 @given(family=hst.sampled_from(sorted(LOG_CONCAVE)), log_s=hst.floats(-9.0, 9.0),
-       a=hst.floats(1.0, 8.0), b=hst.floats(1.0, 8.0))
-@example(family="beta", log_s=-9.0, a=1.0, b=8.0)
-@example(family="beta", log_s=9.0, a=8.0, b=1.0)
-@example(family="beta", log_s=0.0, a=1.0, b=1.0)
-@example(family="exponential", log_s=9.0, a=1.0, b=1.0)
-def test_log_concave_is_is_twice_the_median_density(family, log_s, a, b):
-    # Is = 2·f(median) for log-concave μ (Bobkov 1996), read with no search;
-    # the search over the same law, unflagged, finds the same minimum
-    m = LOG_CONCAVE[family](10.0**log_s, a, b)
+       a=hst.floats(1.0, 8.0), b=hst.floats(1.0, 8.0), r=hst.floats(-1e9, 1e9))
+@example(family="beta", log_s=-9.0, a=1.0, b=8.0, r=0.0)
+@example(family="beta", log_s=9.0, a=8.0, b=1.0, r=0.0)
+@example(family="beta", log_s=0.0, a=1.0, b=1.0, r=0.0)
+@example(family="exponential", log_s=9.0, a=1.0, b=1.0, r=0.0)
+@example(family="laplace", log_s=0.0, a=1.0, b=1.0, r=1e9)
+@example(family="laplace", log_s=-9.0, a=1.0, b=1.0, r=-1e9)
+def test_log_concave_is_is_twice_the_median_density(family, log_s, a, b, r):
+    # Is = 2·f(median) for log-concave μ (Bobkov 1996), read with no search,
+    # also where |loc| = |r|·scale is up to 1e9 scales; the search over the
+    # same law, unflagged, finds the same minimum up to the quantile's
+    # rounding, which reads laplace's flat ratio up to eps·|median|/(2·s) low
+    s = 10.0**log_s
+    m = LOG_CONCAVE[family](s, a, b, r * s)
     prof = iso.isoperimetric_constant(m)
     assert prof.is_value == 2.0 * float(m.pdf(m.median()))
     assert prof.argmin_t == 0.5 and not prof.diverging_tail
     searched = iso.isoperimetric_value(unflagged(m))
-    assert abs(prof.is_value - searched) <= 1e-12 * prof.is_value
+    rounding = EPS * abs(m.median()) / s
+    assert abs(prof.is_value - searched) <= (1e-12 + rounding) * prof.is_value
+
+
+@pytest.mark.parametrize("loc", [-1e9, -1e6, -1e3, 1e3, 1e6, 1e9])
+def test_far_located_laplace_takes_the_closed_form(loc):
+    # the quantile's rounding, ~eps·|loc|, reads the flat ratio up to 6e-8
+    # below 2·f(median) at |loc| = 1e9: rounding, not a wrong flag
+    prof = iso.isoperimetric_constant(measures.laplace(loc, 1.0))
+    assert prof.is_value == 1.0 and prof.argmin_t == 0.5 and not prof.diverging_tail
 
 
 def test_wrong_log_concave_flag_falls_back_to_the_search():

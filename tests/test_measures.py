@@ -1,10 +1,12 @@
 """Measure construction, moments, rescaling, and tabulated ingestion."""
 
 import bisect
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 
 import mpmath as mp
@@ -260,16 +262,28 @@ class TestMemo:
         assert functions.parse_expression("x").bind(m) is functions.IDENTITY
 
 
-def test_import_leaves_scipy_stats_out():
-    # every named family is closed-form; scipy.stats is loaded only by a
-    # caller that brings its own law to from_scipy
+def _scipy_stats_loaded_after(code):
+    """The scipy.stats modules loaded once ``code`` ran in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(covineq.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = "import sys, covineq; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code += "; import sys; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_leaves_scipy_stats_out():
+    # every named family is closed-form; scipy.stats is loaded only by a
+    # caller that brings its own law to from_scipy
+    assert _scipy_stats_loaded_after("import covineq") == "[]"
+
+
+def test_duck_typed_from_scipy_leaves_scipy_stats_out():
+    # from_scipy looks for a scipy law only where scipy.stats is loaded
+    code = ("from covineq import isoperimetry, measures; "
+            "isoperimetry.isoperimetric_constant(measures.from_scipy(measures.beta(2, 7).dist))")
+    assert _scipy_stats_loaded_after(code) == "[]"
 
 
 @pytest.mark.parametrize(
@@ -836,6 +850,161 @@ def test_from_scipy_fallback_gives_same_is():
     want = isoperimetric_constant(measures.gaussian(0, 1)).is_value
     got = isoperimetric_constant(measures.from_scipy(scipy.stats.norm(0, 1))).is_value
     assert abs(got - want) <= 1e-12 * want
+
+
+# ---- frozen scipy laws through the closed-form adapter -------------------
+
+
+class _Forward:
+    """A duck-typed proxy of a frozen law: ``from_scipy`` keeps it, so each
+    value comes from the law's public methods."""
+
+    def __init__(self, dist):
+        self._dist = dist
+
+    def __getattr__(self, name):
+        return getattr(self._dist, name)
+
+
+_ADAPTED = {
+    "t3": lambda loc, s: scipy.stats.t(3, loc, s),
+    "cauchy": lambda loc, s: scipy.stats.cauchy(loc, s),
+    "lognorm": lambda loc, s: scipy.stats.lognorm(1.0, loc, s),
+    "gamma": lambda loc, s: scipy.stats.gamma(0.5, loc, s),
+    "weibull_min": lambda loc, s: scipy.stats.weibull_min(0.7, loc, s),
+    "pareto": lambda loc, s: scipy.stats.pareto(2, loc, s),
+    "gumbel_r": lambda loc, s: scipy.stats.gumbel_r(loc, s),
+    "genextreme": lambda loc, s: scipy.stats.genextreme(0.3, loc, s),
+    "truncnorm": lambda loc, s: scipy.stats.truncnorm(-1.0, 2.0, loc, s),
+    "norm": lambda loc, s: scipy.stats.norm(loc, s),
+}
+_PLACEMENTS = [(0.0, 1.0), (1e-9, 1e-9), (-3.7, 1e-9), (2e3, 3e-2), (1e9, 1e9), (-1e9, 7.0)]
+
+
+def _law_points(d, rng):
+    """Interior points, deep quantiles, the support's ends and their float
+    neighbours outside, ±inf, ±1e308 and NaN."""
+    lo, hi = (float(v) for v in d.support())
+    med = float(d.median())
+    iqr = float(d.ppf(0.75) - d.ppf(0.25))
+    levels = 10.0 ** -np.arange(1.0, 320.0)
+    return np.concatenate([
+        med + 40.0 * iqr * rng.standard_normal(300), d.ppf(rng.random(300)),
+        d.ppf(levels), d.isf(levels),
+        [np.nan, np.inf, -np.inf, lo, hi, np.nextafter(lo, -np.inf),
+         np.nextafter(hi, np.inf), med, 1e308, -1e308],
+    ])
+
+
+@pytest.mark.parametrize("loc, scale", _PLACEMENTS)
+@pytest.mark.parametrize("law", sorted(_ADAPTED))
+def test_scipy_law_takes_the_adapter_bit_for_bit(law, loc, scale):
+    d = _ADAPTED[law](loc, scale)
+    m = measures.from_scipy(d)
+    assert isinstance(m.dist, measures._LocScaleDist)
+    rng = np.random.default_rng(20241)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        xs = _law_points(d, rng)
+        qs = np.concatenate([_q_points(rng), 10.0 ** -np.arange(1.0, 320.0)])
+        for name in ("pdf", "cdf", "sf", "ppf", "isf"):
+            pts = qs if name in ("ppf", "isf") else xs
+            got, want = getattr(m.dist, name)(pts), getattr(d, name)(pts)
+            # NaN, 0, 1 and ±inf at the same places, every other value equal
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            # every point inside the support: the adapter's unmasked path
+            inside = pts[np.isfinite(want) & (want > 0.0) & (want < 1.0)]
+            np.testing.assert_array_equal(getattr(m.dist, name)(inside),
+                                          getattr(d, name)(inside), err_msg=name)
+            # 0-d input gives scipy's scalar type
+            for one in pts[[0, -3]]:
+                got, want = getattr(m.dist, name)(one), getattr(d, name)(one)
+                assert type(got) is type(want)
+                np.testing.assert_array_equal(got, want, err_msg=name)
+    assert m.support == tuple(float(v) for v in d.support())
+
+
+@pytest.mark.parametrize("loc, scale", _PLACEMENTS)
+@pytest.mark.parametrize("law", sorted(_ADAPTED))
+def test_adapted_is_profile_is_the_frozen_laws(law, loc, scale):
+    d = _ADAPTED[law](loc, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = isoperimetry.isoperimetric_constant(measures.from_scipy(d))
+        want = isoperimetry.isoperimetric_constant(measures.from_scipy(_Forward(d)))
+    for field in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+@pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (3.0, 1e-3)])
+def test_adapter_hands_the_shapes_over_as_scipy_does(loc, scale):
+    # gausshyper's _pdf rounds differently with shapes of the input's shape
+    # (scipy's unmasked path) and with size-1 shapes (its masked path): a
+    # NaN or a point outside the support next to the same points moves
+    # scipy's last bits, and the adapter's with them
+    d = scipy.stats.gausshyper(1.5, 2.5, 0.5, 0.7, loc=loc, scale=scale)
+    m = measures.from_scipy(d)
+    assert isinstance(m.dist, measures._LocScaleDist)
+    xs = loc + scale * np.random.default_rng(5).random(200)  # inside [0, 1]·scale + loc
+    for pts in (xs, np.append(xs, np.nan), np.append(xs, loc + 2.0 * scale)):
+        np.testing.assert_array_equal(m.pdf(pts), d.pdf(pts))
+
+
+def test_adapter_calls_no_private_function_on_no_entries():
+    # kstwo's _pdf raises on an empty array: scipy calls it only where some
+    # entry lies inside the support, and so does the adapter
+    d = scipy.stats.kstwo(10)
+    m = measures.from_scipy(d)
+    assert isinstance(m.dist, measures._LocScaleDist)
+    for pts in (-1.0, [-1.0, 2.0]):
+        np.testing.assert_array_equal(m.pdf(pts), d.pdf(pts))
+
+
+def _own_pdf():
+    d = scipy.stats.t(3)
+    d.pdf = lambda v: scipy.stats.t(3).pdf(v)
+    return d
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scipy.stats.levy(), lambda: scipy.stats.invgauss(0.5),
+    lambda: scipy.stats.t(-1), lambda: scipy.stats.poisson(3), _own_pdf,
+    lambda: _Forward(scipy.stats.t(3)),
+    lambda: measures.gaussian(0, 1).dist, lambda: measures.beta(2, 7).dist,
+], ids=["levy", "invgauss", "t(-1)", "poisson", "own-pdf", "proxy", "unflagged", "beta(2,7)"])
+def test_other_laws_keep_their_object(make):
+    # levy's and invgauss's pdf mask is the open support, and their _pdf is
+    # NaN at 0; t(-1) fails _argcheck; a discrete law, a law with its own pdf
+    # and duck-typed objects (the tests' unflagged helper among them) are
+    # not frozen rv_continuous laws with scipy's own methods
+    d = make()
+    m = measures.from_scipy(d)
+    assert m.dist is d
+    pts = np.array([0.5, 1.5, 3.0])
+    with np.errstate(all="ignore"):
+        for name in ("cdf", "sf"):  # a discrete law has no pdf
+            np.testing.assert_array_equal(getattr(m, name)(pts), getattr(d, name)(pts))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scipy.stats.t(3), lambda: scipy.stats.cauchy(), lambda: scipy.stats.lognorm(1.0),
+], ids=["t3", "cauchy", "lognorm"])
+def test_adapted_is_makes_no_frozen_call(make, monkeypatch):
+    # the gain is the frozen object's argument handling, skipped: an Is of
+    # the adapted law calls none of its public methods, where the same Is
+    # through a forwarding proxy calls them dozens of times
+    d = make()
+    adapted, proxied = measures.from_scipy(d), measures.from_scipy(_Forward(d))
+    calls = []
+    for name in ("pdf", "cdf", "sf", "ppf", "isf"):
+        def spy(v, real=getattr(d, name), name=name):
+            calls.append(name)
+            return real(v)
+        monkeypatch.setattr(d, name, spy)
+    isoperimetry.isoperimetric_constant(adapted)
+    assert calls == []
+    isoperimetry.isoperimetric_constant(proxied)
+    assert calls.count("pdf") > 10 and calls.count("ppf") > 10
 
 
 _LEVELS = [10.0 ** -k for k in range(1, 301)]
