@@ -60,6 +60,17 @@ quadrature raises IntegrationError unless sum err_i <= rel_tol * int |f|
 still holds.  Non-finite values poison a panel (err = inf), so a genuinely
 divergent integrand ends given up on with an infinite error bound and
 raises instead of returning garbage.
+
+The rounds are where a build spends its own time, so each does little
+besides scoring.  Round 0 scores every seed panel in one batch; each later
+round scores, in one batch in x order, exactly the children made by the
+round before, and the panels that passed are never scored again, so every
+panel is scored in the same batch, with the same rows in the same order, as
+when each round looked at every panel.  A round splits only its failing
+panels (a split point and a width-underflow test for those alone), and the
+loop ends at the first round where none fails.  The whole build runs under
+one floating-point error state, all="ignore", whatever the caller's, which
+is back in force when the build returns or raises.
 """
 
 from __future__ import annotations
@@ -106,6 +117,8 @@ _MAX_PANELS = 30_000
 _MASS_FRACTION = 0.01
 # the least lighter-side mass, against the global mass, of a cumulative build
 _LIGHT_FLOOR = 2.0 ** -57
+# a split panel's two children, as offsets from the first
+_CHILDREN = np.array([0, 1])
 
 
 def _panel_batch(f, a, b):
@@ -114,45 +127,67 @@ def _panel_batch(f, a, b):
     One vectorized call evaluates the 21 Kronrod nodes of every panel; the
     Gauss rule reuses 10 of their values.  Panels containing non-finite
     evaluations get err = mass = inf and value 0 so they never pass any
-    acceptance test but do not poison running totals.
+    acceptance test but do not poison running totals.  Every K21 weight is
+    positive, so such a panel's mass is non-finite: the rows are looked at
+    only when some mass is.
 
     The sums are one (n, 21) @ (21, 2) matrix product, which rounds with
     the number of rows: a panel scored in another batch can come out one
     ulp apart.  A caller that needs fixed bits sums by row (``rule_sums``).
+    The batch runs in the caller's floating-point error state; ``_adapt``
+    ignores every floating-point error for the whole build.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    pts = (a + half)[:, None] + half[:, None] * _GK_NODES  # (n, 21)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
-    with np.errstate(invalid="ignore", over="ignore"):
-        kg = half[:, None] * (vals @ _GK_WEIGHTS)
-        value = kg[:, 0]
-        err = np.abs(value - kg[:, 1])
-        # summed as the value is, so a nonnegative f's mass is its value
-        mass = half * (np.abs(vals) @ _GK_WEIGHTS)[:, 0]
-    broken = ~np.isfinite(vals).all(axis=1)
-    if np.any(broken):
+    pts = half[:, None] * _GK_NODES  # (n, 21)
+    pts += (a + half)[:, None]
+    vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
+    kg = half[:, None] * (vals @ _GK_WEIGHTS)
+    value = kg[:, 0]
+    err = np.abs(value - kg[:, 1])
+    # summed as the value is, so a nonnegative f's mass is its value
+    mass = half * (np.abs(vals) @ _GK_WEIGHTS)[:, 0]
+    if np.count_nonzero(np.isfinite(mass)) < len(mass):
+        broken = ~np.isfinite(vals).all(axis=1)
         value = np.where(broken, 0.0, value)
         err = np.where(broken, np.inf, err)
         mass = np.where(broken, np.inf, mass)
     return value, err, mass
 
 
+def _ladder(knots, kinks=()):
+    """The sorted finite entries of ``knots`` and ``kinks``: ``knots`` itself
+    when there are no kinks and it already is sorted and finite, as
+    ``Measure.seed_levels`` is."""
+    ks = np.asarray(knots, dtype=float)
+    if (not len(kinks) and ks.size and math.isfinite(ks[0]) and math.isfinite(ks[-1])
+            and np.count_nonzero(ks[1:] >= ks[:-1]) == ks.size - 1):
+        return ks
+    ks = np.sort(np.concatenate([ks, kinks]))
+    # sorted, the non-finite entries are at the ends (-inf first, +inf and NaN last)
+    if ks.size and not (math.isfinite(ks[0]) and math.isfinite(ks[-1])):
+        ks = ks[np.isfinite(ks)]
+    return ks
+
+
 def _seed_edges(lo, hi, knots, kinks=()):
     """lo, hi and the finite knots and kinks between them, sorted and unique;
     an infinite end is cut at the outermost finite one toward it."""
-    ks = np.sort(np.concatenate([knots, kinks]))
-    ks = ks[np.isfinite(ks)]
+    ks = _ladder(knots, kinks)
     if ks.size:
         lo = ks[0] if lo == -np.inf else lo
         hi = ks[-1] if hi == np.inf else hi
     lo, hi = float(lo), float(hi)
     if not (hi > lo and math.isfinite(lo) and math.isfinite(hi)):
         raise IntegrationError(f"empty integration interval ({lo}, {hi})", 0.0, 0.0)
-    edges = np.concatenate([[lo], ks[(ks > lo) & (ks < hi)], [hi]])
-    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
+    inner = ks[ks.searchsorted(lo, side="right"):ks.searchsorted(hi, side="left")]
+    edges = np.empty(len(inner) + 2)
+    edges[0], edges[1:-1], edges[-1] = lo, inner, hi
+    first = np.empty(len(edges), dtype=bool)  # the first of each run of equal edges
+    first[0] = True
+    np.not_equal(edges[1:], edges[:-1], first[1:])
+    return edges[first]
 
 
 def _growing_shell(shells, lo_inf, hi_inf):
@@ -171,78 +206,98 @@ def _growing_shell(shells, lo_inf, hi_inf):
 
 def _adapt(f, lo, hi, knots, kinks=(), lighter_side=False) -> CumulativeIntegral:
     """Refine the seed partition of (lo, hi), kept in x order, to the active
-    rel_tol: each round scores the panels not yet kept, keeps those that pass
-    or are stuck, and replaces each of the rest by its two children.  One
-    give-up rule: a kept panel that did not pass, or a spent budget, sets
-    ``gave_up``, and then the summed error must meet the global budget.
+    rel_tol: round 0 scores every seed panel, each later round only the
+    children made by the round before, in one batch.  A scored panel that
+    passes is kept; one that fails is split in place into its two children,
+    unless it is stuck.  One give-up rule: a kept panel that did not pass,
+    or a spent budget, sets ``gave_up``, and then the summed error must meet
+    the global budget.  The build runs under one floating-point error state,
+    all="ignore", whatever the caller's.
     ``lighter_side`` measures the mass exemption against each panel's lighter
     side, for the prefix and suffix reads of a cumulative.  ``knots`` and
     ``kinks`` seed panels; the sorted finite ``knots`` bound the shells."""
-    rel_tol, ladder = active().rel_tol, np.sort(np.asarray(knots, dtype=float))
-    ladder = ladder[np.isfinite(ladder)]
-    edges = _seed_edges(lo, hi, ladder, kinks)
-    lo_inf, hi_inf = lo == -np.inf, hi == np.inf
-    lo, hi = float(edges[0]), float(edges[-1])
-    n = len(edges) - 1
-    value, err, mass = np.zeros(n), np.zeros(n), np.zeros(n)  # mass: finite |f| mass
-    kept = np.zeros(n, dtype=bool)
-    gave_up = False
+    rel_tol = active().rel_tol
+    exempt = _MASS_FRACTION * rel_tol
+    with np.errstate(all="ignore"):
+        ladder = _ladder(knots)
+        edges = _seed_edges(lo, hi, ladder, kinks)
+        lo_inf, hi_inf = lo == -np.inf, hi == np.inf
+        lo, hi = float(edges[0]), float(edges[-1])
+        n = len(edges) - 1
+        gave_up = False
+        # the scored panels: their indices ``new``, ends a, b and scores v, e, m
+        new, a, b = slice(None), edges[:-1], edges[1:]
+        value, err, mass = v, e, m = _panel_batch(f, a, b)
+        for round_no in range(_MAX_ROUNDS + 1):
+            run = mass.cumsum()
+            if not math.isfinite(run[-1]):
+                # a broken panel's mass counts as 0
+                mass[new] = m = np.where(np.isfinite(m), m, 0.0)
+                run = mass.cumsum()
+            scale = run[-1]
+            if lighter_side:
+                left = run[new]
+                scale = np.maximum(np.minimum(left, run[-1] - left + m), _LIGHT_FLOOR * run[-1])
+            ok = (e <= rel_tol * m) | (m <= exempt * scale)
+            # a panel with non-finite error must keep splitting (inf <= inf is true)
+            ok &= np.isfinite(e)
+            go = (~ok).nonzero()[0]
+            spent = round_no == _MAX_ROUNDS or n + len(go) > _MAX_PANELS
+            gave_up |= spent
+            if spent or not len(go):
+                break
+            # a failing panel is bisected, or split geometrically at an end: only
+            # the first can start at lo, and only the last can end at hi
+            ag, bg = a[go], b[go]
+            width = bg - ag
+            split = ag + 0.5 * width
+            if bg[-1] == hi:
+                split[-1] = bg[-1] - width[-1] / 8.0
+            if ag[0] == lo:
+                split[0] = ag[0] + width[0] / 8.0
+            # width underflow: a split point not strictly inside leaves the panel stuck
+            inside = (split > ag) & (split < bg)
+            if np.count_nonzero(inside) < len(go):
+                gave_up = True
+                go, split = go[inside], split[inside]
+                if not len(go):
+                    break
+            # each panel that goes on is replaced, in place, by its two children
+            at = new[go] if round_no else go
+            twice = np.zeros(n + 1, dtype=np.intp)
+            twice[at] = 1
+            twice += 1
+            edges = edges.repeat(twice)
+            # a split panel's children sit at its index shifted by the splits left of it
+            new = ((at + np.arange(len(at)))[:, None] + _CHILDREN).reshape(-1)
+            edges[new[1::2]] = split
+            twice = twice[:-1]
+            value, err, mass = value.repeat(twice), err.repeat(twice), mass.repeat(twice)
+            n += len(at)
+            a, b = edges[new], edges[new + 1]
+            v, e, m = _panel_batch(f, a, b)
+            value[new], err[new], mass[new] = v, e, m
 
-    for round_no in range(_MAX_ROUNDS + 1):
-        new = (~kept).nonzero()[0]
-        a, b = edges[new], edges[new + 1]
-        value[new], e, m = _panel_batch(f, a, b)
-        err[new] = e
-        mass[new] = m = np.where(np.isfinite(m), m, 0.0)
-        run = mass.cumsum()
-        scale = run[-1]
-        if lighter_side:
-            left = run[new]
-            scale = np.maximum(np.minimum(left, run[-1] - left + m), _LIGHT_FLOOR * run[-1])
-        ok = (e <= rel_tol * m) | (m <= _MASS_FRACTION * rel_tol * scale)
-        # a panel with non-finite error must keep splitting (inf <= inf is true)
-        ok &= np.isfinite(e)
-        width = b - a
-        split = np.where(a == lo, a + width / 8.0,
-                         np.where(b == hi, b - width / 8.0, a + 0.5 * width))
-        spent = round_no == _MAX_ROUNDS or n + np.count_nonzero(~ok) > _MAX_PANELS
-        # a spent budget, or width underflow, leaves a panel stuck
-        stuck = spent | ~((split > a) & (split < b))
-        gave_up |= spent or (stuck & ~ok).any()
-        keep = ok | stuck
-        kept[new] = keep
-        if keep.all():
-            break
-        # each panel that goes on is replaced, in place, by its two children
-        go = ~keep
-        at = new[go]
-        twice = np.ones(n + 1, dtype=int)
-        twice[at] = 2
-        edges = edges.repeat(twice)
-        edges[at + np.arange(1, len(at) + 1)] = split[go]
-        twice = twice[:-1]
-        value, err, mass, kept = (x.repeat(twice) for x in (value, err, mass, kept))
-        n += len(at)
-
-    total, error_bound = float(value.sum()), float(err.sum())
-    if gave_up and not error_bound <= rel_tol * run[-1]:
-        raise IntegrationError(
-            f"quadrature did not converge on ({lo}, {hi}): "
-            f"error bound {error_bound:.3e} exceeds budget "
-            f"{rel_tol * run[-1]:.3e}",
-            estimate=total,
-            error_bound=error_bound,
-        )
-    # a panel past an end knot of the ladder (a kink moved the cut) is in the end shell
-    shell = np.searchsorted(ladder[1:-1], edges[:-1], side="right")
-    grown = _growing_shell(np.bincount(shell, mass), lo_inf, hi_inf)
-    if grown is not None:
-        raise IntegrationError(
-            "integral diverges toward {}: a shell carries |f| mass {:.3e} "
-            "against {:.3e} inward of it".format(*grown),
-            estimate=total,
-            error_bound=math.inf,
-        )
+        total, error_bound = float(value.sum()), float(err.sum())
+        if gave_up and not error_bound <= rel_tol * run[-1]:
+            raise IntegrationError(
+                f"quadrature did not converge on ({lo}, {hi}): "
+                f"error bound {error_bound:.3e} exceeds budget "
+                f"{rel_tol * run[-1]:.3e}",
+                estimate=total,
+                error_bound=error_bound,
+            )
+        if lo_inf or hi_inf:
+            # a panel past an end knot of the ladder (a kink moved the cut) is in the end shell
+            shell = ladder[1:-1].searchsorted(edges[:-1], side="right")
+            grown = _growing_shell(np.bincount(shell, mass).tolist(), lo_inf, hi_inf)
+            if grown is not None:
+                raise IntegrationError(
+                    "integral diverges toward {}: a shell carries |f| mass {:.3e} "
+                    "against {:.3e} inward of it".format(*grown),
+                    estimate=total,
+                    error_bound=math.inf,
+                )
     return CumulativeIntegral(f, edges, value, total, error_bound)
 
 

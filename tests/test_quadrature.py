@@ -454,3 +454,245 @@ def test_runner_restores_default_context():
     assert cfg.numerics == NumericContext(rel_tol=1e-8, rhs_scale=0.1)
     assert runner.run(cfg).exit_code == runner.EXIT_CERT_FAILURE
     assert numerics.active() == NumericContext()
+
+
+# ---- the round loop against a frozen copy of its earlier form -------------
+#
+# ``_frozen_adapt`` is the round loop as it stood before the loop was cut to
+# fewer numpy calls per round: every round scored the panels not yet kept
+# under two error states, computed a split point for every scored panel and
+# mapped every panel onto the shells.  The engine must build the same
+# partition, values and error bounds bit for bit, and raise the same errors;
+# comparing against the loop itself holds on any numpy, where a fixed hash of
+# the outputs would not.  The budgets and rule tables are read off
+# ``quadrature`` at call time, so a patched budget reaches both loops.
+
+
+def _frozen_panel_batch(f, a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    pts = (a + half)[:, None] + half[:, None] * quadrature._GK_NODES
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kg = half[:, None] * (vals @ quadrature._GK_WEIGHTS)
+        value = kg[:, 0]
+        err = np.abs(value - kg[:, 1])
+        mass = half * (np.abs(vals) @ quadrature._GK_WEIGHTS)[:, 0]
+    broken = ~np.isfinite(vals).all(axis=1)
+    if np.any(broken):
+        value = np.where(broken, 0.0, value)
+        err = np.where(broken, np.inf, err)
+        mass = np.where(broken, np.inf, mass)
+    return value, err, mass
+
+
+def _frozen_seed_edges(lo, hi, knots, kinks=()):
+    ks = np.sort(np.concatenate([knots, kinks]))
+    ks = ks[np.isfinite(ks)]
+    if ks.size:
+        lo = ks[0] if lo == -np.inf else lo
+        hi = ks[-1] if hi == np.inf else hi
+    lo, hi = float(lo), float(hi)
+    if not (hi > lo and math.isfinite(lo) and math.isfinite(hi)):
+        raise IntegrationError(f"empty integration interval ({lo}, {hi})", 0.0, 0.0)
+    edges = np.concatenate([[lo], ks[(ks > lo) & (ks < hi)], [hi]])
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
+
+
+def _frozen_growing_shell(shells, lo_inf, hi_inf):
+    if len(shells) < 6:
+        return None
+    for end, inf, out in (("-inf", lo_inf, shells[:3]), ("+inf", hi_inf, shells[:-4:-1])):
+        k = 0 if out[0] > 0.0 else 1
+        if inf and not out[k] <= 0.5 * out[k + 1]:
+            return end, out[k], out[k + 1]
+    return None
+
+
+def _frozen_adapt(f, lo, hi, knots, kinks=(), lighter_side=False):
+    """(edges, values, total, error_bound), or IntegrationError."""
+    q = quadrature
+    rel_tol, ladder = numerics.active().rel_tol, np.sort(np.asarray(knots, dtype=float))
+    ladder = ladder[np.isfinite(ladder)]
+    edges = _frozen_seed_edges(lo, hi, ladder, kinks)
+    lo_inf, hi_inf = lo == -np.inf, hi == np.inf
+    lo, hi = float(edges[0]), float(edges[-1])
+    n = len(edges) - 1
+    value, err, mass = np.zeros(n), np.zeros(n), np.zeros(n)
+    kept = np.zeros(n, dtype=bool)
+    gave_up = False
+    for round_no in range(q._MAX_ROUNDS + 1):
+        new = (~kept).nonzero()[0]
+        a, b = edges[new], edges[new + 1]
+        value[new], e, m = _frozen_panel_batch(f, a, b)
+        err[new] = e
+        mass[new] = m = np.where(np.isfinite(m), m, 0.0)
+        run = mass.cumsum()
+        scale = run[-1]
+        if lighter_side:
+            left = run[new]
+            scale = np.maximum(np.minimum(left, run[-1] - left + m), q._LIGHT_FLOOR * run[-1])
+        ok = (e <= rel_tol * m) | (m <= q._MASS_FRACTION * rel_tol * scale)
+        ok &= np.isfinite(e)
+        width = b - a
+        split = np.where(a == lo, a + width / 8.0,
+                         np.where(b == hi, b - width / 8.0, a + 0.5 * width))
+        spent = round_no == q._MAX_ROUNDS or n + np.count_nonzero(~ok) > q._MAX_PANELS
+        stuck = spent | ~((split > a) & (split < b))
+        gave_up |= spent or (stuck & ~ok).any()
+        keep = ok | stuck
+        kept[new] = keep
+        if keep.all():
+            break
+        go = ~keep
+        at = new[go]
+        twice = np.ones(n + 1, dtype=int)
+        twice[at] = 2
+        edges = edges.repeat(twice)
+        edges[at + np.arange(1, len(at) + 1)] = split[go]
+        twice = twice[:-1]
+        value, err, mass, kept = (x.repeat(twice) for x in (value, err, mass, kept))
+        n += len(at)
+    total, error_bound = float(value.sum()), float(err.sum())
+    if gave_up and not error_bound <= rel_tol * run[-1]:
+        raise IntegrationError(
+            f"quadrature did not converge on ({lo}, {hi}): "
+            f"error bound {error_bound:.3e} exceeds budget "
+            f"{rel_tol * run[-1]:.3e}",
+            estimate=total,
+            error_bound=error_bound,
+        )
+    shell = np.searchsorted(ladder[1:-1], edges[:-1], side="right")
+    grown = _frozen_growing_shell(np.bincount(shell, mass), lo_inf, hi_inf)
+    if grown is not None:
+        raise IntegrationError(
+            "integral diverges toward {}: a shell carries |f| mass {:.3e} "
+            "against {:.3e} inward of it".format(*grown),
+            estimate=total,
+            error_bound=math.inf,
+        )
+    return edges, value, total, error_bound
+
+
+def _against(m, g):
+    """(f, lo, hi, knots, kinks) of ∫ g dμ, as ``Measure`` hands them over."""
+    lo, hi = m.support
+    return (lambda x: m.weighted(g, x), lo, hi, m.seed_levels(),
+            (*getattr(g, "knots", ()), *m.knots))
+
+
+def _flat(c):
+    return lambda x: np.full_like(np.asarray(x, float), c)
+
+
+_CAUCHY = measures.from_scipy(stats.cauchy(), "cauchy")
+_BETA_POLE = measures.beta(0.5, 2)  # one ladder: its deep levels warn (ROADMAP item 5)
+
+# id: (build of (f, lo, hi, knots, kinks), budgets patched on quadrature)
+ENGINE_CORPUS = {
+    "gaussian": (lambda: (gauss_pdf, -40.0, 40.0, (), ()), {}),
+    "abs-kink": (lambda: (np.abs, -1.0, 2.0, (), (0.0,)), {}),
+    "abs-knot": (lambda: (np.abs, -1.0, 2.0, (0.0,), ()), {}),
+    "laplace-x": (lambda: _against(measures.laplace(0, 1), functions.monomial(1)), {}),
+    "laplace-ramp": (lambda: _against(measures.laplace(0, 1), functions.ramp(0.0, 0.5)), {}),
+    "laplace-tail-ramp": (lambda: _against(measures.laplace(0, 1), functions.ramp(400.0, 0.1)), {}),
+    "gaussian-x2-1e-6": (lambda: _against(measures.gaussian(0, 1e-6), functions.monomial(2)), {}),
+    "logistic-ramp": (lambda: _against(measures.logistic(0, 2), functions.ramp(1.0, 0.5)), {}),
+    "exponential-x2": (lambda: _against(measures.exponential(1), functions.monomial(2)), {}),
+    "beta-2-3-x": (lambda: _against(measures.beta(2, 3), functions.monomial(1)), {}),
+    "beta-pole-mass": (lambda: _against(_BETA_POLE, functions.constant(1.0)), {}),
+    "beta-pole-x": (lambda: _against(_BETA_POLE, functions.monomial(1)), {}),
+    "cauchy-mass": (lambda: _against(_CAUCHY, functions.constant(1.0)), {}),
+    "cauchy-abs": (lambda: (lambda x: np.abs(x) * _CAUCHY.pdf(x), -math.inf, math.inf,
+                            _CAUCHY.seed_levels(), ()), {}),
+    "endpoint-pole": (lambda: (lambda t: np.asarray(t, float) ** -0.5, 0.0, 1.0, (), ()), {}),
+    "reciprocal": (lambda: (lambda t: 1.0 / np.asarray(t, float), 0.0, 1.0, (), ()), {}),
+    "nan": (lambda: (_flat(math.nan), 0.0, 1.0, (), ()), {}),
+    "nan-half": (lambda: (lambda t: np.where(t < 0.3, np.nan, 1.0), 0.0, 1.0, (), ()), {}),
+    "overflow": (lambda: (_flat(1e308), 0.0, 10.0, (), ()), {}),
+    "width-underflow": (lambda: (lambda x: np.abs(np.asarray(x, float) - 1.0) ** 0.25,
+                                 1.0, 2.0, (), ()), {}),
+    "underflow-pole": (lambda: (lambda t: np.asarray(t, float) ** -0.95, 0.0, 1.0, (), ()), {}),
+    "subnormal": (lambda: _against(measures.uniform(0, 1), lambda x: (x / 10**6.2) ** 50), {}),
+    "raw-knots": (lambda: (gauss_pdf, -math.inf, math.inf,
+                           (3.0, -40.0, math.nan, 40.0, -math.inf, 0.0, 3.0), (0.5, math.inf)), {}),
+    "knots-past-hi": (lambda: (gauss_pdf, -math.inf, 1.0, (-40.0, -1.0, 0.0, 40.0), ()), {}),
+    "empty": (lambda: (gauss_pdf, 1.0, 1.0, (), ()), {}),
+    "rounds-0": (lambda: (sin2, 0.0, 10.0, (), ()), {"_MAX_ROUNDS": 0}),
+    "rounds-2": (lambda: (sin2, 0.0, 10.0, (), ()), {"_MAX_ROUNDS": 2}),
+    "rounds-0-passing": (lambda: (lambda x: 3.0 * x * x - 2.0 * x + 1.0, -1.0, 2.0, (), ()),
+                         {"_MAX_ROUNDS": 0}),
+    "panels-50": (lambda: (sin2, 0.0, 20.0, (), ()), {"_MAX_PANELS": 50}),
+    "panels-80-knots": (lambda: (sin2, 0.0, 10.0, np.arange(0.25, 10.0, 0.25), ()),
+                        {"_MAX_PANELS": 80}),
+    "panels-120": (lambda: (sin2, 0.0, 20.0, (), ()), {"_MAX_PANELS": 120}),
+}
+
+
+def _outcome(build):
+    """What a build leaves: the bytes of its partition, values and sums, or
+    the message and figures of the IntegrationError it raised."""
+    try:
+        edges, values, total, error_bound = build()
+    except IntegrationError as exc:
+        return "raised", str(exc), float(exc.estimate).hex(), float(exc.error_bound).hex()
+    return ("built", np.asarray(edges).tobytes(), np.asarray(values).tobytes(),
+            float(total).hex(), float(error_bound).hex())
+
+
+def _engine(f, lo, hi, knots, kinks, lighter_side):
+    c = quadrature._adapt(f, lo, hi, knots, kinks, lighter_side)
+    return c.edges, c.values, c.total, c.error_bound
+
+
+@pytest.mark.parametrize("lighter_side", [False, True], ids=["integrate", "cumulative"])
+@pytest.mark.parametrize("case", ENGINE_CORPUS)
+def test_engine_matches_the_frozen_round_loop_bit_for_bit(monkeypatch, case, lighter_side):
+    make, budgets = ENGINE_CORPUS[case]
+    for name, value in budgets.items():
+        monkeypatch.setattr(quadrature, name, value)
+    f, lo, hi, knots, kinks = make()
+    want = _outcome(lambda: _frozen_adapt(f, lo, hi, knots, kinks, lighter_side))
+    got = _outcome(lambda: _engine(f, lo, hi, knots, kinks, lighter_side))
+    assert got == want
+
+
+def test_engine_corpus_reaches_every_outcome(monkeypatch):
+    # the corpus builds, and raises on divergence toward an infinite end, on
+    # an empty interval, on an infinite or NaN error bound and on a spent
+    # budget; the constant 1e308 scores finite nodes to an infinite mass
+    def outcome(case):
+        make, budgets = ENGINE_CORPUS[case]
+        with monkeypatch.context() as patch:
+            for name, value in budgets.items():
+                patch.setattr(quadrature, name, value)
+            f, lo, hi, knots, kinks = make()
+            return _outcome(lambda: _engine(f, lo, hi, knots, kinks, True))
+
+    assert outcome("gaussian")[0] == outcome("width-underflow")[0] == "built"
+    assert "error bound nan" in outcome("overflow")[1]
+    assert "diverges toward -inf" in outcome("cauchy-abs")[1]
+    assert "empty integration interval" in outcome("empty")[1]
+    assert float.fromhex(outcome("underflow-pole")[3]) == math.inf
+    assert "error bound inf" in outcome("nan")[1]
+    assert "exceeds budget" in outcome("rounds-2")[1] and "exceeds budget" in outcome("panels-50")[1]
+
+
+@pytest.mark.parametrize("case", ["laplace-x", "nan-half", "overflow", "underflow-pole",
+                                  "cauchy-abs", "raw-knots"])
+def test_build_ignores_the_callers_error_state(case):
+    # the build runs under its own error state, all="ignore": the caller's
+    # "raise" changes no bit, and the caller's state is back after the build,
+    # whether it returned or raised
+    f, lo, hi, knots, kinks = ENGINE_CORPUS[case][0]()
+    before = np.geterr()
+    want = _outcome(lambda: _engine(f, lo, hi, knots, kinks, True))
+    assert np.geterr() == before
+    with np.errstate(all="raise"):
+        raised = np.geterr()
+        got = _outcome(lambda: _engine(f, lo, hi, knots, kinks, True))
+        assert np.geterr() == raised
+    assert got == want
+    assert np.geterr() == before

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from covineq import config as cfg
-from covineq import functions, inequalities, isoperimetry, kernel, measures, runner, search
+from covineq import (functions, inequalities, isoperimetry, kernel, measures, quadrature,
+                     runner, search)
 from covineq.certificates import InequalityCertificate, certify, to_csv, to_json
 from covineq.errors import ComputationError
 
@@ -256,6 +257,26 @@ class TestDefaultSuite:
         # one entry): 199 quadratures, budget +10%
         runner.run(cfg.parse_config(cfg.default_config_dict()))
         assert len(quadratures) <= 219
+
+    def test_default_suite_engine_counts(self, monkeypatch):
+        # the engine's own counts are deterministic, and pinned exactly: a
+        # default run makes 199 builds (179 integrate + 20 cumulative) in 639
+        # rounds, each round one _panel_batch call, which score 5,038 panels
+        builds, rounds = [], []
+        real_adapt, real_batch = quadrature._adapt, quadrature._panel_batch
+
+        def adapt(*args, **kwargs):
+            builds.append(1)
+            return real_adapt(*args, **kwargs)
+
+        def batch(f, a, b):
+            rounds.append(len(a))
+            return real_batch(f, a, b)
+
+        monkeypatch.setattr(quadrature, "_adapt", adapt)
+        monkeypatch.setattr(quadrature, "_panel_batch", batch)
+        runner.run(cfg.parse_config(cfg.default_config_dict()))
+        assert (len(builds), len(rounds), sum(rounds)) == (199, 639, 5038)
 
     def test_default_suite_memo_holds_no_per_call_integrand(self):
         # expectation keeps only DifferentiableFunction keys, so a moment of
