@@ -2,9 +2,15 @@
 
 Every check in this package reduces to "lhs ≤ rhs within a stated relative
 tolerance".  A certificate stores both sides, the ratio, the slack, the
-side conditions that were verified numerically, and the tolerance itself,
-so a report line is meaningful in isolation.  ``certify`` takes the pass
-tolerance and the rhs scale from the active numerics.NumericContext.
+side conditions that were verified numerically, and the
+numerics.NumericContext it was built under, so a report line is meaningful
+in isolation.
+
+One tolerance rule: a row is judged and printed under the context it was
+built in.  ``certify`` takes the pass tolerance and the rhs scale from the
+active context and stores it on the row, and a row built directly takes
+the active one; the serializers read the pass tolerance and the quadrature
+tolerance from each row, never from the context in force when they run.
 
 One verdict rule: a row's ``status`` is its verdict; ``passed``, the pass
 cell and the exit code are read from it.  ``certify`` sets ``ok`` or ``fail``
@@ -26,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CovineqError
-from .numerics import active
+from .numerics import NumericContext, active
 
 CSV_HEADER = ["name", "family", "params", "p", "lhs", "rhs", "ratio", "slack",
               "pass", "status"]
@@ -45,8 +51,13 @@ class InequalityCertificate:
     slack: float = math.nan
     side_conditions: dict = field(default_factory=dict)
     status: str = CovineqError.status
-    tol: float = field(default_factory=lambda: float(active().pass_tol))
+    numerics: NumericContext = field(default_factory=active)
     uninformative: bool = False
+
+    @property
+    def tol(self) -> float:
+        """The pass tolerance the row was judged with."""
+        return self.numerics.pass_tol
 
     @property
     def passed(self) -> bool:
@@ -87,6 +98,7 @@ def certify(
         slack=rhs - lhs,
         side_conditions={k: float(v) for k, v in (side_conditions or {}).items()},
         status="ok" if lhs <= rhs * (1.0 + ctx.pass_tol) else "fail",
+        numerics=ctx,
         uninformative=not math.isfinite(rhs),
     )
 
@@ -103,12 +115,12 @@ def _params_text(params: dict) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in items)
 
 
-def _printed_slack(cert: InequalityCertificate, quad_tol) -> float:
-    """The slack, or 0 where its magnitude is at most the quadrature
+def _printed_slack(cert: InequalityCertificate) -> float:
+    """The slack, or 0 where its magnitude is at most the row's quadrature
     tolerance times a finite |rhs|: both sides then agree to the accuracy
     of the integrals, and the digits left record only rounding and the path
-    of a sup search.  ``quad_tol`` None is the active tolerance."""
-    tol = active().rel_tol if quad_tol is None else quad_tol
+    of a sup search."""
+    tol = cert.numerics.rel_tol
     return 0.0 if abs(cert.slack) <= tol * abs(cert.rhs) < math.inf else cert.slack
 
 
@@ -117,7 +129,7 @@ def _pass_value(cert: InequalityCertificate):
     return None if cert.status.startswith(("skip", "error")) else cert.passed
 
 
-def _row(cert: InequalityCertificate, quad_tol) -> list[str]:
+def _row(cert: InequalityCertificate) -> list[str]:
     return [
         cert.name,
         str(cert.params.get("family", "")),
@@ -126,27 +138,27 @@ def _row(cert: InequalityCertificate, quad_tol) -> list[str]:
         _fmt(cert.lhs),
         _fmt(cert.rhs),
         _fmt(cert.ratio),
-        _fmt(_printed_slack(cert, quad_tol)),
+        _fmt(_printed_slack(cert)),
         {True: "true", False: "false", None: ""}[_pass_value(cert)],
         cert.status,
     ]
 
 
-def to_csv(certs, quad_tol=None) -> str:
+def to_csv(certs) -> str:
     """CSV report, one row per certificate with its status.
 
-    The trailing comment lines record the tolerances in force, without which
-    a pass/fail column cannot be interpreted.  A slack within the quadrature
-    tolerance of the rhs prints as 0, here and in ``to_json``.
+    The trailing comment lines record the set of each tolerance the rows
+    were built under, without which a pass/fail column cannot be
+    interpreted.  A slack within the row's quadrature tolerance of the rhs
+    prints as 0, here and in ``to_json``.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(_row(cert, quad_tol) for cert in certs)
-    tols = sorted({c.tol for c in certs})
-    buf.write(f"# pass_tol={','.join(f'{t:g}' for t in tols) or 'n/a'}\n")
-    if quad_tol is not None:
-        buf.write(f"# quadrature_rel_tol={quad_tol:g}\n")
+    writer.writerows(_row(cert) for cert in certs)
+    for key, attr in (("pass_tol", "pass_tol"), ("quadrature_rel_tol", "rel_tol")):
+        tols = sorted({getattr(c.numerics, attr) for c in certs})
+        buf.write(f"# {key}={','.join(f'{t:g}' for t in tols) or 'n/a'}\n")
     return buf.getvalue()
 
 
@@ -157,7 +169,7 @@ def _json_num(v):
     return v
 
 
-def to_json(certs, quad_tol=None) -> str:
+def to_json(certs) -> str:
     out = []
     for cert in certs:
         obj = {
@@ -166,7 +178,7 @@ def to_json(certs, quad_tol=None) -> str:
             "lhs": _json_num(cert.lhs),
             "rhs": _json_num(cert.rhs),
             "ratio": _json_num(cert.ratio),
-            "slack": _json_num(_printed_slack(cert, quad_tol)),
+            "slack": _json_num(_printed_slack(cert)),
             "side_conditions": {
                 k: _json_num(v) for k, v in cert.side_conditions.items()
             },
@@ -174,8 +186,7 @@ def to_json(certs, quad_tol=None) -> str:
             "tol": cert.tol,
             "uninformative": cert.uninformative,
             "status": cert.status,
+            "quadrature_rel_tol": cert.numerics.rel_tol,
         }
-        if quad_tol is not None:
-            obj["quadrature_rel_tol"] = quad_tol
         out.append(obj)
     return json.dumps(out, indent=2, sort_keys=False, default=float)

@@ -950,40 +950,52 @@ class CheckEntry:
     when it runs, so a function replaced on this module (or on ``kernel``,
     for hardy) is the one called.  ``defaults`` maps every grid key the
     check takes to its default values; ``GRID_KEYS`` parses each value of
-    a key.  ``fn_key`` is the report parameter naming the battery function,
-    None for a measure-level check.
+    a key.  ``fn_keys`` are the report parameters that name the battery
+    function, as the check's own certificate prints them: ("g", "h") where
+    it is passed as both, () for a measure-level check.
     """
 
     call: Callable
     defaults: dict = field(default_factory=dict)
-    fn_key: str | None = "g"
+    fn_keys: tuple = ("g",)
 
     @property
     def needs_function(self) -> bool:
-        return self.fn_key is not None
+        return bool(self.fn_keys)
 
+
+# the covariance checks pass the battery function as both g and h
+_G_H = ("g", "h")
 
 CHECKS: dict[str, CheckEntry] = {
-    "cov_l1_linf": CheckEntry(lambda m, fn: check_cov_l1_linf(m, fn, fn)),
+    "cov_l1_linf": CheckEntry(
+        lambda m, fn: check_cov_l1_linf(m, fn, fn), fn_keys=_G_H
+    ),
     "cov_lp_lq_T": CheckEntry(
-        lambda m, fn, p: check_cov_lp_lq_T(m, fn, fn, p), {"p": (1.5, 2.0)}
+        lambda m, fn, p: check_cov_lp_lq_T(m, fn, fn, p), {"p": (1.5, 2.0)},
+        fn_keys=_G_H,
     ),
     "cov_lp_lq": CheckEntry(
-        lambda m, fn, p: check_cov_lp_lq(m, fn, fn, p), {"p": (1.0, 2.0)}
+        lambda m, fn, p: check_cov_lp_lq(m, fn, fn, p), {"p": (1.0, 2.0)},
+        fn_keys=_G_H,
     ),
     "cheeger": CheckEntry(lambda m, fn: check_cheeger(m, fn)),
     "cov_final": CheckEntry(
-        lambda m, fn, p: check_cov_final(m, fn, fn, p), {"p": (2.0,)}
+        lambda m, fn, p: check_cov_final(m, fn, fn, p), {"p": (2.0,)},
+        fn_keys=_G_H,
     ),
-    "brascamp_lieb": CheckEntry(lambda m, fn: check_brascamp_lieb(m, fn, fn)),
+    "brascamp_lieb": CheckEntry(
+        lambda m, fn: check_brascamp_lieb(m, fn, fn), fn_keys=_G_H
+    ),
     "cov_variant": CheckEntry(
         lambda m, fn, side: check_cov_variant(m, fn, fn, side),
         {"side": COV_VARIANT_SIDES},
+        fn_keys=_G_H,
     ),
     "lp_poincare": CheckEntry(
         lambda m, fn, p, variant: check_lp_poincare(m, fn, p, variant),
         {"p": (2.0,), "variant": ("centered_2p",)},
-        fn_key="u",
+        fn_keys=("u",),
     ),
     "mean_median_sandwich": CheckEntry(
         lambda m, fn: check_mean_median_sandwich(m, fn)
@@ -991,22 +1003,22 @@ CHECKS: dict[str, CheckEntry] = {
     "orlicz": CheckEntry(
         lambda m, fn, young, which: check_orlicz(m, fn, young_spec(young), which),
         {"young": ("|x|^2",), "which": ("median_centered",)},
-        fn_key="f",
+        fn_keys=("f",),
     ),
     "hardy": CheckEntry(
         lambda m, fn, p: kernel.hardy_certificate(m, fn, m.median(), p),
         {"p": (2.0,)},
-        fn_key="h",
+        fn_keys=("h",),
     ),
     "moment_growth": CheckEntry(
-        lambda m, p: check_moment_growth(m, p), {"p": (1.0, 2.0, 3.0)}, fn_key=None
+        lambda m, p: check_moment_growth(m, p), {"p": (1.0, 2.0, 3.0)}, fn_keys=()
     ),
-    "psi1_bound": CheckEntry(lambda m: check_psi1_bound(m), fn_key=None),
+    "psi1_bound": CheckEntry(lambda m: check_psi1_bound(m), fn_keys=()),
     "moment_comparison": CheckEntry(
-        lambda m, p: check_moment_comparison(m, p), {"p": (2.0,)}, fn_key=None
+        lambda m, p: check_moment_comparison(m, p), {"p": (2.0,)}, fn_keys=()
     ),
     "logconcave_moments": CheckEntry(
-        lambda m, p: check_logconcave_moments(m, p), {"p": (2.0,)}, fn_key=None
+        lambda m, p: check_logconcave_moments(m, p), {"p": (2.0,)}, fn_keys=()
     ),
 }
 

@@ -2,7 +2,8 @@
 
 ``quadrature.integrate``/``cumulative`` read the tolerance of the active
 NumericContext (relative to ∫|f|; there is no absolute one) and
-``certificates.certify`` its pass tolerance and rhs scale.
+``certificates.certify`` its pass tolerance and rhs scale; each certificate
+keeps the context it was built under, and is printed under it.
 The active context lives in a ContextVar, so each thread sees its own;
 ``with numeric_context(NumericContext(rel_tol=1e-8)):`` activates one.
 """

@@ -159,14 +159,14 @@ def run(config) -> RunResult:
                             cert = check.call(*args, **point)
                         except CovineqError as exc:
                             pp = {"family": m.label, **point}
-                            if check.needs_function:
-                                pp[check.fn_key] = args[1].descriptor
+                            for key in check.fn_keys:
+                                pp[key] = args[1].descriptor
                             cert = InequalityCertificate(spec.name, pp, status=exc.status)
                         certs.append(cert)
 
     certs.sort(key=_sort_key)
     serializer = to_csv if config.output_format == "csv" else to_json
-    report = serializer(certs, quad_tol=config.numerics.rel_tol)
+    report = serializer(certs)
     if config.output_path is not None:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(report)

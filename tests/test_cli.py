@@ -209,8 +209,20 @@ class TestSweepCommands:
             "sharpness", "--p", "2", "--k", "1,3",
         )
         assert code == 1
-        assert out.splitlines()[-1] == "# pass_tol=0.5"
+        assert out.splitlines()[-2:] == ["# pass_tol=0.5", "# quadrature_rel_tol=1e-09"]
         assert out.splitlines()[1].split(",")[6] == "0.02"
+
+    def test_sharpness_records_both_tolerances(self, capsys):
+        # the rows are judged inside the flags' context and printed after it
+        flags = ("--pass-tol", "1e-5", "--quad-rel-tol", "1e-8")
+        argv = ("sharpness", "--p", "2", "--k", "1,3")
+        code, out, _ = run_cli(capsys, *flags, *argv)
+        assert code == 0
+        assert out.splitlines()[-2:] == ["# pass_tol=1e-05", "# quadrature_rel_tol=1e-08"]
+        code, out, _ = run_cli(capsys, *flags, "--format", "json", *argv)
+        rows = json.loads(out)
+        assert code == 0 and rows
+        assert all(r["quadrature_rel_tol"] == 1e-8 and r["tol"] == 1e-5 for r in rows)
 
     def test_sharpness_bad_numeric_flag_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "--pass-tol", "-1", "sharpness")

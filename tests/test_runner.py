@@ -13,6 +13,7 @@ from covineq import (functions, inequalities, isoperimetry, kernel, measures, qu
                      runner, search)
 from covineq.certificates import InequalityCertificate, certify, to_csv, to_json
 from covineq.errors import ComputationError
+from covineq.numerics import NumericContext, numeric_context
 
 
 def small_config(**overrides):
@@ -81,6 +82,19 @@ class TestRun:
         for v in (bare.lhs, bare.rhs, bare.ratio, bare.slack):
             assert math.isnan(v)
         assert bare.passed is False
+
+    def test_raised_cell_names_the_function_as_its_certificate_does(self):
+        # brascamp_lieb takes the battery function as both g and h; its skip
+        # row on exponential names it under both keys, as the gaussian ok row
+        res = runner.run(
+            small_config(measures=["gaussian:0,1", "exponential:1"],
+                         checks=["brascamp_lieb"], output_format="json")
+        )
+        rows = {r["status"]: r for r in json.loads(res.report)
+                if r["name"] == "brascamp_lieb"}
+        assert set(rows) == {"ok", "skip:unsupported-measure"}
+        assert set(rows["ok"]["params"]) == set(rows["skip:unsupported-measure"]["params"])
+        assert rows["skip:unsupported-measure"]["params"]["h"] == "monomial(1)"
 
     def test_integration_failure_yields_exit_3_and_partial_report(self):
         res = runner.run(small_config(measures=["beta:0.5,0.5"]))
@@ -191,20 +205,55 @@ class TestVerdict:
     def test_slack_within_the_quadrature_tolerance_prints_as_zero(self):
         # a slack of at most rel_tol·|rhs| is rounding noise; larger slacks,
         # and the inf slack of an infinite rhs, print as they are
-        certs = [
-            certify("a", lhs=1.0 - 5e-14, rhs=1.0),
-            certify("b", lhs=1.0 + 5e-14, rhs=1.0),
-            certify("c", lhs=1.0, rhs=1.0 + 2.0**-26),
-            certify("d", lhs=1.0, rhs=math.inf),
-        ]
+        with numeric_context(NumericContext(rel_tol=1e-9)):
+            certs = [
+                certify("a", lhs=1.0 - 5e-14, rhs=1.0),
+                certify("b", lhs=1.0 + 5e-14, rhs=1.0),
+                certify("c", lhs=1.0, rhs=1.0 + 2.0**-26),
+                certify("d", lhs=1.0, rhs=math.inf),
+            ]
         want = ["0", "0", f"{2.0**-26:.10g}", "inf"]
-        rows = rows_of(to_csv(certs, quad_tol=1e-9))
+        rows = rows_of(to_csv(certs))
         assert [r["slack"] for r in rows] == want
         assert [r["status"] for r in rows] == ["ok"] * 4
-        objs = json.loads(to_json(certs, quad_tol=1e-9))
+        objs = json.loads(to_json(certs))
         assert [o["slack"] for o in objs] == [0.0, 0.0, 2.0**-26, "inf"]
-        # the active tolerance stands in for a serializer given none
-        assert rows_of(to_csv(certs[:1]))[0]["slack"] == "0"
+        # the context in force when a row is printed is not read
+        with numeric_context(NumericContext(rel_tol=1e-15)):
+            assert rows_of(to_csv(certs[:1]))[0]["slack"] == "0"
+
+    def test_row_is_printed_under_the_context_it_was_built_in(self):
+        ctx = NumericContext(rel_tol=1e-6, pass_tol=1e-5)
+        with numeric_context(ctx):
+            cert = certify("a", lhs=2.0 - 1e-6, rhs=2.0)
+            bare = InequalityCertificate("b", {})
+        assert cert.numerics is ctx and bare.numerics is ctx
+        assert cert.tol == bare.tol == 1e-5
+        # serialized outside any context: a slack of 5e-7·|rhs| is within
+        # the row's 1e-6, not the default 1e-9
+        report = to_csv([cert])
+        assert rows_of(report)[0]["slack"] == "0"
+        assert report.splitlines()[-2:] == [
+            "# pass_tol=1e-05", "# quadrature_rel_tol=1e-06",
+        ]
+        (obj,) = json.loads(to_json([cert]))
+        assert obj["slack"] == 0.0 and obj["tol"] == 1e-5
+        assert list(obj)[-1] == "quadrature_rel_tol"
+        assert obj["quadrature_rel_tol"] == 1e-6
+
+    def test_rows_built_under_two_contexts_list_both(self):
+        certs = []
+        for ctx in (NumericContext(rel_tol=1e-6), NumericContext(rel_tol=1e-8, pass_tol=1e-5)):
+            with numeric_context(ctx):
+                certs.append(certify("a", lhs=2.0 - 1e-6, rhs=2.0))
+        report = to_csv(certs)
+        assert [r["slack"] for r in rows_of(report)] == ["0", f"{certs[1].slack:.10g}"]
+        assert report.splitlines()[-2:] == [
+            "# pass_tol=1e-06,1e-05", "# quadrature_rel_tol=1e-08,1e-06",
+        ]
+        objs = json.loads(to_json(certs))
+        assert [o["quadrature_rel_tol"] for o in objs] == [1e-6, 1e-8]
+        assert [o["tol"] for o in objs] == [1e-6, 1e-5]
 
     @pytest.mark.parametrize(
         "statuses, want",
